@@ -125,7 +125,7 @@ def _refine(args, knowledge: factbase.Knowledge):
     kb_path = args.kb if (args.kb and not args.no_kb) else None
     with _kb_lock(kb_path):
         kb = refiner.load_kb(kb_path) if kb_path else None
-        artifacts, paths, report, updated = refiner.refine(
+        artifacts, _paths, report, updated = refiner.refine(
             t, intents, knowledge, catalog, kb=kb
         )
         if kb_path:
@@ -137,7 +137,7 @@ def _refine(args, knowledge: factbase.Knowledge):
     logger.info(
         "stage=refiner event=inventory reused=%s", str(report.inventory_reused).lower()
     )
-    return t, catalog, artifacts, paths
+    return artifacts
 
 
 def _render_all(artifacts):
@@ -164,7 +164,7 @@ def cmd_extract(args) -> int:
 
 def cmd_refine(args) -> int:
     knowledge = _load_knowledge(args)
-    _t, _catalog, artifacts, _paths = _refine(args, knowledge)
+    artifacts = _refine(args, knowledge)
     _write_outputs(args.out, {"artifacts.json": refiner.artifacts_to_json(artifacts)})
     return 0
 
@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
 
 def cmd_run(args) -> int:
     knowledge = _load_knowledge(args)
-    _t, _catalog, artifacts, _paths = _refine(args, knowledge)
+    artifacts = _refine(args, knowledge)
     outputs = {
         "knowledge.json": factbase.serialize_knowledge(knowledge),
         "artifacts.json": refiner.artifacts_to_json(artifacts),
@@ -306,9 +306,6 @@ def main(argv: list[str] | None = None) -> int:
                         level=logging.DEBUG if args.verbose else logging.INFO)
     try:
         return args.func(args)
-    except errors.Unenforceable as exc:
-        print(f"error: Unenforceable: {exc}", file=sys.stderr)
-        return EXIT_CODES[errors.Unenforceable]
     except errors.PipelineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

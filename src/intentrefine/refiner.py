@@ -1,18 +1,19 @@
 """Core allocator: bind intents to topology facts, place enforcement devices,
 emit rule artifacts, and maintain the reuse knowledge base.
 
-Enforcement placement is an exact minimum set cover: instance sizes are tiny
-(a handful of paths), so subsets are searched by increasing cardinality. A
-greedy fallback exists for large synthetic instances but is off by default.
+Enforcement placement picks the fewest devices that hit every path between
+an intent's endpoints: a minimum subject-object vertex cut in which only
+capable devices may be cut, found by max-flow (see select_enforcement_set).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
+import math
 import os
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
@@ -206,62 +207,110 @@ def _satisfying_controls(t: Topology, device: str, catalog: Catalog, r: Required
     )
 
 
+_ENDS = ""  # not a valid node id
+_IN, _OUT = 0, 1
+
+
+def _residual_tree(residual, start):
+    """Breadth-first tree of the vertices reachable from `start` through arcs
+    with residual capacity, as a child -> parent map."""
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v, capacity in residual[u].items():
+            if capacity and v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def _push_unit(residual, parent, end):
+    """Send one unit of flow along the tree path from its root to `end`."""
+    v = end
+    while (u := parent[v]) is not None:
+        residual[u][v] -= 1
+        residual[v][u] += 1
+        v = u
+
+
 def select_enforcement_set(
     paths: list[Path],
     t: Topology,
     catalog: Catalog,
     r: RequiredSet,
-    greedy: bool = False,
 ) -> tuple[set[str], dict[str, str]]:
     """Minimum set of devices covering every path with a satisfying control.
 
-    Exact search by increasing cardinality; ties break lexicographically on
-    the sorted device-id tuple. Raises Unenforceable (carrying the offending
-    path) when some path has no capable device.
+    `paths` must be every simple path between two endpoints (as from
+    `enumerate_paths`). Capability belongs to the device, not the path, so
+    the simple source-sink paths of the graph the paths form are exactly
+    `paths`, and a minimum cover is a minimum vertex cut of that graph in
+    which only capable devices may be cut (Menger). The cut is found by
+    max-flow: every node is split into an in- and an out-vertex, joined by an
+    arc of capacity 1 for a capable device and unbounded otherwise.
+
+    Ties break lexicographically on the sorted device-id tuple: candidates
+    are taken in sorted order, and each is kept only if removing it, together
+    with the devices already kept, lowers the cut by exactly one. Raises
+    Unenforceable (carrying the offending path) for the first path that has
+    no capable device.
     """
     if not paths:
         raise ValidationError("select_enforcement_set requires at least one path")
 
-    capable_per_path: list[frozenset[str]] = []
+    nodes = set().union(*(p.intermediate for p in paths))
+    controls = {
+        n: _satisfying_controls(t, n, catalog, r)
+        for n in nodes
+        if t.nodes[n].kind == topo.DEVICE
+    }
+    capable = {n for n, names in controls.items() if names}
+
+    steps: set[tuple[str, str]] = set()
     for path in paths:
-        capable = frozenset(
-            d for d in path.devices(t) if _satisfying_controls(t, d, catalog, r)
-        )
-        if not capable:
+        if capable.isdisjoint(path.intermediate):
             raise Unenforceable(
                 f"path {list(path.intermediate)} has no device with a "
                 f"satisfying {r.layer}-layer control",
                 path=path,
             )
-        capable_per_path.append(capable)
+        seq = (_ENDS, *path.intermediate, _ENDS)
+        steps.update(zip(seq, seq[1:]))
 
-    candidates = sorted(set().union(*capable_per_path))
+    # Arc (n, _IN) -> (n, _OUT) is node n; _ENDS is the subject on the out
+    # side (the source) and the object on the in side (the sink).
+    residual: dict[tuple[str, int], dict[tuple[str, int], float]] = {}
 
-    if greedy:
-        chosen: set[str] = set()
-        uncovered = list(capable_per_path)
-        while uncovered:
-            best = min(
-                candidates, key=lambda d: (-sum(1 for s in uncovered if d in s), d)
-            )
-            chosen.add(best)
-            uncovered = [s for s in uncovered if best not in s]
-        selected = chosen
-    else:
-        selected = None
-        for size in range(1, len(candidates) + 1):
-            for combo in itertools.combinations(candidates, size):
-                combo_set = set(combo)
-                if all(combo_set & s for s in capable_per_path):
-                    selected = combo_set
-                    break
-            if selected is not None:
-                break
-        assert selected is not None
+    def arc(u, v, capacity):
+        residual.setdefault(u, {})[v] = capacity
+        residual.setdefault(v, {}).setdefault(u, 0)
 
-    control_per_device = {
-        d: _satisfying_controls(t, d, catalog, r)[0] for d in selected
-    }
+    for a, b in steps:
+        arc((a, _OUT), (b, _IN), math.inf)
+    for n in nodes:
+        arc((n, _IN), (n, _OUT), 1 if n in capable else math.inf)
+
+    source, sink = (_ENDS, _OUT), (_ENDS, _IN)
+    while sink in (tree := _residual_tree(residual, source)):
+        _push_unit(residual, tree, sink)
+
+    selected: set[str] = set()
+    for d in sorted(capable):
+        u, w = (d, _IN), (d, _OUT)
+        # d lies in some minimum cut iff no residual path leads from its in-
+        # to its out-vertex (Picard & Queyranne 1980); an unsaturated arc is
+        # such a path by itself.
+        if w in _residual_tree(residual, u):
+            continue
+        selected.add(d)
+        # Remove d along with the unit of flow through it; what is left is a
+        # maximum flow of the graph without d, one unit smaller.
+        residual[w][u] = 0
+        _push_unit(residual, _residual_tree(residual, u), source)
+        _push_unit(residual, _residual_tree(residual, sink), w)
+
+    control_per_device = {d: controls[d][0] for d in selected}
     return selected, control_per_device
 
 
@@ -338,20 +387,29 @@ def artifacts_from_json(document: str) -> list[RuleArtifact]:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(f"malformed artifact document: {exc}")
-    artifacts = []
-    for entry in raw:
-        artifacts.append(
+    try:
+        return [
             RuleArtifact(
-                hsplid=entry["hsplid"],
-                device=entry["device"],
-                nsf=entry["nsf"],
+                hsplid=_string(entry["hsplid"]),
+                device=_string(entry["device"]),
+                nsf=_string(entry["nsf"]),
                 capabilities=tuple(
-                    CapabilityInstance(CapabilityId(c["capability"]), c["detail"])
+                    CapabilityInstance(
+                        CapabilityId(c["capability"]), _string(c["detail"])
+                    )
                     for c in entry["capabilities"]
                 ),
             )
-        )
-    return artifacts
+            for entry in raw
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DocumentSyntaxError(f"malformed artifact document: {exc!r}")
+
+
+def _string(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 # --- knowledge base ---------------------------------------------------------
@@ -498,9 +556,12 @@ def refine(
     k: Knowledge,
     catalog: Catalog,
     kb: KnowledgeBase | None = None,
-    greedy: bool = False,
 ) -> tuple[list[RuleArtifact], dict[str, list[Path]], ReuseReport, KnowledgeBase]:
-    """Run binding, placement, and artifact construction for every intent."""
+    """Run binding, placement, and artifact construction for every intent.
+
+    Placement depends only on the intent's paths and the required set, so it
+    runs once per distinct required set of an intent, not once per fact.
+    """
     paths, _inventory, report = kb_reconcile(kb, t, intents)
     artifacts: list[RuleArtifact] = []
     for intent in intents:
@@ -510,14 +571,16 @@ def refine(
                 f"intent {intent.id!r}: no path between "
                 f"{intent.subject!r} and {intent.object!r}"
             )
+        selections: dict[RequiredSet, tuple[set[str], dict[str, str]]] = {}
         for _fact, rset, bindings in bind_intent(t, intent, k):
-            selection = select_enforcement_set(
-                intent_paths, t, catalog, rset, greedy=greedy
-            )
-            logger.info(
-                "stage=refiner event=selection intent=%s layer=%s devices=%s",
-                intent.id, rset.layer, ",".join(sorted(selection[0])),
-            )
+            selection = selections.get(rset)
+            if selection is None:
+                selection = select_enforcement_set(intent_paths, t, catalog, rset)
+                selections[rset] = selection
+                logger.info(
+                    "stage=refiner event=selection intent=%s layer=%s devices=%s",
+                    intent.id, rset.layer, ",".join(sorted(selection[0])),
+                )
             artifacts.extend(
                 build_artifacts(intent, rset, bindings, selection, catalog)
             )

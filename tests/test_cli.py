@@ -213,3 +213,34 @@ def test_topology_change_forces_recompute(tmp_path, caplog):
         assert run_cli("run", *flags) == 0
     messages = [r.message for r in caplog.records]
     assert any("event=kb_reuse intent=hspl1 result=miss" in m for m in messages)
+
+
+MALFORMED_ARTIFACTS = [
+    "[{}]",
+    '{"a": 1}',
+    "5",
+    '[{"hsplid": "h", "device": "FW1", "nsf": "IpTables", "capabilities":'
+    ' [{"capability": "NoSuchCapability", "detail": "x"}]}]',
+    '[{"hsplid": "h", "device": ["FW1"], "nsf": "IpTables", "capabilities":'
+    ' [{"capability": "DropActionCapability", "detail": "drop"}]}]',
+]
+
+
+@pytest.mark.parametrize("document", MALFORMED_ARTIFACTS)
+def test_malformed_artifacts_exit_document_syntax(tmp_path, capsys, document):
+    artifacts = tmp_path / "artifacts.json"
+    artifacts.write_text(document)
+    convert = run_cli("convert", "--artifacts", artifacts, "--out", tmp_path / "out")
+    verify = run_cli(
+        "verify",
+        "--topology", FIXTURES / "scenario1" / "topology.yaml",
+        "--catalog", FIXTURES / "catalog.json",
+        "--artifacts", artifacts,
+        "--subject", "Eve", "--object", "Bob",
+        "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3",
+    )
+    code = cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"]
+    assert (convert, verify) == (code, code)
+    err = capsys.readouterr().err
+    assert err.count("error: DocumentSyntaxError: malformed artifact document") == 2
+    assert "Traceback" not in err

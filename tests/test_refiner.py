@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -194,13 +195,82 @@ def test_selection_matches_bruteforce_on_random_topologies(catalog):
         checked += 1
 
 
-def test_greedy_fallback_covers(catalog, scenario1_topology):
-    paths = topology.enumerate_paths(scenario1_topology, "Eve", "Bob")
-    devices, _ = select_enforcement_set(
-        paths, scenario1_topology, catalog, capability.NETWORK_REQUIRED, greedy=True
+# control satisfying each layer's requirement in the fixture catalog
+SATISFYING = {"network": "IpTables", "application": "ModSecurity"}
+CONTROL_CHOICES = [(), ("IpTables",), ("ModSecurity",), ("IpTables", "ModSecurity")]
+
+
+@pytest.mark.parametrize(
+    "required", [capability.NETWORK_REQUIRED, capability.APPLICATION_REQUIRED],
+    ids=["network", "application"],
+)
+def test_selection_equals_lexicographic_oracle(catalog, required):
+    rng = random.Random(7)
+    control = SATISFYING[required.layer]
+    checked = enforceable = 0
+    while checked < 150:
+        t = random_topology(rng)
+        t = dataclasses.replace(t, nodes={
+            n.id: (dataclasses.replace(n, controls=rng.choice(CONTROL_CHOICES))
+                   if n.kind == topology.DEVICE else n)
+            for n in t.nodes.values()
+        })
+        paths = topology.enumerate_paths(t, "A", "B")
+        if not paths:
+            continue
+        capable_per_path = [
+            frozenset(d for d in p.devices(t) if control in t.nodes[d].controls)
+            for p in paths
+        ]
+        expected = oracle_min_cover(capable_per_path)
+        if expected is None:
+            with pytest.raises(Unenforceable):
+                select_enforcement_set(paths, t, catalog, required)
+        else:
+            devices, controls = select_enforcement_set(paths, t, catalog, required)
+            assert devices == expected
+            assert controls == {d: control for d in expected}
+            enforceable += 1
+        checked += 1
+    assert enforceable >= 30
+
+
+def test_many_disjoint_chains_pick_first_device_of_each(catalog):
+    # C(200, 20) subsets: out of reach of a search by cardinality
+    rows = [[f"C{i:02d}D{j}" for j in range(10)] for i in range(20)]
+    nodes = ["  - {id: A, kind: endpoint}", "  - {id: B, kind: endpoint}",
+             "  - {id: SA, kind: subnet}", "  - {id: SB, kind: subnet}"]
+    links = ["  - [A, SA]", "  - [B, SB]"]
+    for row in rows:
+        nodes += [f"  - {{id: {d}, kind: device, controls: [IpTables]}}" for d in row]
+        links += [f"  - [{a}, {b}]" for a, b in zip(["SA", *row], [*row, "SB"])]
+    t = topology.parse_topology("\n".join(["nodes:", *nodes, "links:", *links]))
+    paths = topology.enumerate_paths(t, "A", "B")
+    assert len(paths) == 20
+    devices, _ = select_enforcement_set(paths, t, catalog, capability.NETWORK_REQUIRED)
+    assert devices == {row[0] for row in rows}
+
+
+def test_ladder_picks_lexicographically_first_pair(catalog):
+    # stages of two parallel devices between subnets; stage names count down
+    # from the subject, so the first pair in order is the stage next to B
+    stages = 12
+    nodes = ["  - {id: A, kind: endpoint}", "  - {id: B, kind: endpoint}"]
+    links = ["  - [A, S0]", f"  - [B, S{stages}]"]
+    nodes += [f"  - {{id: S{i}, kind: subnet}}" for i in range(stages + 1)]
+    for i in range(stages):
+        for side in "ab":
+            d = f"L{stages - 1 - i:02d}{side}"
+            nodes.append(f"  - {{id: {d}, kind: device, controls: [IpTables]}}")
+            links += [f"  - [S{i}, {d}]", f"  - [{d}, S{i + 1}]"]
+    t = topology.parse_topology("\n".join(["nodes:", *nodes, "links:", *links]))
+    paths = topology.enumerate_paths(t, "A", "B")
+    assert len(paths) == 2 ** stages
+    devices, controls = select_enforcement_set(
+        paths, t, catalog, capability.NETWORK_REQUIRED
     )
-    for p in paths:
-        assert devices & set(p.devices(scenario1_topology))
+    assert devices == {"L00a", "L00b"}
+    assert controls == {"L00a": "IpTables", "L00b": "IpTables"}
 
 
 # --- build_artifacts --------------------------------------------------------
