@@ -122,14 +122,13 @@ def _refine(args, knowledge: factbase.Knowledge):
         "stage=refiner event=inputs intents=%d nodes=%d", len(intents), len(t.nodes)
     )
 
-    kb_path = args.kb if (args.kb and not args.no_kb) else None
-    with _kb_lock(kb_path):
-        kb = refiner.load_kb(kb_path) if kb_path else None
+    with _kb_lock(args.kb):
+        kb = refiner.load_kb(args.kb) if args.kb else None
         artifacts, _paths, report, updated = refiner.refine(
             t, intents, knowledge, catalog, kb=kb
         )
-        if kb_path:
-            refiner.save_kb(updated, kb_path)
+        if args.kb:
+            refiner.save_kb(updated, args.kb)
     for hid in report.hits:
         logger.info("stage=refiner event=kb_reuse intent=%s result=hit", hid)
     for hid in report.misses:
@@ -247,8 +246,6 @@ def _add_io_flags(p, topology=False, hspl=False, cti=False, knowledge=False,
                        help="security-control catalog JSON")
     if kb:
         p.add_argument("--kb", help="knowledge-base file for result reuse")
-        p.add_argument("--no-kb", action="store_true",
-                       help="disable knowledge-base reuse and updates")
     if out:
         p.add_argument("--out", required=True, help="output directory")
     if artifacts:

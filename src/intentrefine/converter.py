@@ -2,8 +2,8 @@
 
 Serialization is hand-rolled so the XML is byte-deterministic: fixed header,
 two-space indentation, canonical condition order (source address, destination
-address, state, host), and a trailing action element. parse_mspl is the exact
-inverse, so serialize-parse-serialize is a fixpoint.
+address, state, host), a trailing action element, and XML-escaped values.
+parse_mspl is the exact inverse, so serialize-parse-serialize is a fixpoint.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class MsplPolicy:
 
 # --- normalization ----------------------------------------------------------
 
-def _ip_key(value: str) -> int:
+def ip_key(value: str) -> int:
     try:
         return int(ipaddress.IPv4Address(value))
     except (ipaddress.AddressValueError, ValueError):
@@ -86,15 +86,15 @@ def _normalize_address(capability: CapabilityId, detail: str) -> MsplCondition:
     if "," in detail:
         values = tuple(v.strip() for v in detail.split(","))
         for v in values:
-            _ip_key(v)
+            ip_key(v)
         return MsplCondition(capability, MatchOperator.UNION, values)
     if "-" in detail:
         begin, _, end = detail.partition("-")
         begin, end = begin.strip(), end.strip()
-        if _ip_key(begin) > _ip_key(end):
+        if ip_key(begin) > ip_key(end):
             raise NormalizationError(f"descending address range {detail!r}")
         return MsplCondition(capability, MatchOperator.RANGE, (begin, end))
-    _ip_key(detail)
+    ip_key(detail)
     return MsplCondition(capability, MatchOperator.EXACT, (detail,))
 
 
@@ -114,28 +114,26 @@ def _normalize_host(detail: str) -> MsplCondition:
     return MsplCondition(CapabilityId.HTTP_HOST, MatchOperator.EXACT, (host,))
 
 
+def condition_of(inst: CapabilityInstance) -> MsplCondition | None:
+    """The normalized condition of one capability instance; None for an action."""
+    if inst.capability in ACTION_CAPABILITIES:
+        return None
+    if inst.capability == CapabilityId.STATE:
+        return _normalize_state(inst.detail)
+    if inst.capability == CapabilityId.HTTP_HOST:
+        return _normalize_host(inst.detail)
+    return _normalize_address(inst.capability, inst.detail)
+
+
 def _rule_from_instances(
     rule_id: str, instances: tuple[CapabilityInstance, ...]
 ) -> MsplRule:
-    conditions: dict[CapabilityId, MsplCondition] = {}
-    action = None
-    for inst in instances:
-        if inst.capability in ACTION_CAPABILITIES:
-            action = ACTION_KEYWORDS[inst.capability]
-        elif inst.capability in (CapabilityId.IP_SOURCE, CapabilityId.IP_DESTINATION):
-            conditions[inst.capability] = _normalize_address(
-                inst.capability, inst.detail
-            )
-        elif inst.capability == CapabilityId.STATE:
-            conditions[inst.capability] = _normalize_state(inst.detail)
-        elif inst.capability == CapabilityId.HTTP_HOST:
-            conditions[inst.capability] = _normalize_host(inst.detail)
-    if action is None:
+    conditions = {i.capability: condition_of(i) for i in instances}
+    actions = [ACTION_KEYWORDS[c] for c in conditions if c in ACTION_KEYWORDS]
+    if not actions:
         raise NormalizationError(f"rule {rule_id!r}: artifact carries no action")
-    ordered = tuple(
-        conditions[c] for c in CONDITION_ORDER if c in conditions
-    )
-    return MsplRule(id=rule_id, conditions=ordered, action=action)
+    ordered = tuple(conditions[c] for c in CONDITION_ORDER if c in conditions)
+    return MsplRule(id=rule_id, conditions=ordered, action=actions[-1])
 
 
 def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
@@ -160,6 +158,12 @@ def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
 
 # --- serialization ----------------------------------------------------------
 
+def _escape(value: str) -> str:
+    """Escape the XML markup characters of text and attribute values."""
+    value = value.replace("&", "&amp;").replace("<", "&lt;")
+    return value.replace(">", "&gt;").replace('"', "&quot;")
+
+
 def _serialize_condition(cond: MsplCondition, indent: str) -> list[str]:
     name = ELEMENT_NAMES[cond.capability]
     container = VALUE_CONTAINERS[cond.capability]
@@ -167,29 +171,30 @@ def _serialize_condition(cond: MsplCondition, indent: str) -> list[str]:
     lines.append(f"{indent}  <{container}>")
     if cond.capability == CapabilityId.STATE:
         for value in cond.values:
-            lines.append(f"{indent}    <state>{value}</state>")
+            lines.append(f"{indent}    <state>{_escape(value)}</state>")
     elif cond.operator == MatchOperator.RANGE:
         lines.append(f"{indent}    <range>")
-        lines.append(f"{indent}      <begin>{cond.values[0]}</begin>")
-        lines.append(f"{indent}      <end>{cond.values[1]}</end>")
+        lines.append(f"{indent}      <begin>{_escape(cond.values[0])}</begin>")
+        lines.append(f"{indent}      <end>{_escape(cond.values[1])}</end>")
         lines.append(f"{indent}    </range>")
     else:
         for value in cond.values:
-            lines.append(f"{indent}    <exactMatch>{value}</exactMatch>")
+            lines.append(f"{indent}    <exactMatch>{_escape(value)}</exactMatch>")
     lines.append(f"{indent}  </{container}>")
     lines.append(f"{indent}</{name}>")
     return lines
 
 
 def serialize_mspl(p: MsplPolicy) -> str:
+    nsf_name = _escape(p.nsf_name)
     if not p.rules:
-        return f'{XML_HEADER}\n<policy nsfName="{p.nsf_name}"/>\n'
-    lines = [XML_HEADER, f'<policy nsfName="{p.nsf_name}">']
+        return f'{XML_HEADER}\n<policy nsfName="{nsf_name}"/>\n'
+    lines = [XML_HEADER, f'<policy nsfName="{nsf_name}">']
     for rule in p.rules:
-        lines.append(f'  <rule id="{rule.id}">')
+        lines.append(f'  <rule id="{_escape(rule.id)}">')
         for cond in rule.conditions:
             lines.extend(_serialize_condition(cond, "    "))
-        lines.append(f"    <actionCapability>{rule.action}</actionCapability>")
+        lines.append(f"    <actionCapability>{_escape(rule.action)}</actionCapability>")
         lines.append("  </rule>")
     lines.append("</policy>")
     return "\n".join(lines) + "\n"

@@ -245,12 +245,3 @@ def assert_fact(k: Knowledge, fact: Fact) -> Knowledge:
     validate_fact(k, fact)
     return Knowledge(templates=k.templates, facts=k.facts + (fact,))
 
-
-def query_facts(k: Knowledge, template: str, slot_filter: str | None = None) -> list[Fact]:
-    """Facts of one template, optionally only those binding slot_filter."""
-    if template not in k.templates:
-        raise UnknownTemplate(f"unknown template {template!r}")
-    result = [f for f in k.facts if f.template == template]
-    if slot_filter is not None:
-        result = [f for f in result if f.get(slot_filter) is not None]
-    return result

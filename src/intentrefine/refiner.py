@@ -164,11 +164,16 @@ def bind_intent(
                 ips = {v for name, v in fact.bindings if name.endswith("ip-address")}
                 endpoint_ips = {subject.ip, obj.ip} - {None}
                 if not (ips & endpoint_ips):
-                    logger.warning(
+                    logger.debug(
                         "intent %s: fact IPs %s match no endpoint; skipped",
                         intent.id, sorted(ips),
                     )
                     continue
+                for e in (subject, obj):
+                    if e.ip is None:
+                        raise ValidationError(
+                            f"intent {intent.id!r}: endpoint {e.id!r} has no ip address"
+                        )
                 bindings = [
                     ConditionBinding(
                         direction=DIRECTION_FORWARD, src_ip=subject.ip, dst_ip=obj.ip
@@ -180,7 +185,7 @@ def bind_intent(
             else:
                 host = fact.get("url")
                 if host is None or host.lower() not in obj.domains:
-                    logger.warning(
+                    logger.debug(
                         "intent %s: url fact %r not served by %s; skipped",
                         intent.id, host, obj.id,
                     )
@@ -499,15 +504,26 @@ def kb_reconcile(
     kb: KnowledgeBase | None, t: Topology, intents: list[HsplPolicy]
 ) -> tuple[dict[str, list[Path]], dict[str, tuple[str, ...]], ReuseReport]:
     """Return per-intent paths and the device inventory, reusing cached
-    results when the topology hash matches and the intent is unchanged."""
+    results when the topology hash matches and the intent is unchanged. A KB
+    whose reused paths name a node that is not a topology device or subnet is
+    corrupt and, as in load_kb, treated as absent."""
     report = ReuseReport()
-    digest = t.digest()
-    reusable = kb is not None and kb.topology_hash == digest
+    reusable = kb is not None and kb.topology_hash == t.digest()
+    cached = {
+        i.id: kb.paths[i.id]
+        for i in intents
+        if reusable and kb.intents.get(i.id) == i and i.id in kb.paths
+    }
+    interior = {n for n, node in t.nodes.items() if node.kind != topo.ENDPOINT}
+    named = set().union(*(p.intermediate for ps in cached.values() for p in ps))
+    if stray := sorted(named - interior):
+        logger.warning("ignoring corrupt knowledge base: cached paths name %s", stray)
+        reusable, cached = False, {}
 
     paths: dict[str, list[Path]] = {}
     for intent in intents:
-        if reusable and kb.intents.get(intent.id) == intent and intent.id in kb.paths:
-            paths[intent.id] = list(kb.paths[intent.id])
+        if intent.id in cached:
+            paths[intent.id] = list(cached[intent.id])
             report.hits.append(intent.id)
         else:
             paths[intent.id] = topo.enumerate_paths(t, intent.subject, intent.object)
@@ -532,16 +548,10 @@ def kb_update(
     A topology change evicts all old paths; the hash is always refreshed.
     """
     digest = t.digest()
+    merged = KnowledgeBase(topology_hash=digest, device_inventory=_build_inventory(t))
     if kb is not None and kb.topology_hash == digest:
-        merged = KnowledgeBase(
-            topology_hash=digest,
-            intents=dict(kb.intents),
-            paths=dict(kb.paths),
-            device_inventory=dict(kb.device_inventory),
-        )
-    else:
-        merged = KnowledgeBase(topology_hash=digest)
-    merged.device_inventory = _build_inventory(t)
+        merged.intents.update(kb.intents)
+        merged.paths.update(kb.paths)
     for intent in intents:
         merged.intents[intent.id] = intent
         merged.paths[intent.id] = list(paths[intent.id])
@@ -584,5 +594,6 @@ def refine(
             artifacts.extend(
                 build_artifacts(intent, rset, bindings, selection, catalog)
             )
-    updated = kb_update(kb, t, intents, paths)
+    # A KB that kb_reconcile did not reuse is not merged into either.
+    updated = kb_update(kb if report.inventory_reused else None, t, intents, paths)
     return artifacts, paths, report, updated

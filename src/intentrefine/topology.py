@@ -77,7 +77,7 @@ class Topology:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
-def _require_ipv4(value: str, context: str) -> str:
+def require_ipv4(value: str, context: str) -> str:
     try:
         ipaddress.IPv4Address(value)
     except (ipaddress.AddressValueError, ValueError):
@@ -100,7 +100,7 @@ def _parse_node(raw: object) -> Node:
     if ip is not None:
         if kind != ENDPOINT:
             raise ValidationError(f"node {node_id}: only endpoints carry an ip")
-        _require_ipv4(str(ip), f"node {node_id}")
+        require_ipv4(str(ip), f"node {node_id}")
     if domains and kind != ENDPOINT:
         raise ValidationError(f"node {node_id}: only endpoints carry domains")
     if controls:

@@ -1,9 +1,10 @@
 """Symbolic flow verifier: replay a synthetic flow against deployed artifacts.
 
-No packets are processed; each path is walked device by device and the first
-device whose artifacts match the flow blocks it. Network rules match on the
-exact source/destination pair; application rules match the HTTP host, but
-only on devices whose chosen control actually inspects the application layer.
+No packets are processed. A device blocks the flow when one of its rules, read
+as the converter's conditions that the translator renders, admits the flow on
+every condition: an address by exact value, union member or range; the HTTP
+host only at a control that inspects the application layer; any connection
+state. Each path is blocked at its first blocking device.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import logging
 from dataclasses import dataclass
 
 from . import topology as topo
-from .capability import Catalog, CapabilityId, LAYER_APPLICATION
+from .capability import Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION
+from .converter import MatchOperator, MsplCondition, condition_of, ip_key
 from .errors import ValidationError
 from .refiner import RuleArtifact
 from .topology import Path, Topology
@@ -30,6 +32,8 @@ class FlowSpec:
     l7_host: str | None = None
 
     def __post_init__(self):
+        topo.require_ipv4(self.src_ip, "flow source")
+        topo.require_ipv4(self.dst_ip, "flow destination")
         if self.src_ip == self.dst_ip:
             raise ValidationError("flow source and destination must differ")
 
@@ -41,16 +45,16 @@ class PathVerdict:
     device: str | None = None
 
 
-def _artifact_matches(artifact: RuleArtifact, f: FlowSpec, catalog: Catalog) -> bool:
-    host = artifact.detail_of(CapabilityId.HTTP_HOST)
-    if host is not None:
-        control = catalog.controls.get(artifact.nsf)
-        if control is None or control.layer != LAYER_APPLICATION:
-            return False
-        return f.l7_host is not None and f.l7_host.lower() == host.lower()
-    src = artifact.detail_of(CapabilityId.IP_SOURCE)
-    dst = artifact.detail_of(CapabilityId.IP_DESTINATION)
-    return src == f.src_ip and dst == f.dst_ip
+def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec | None) -> bool:
+    if cond.capability == CapabilityId.HTTP_HOST:
+        inspects = control is not None and control.layer == LAYER_APPLICATION
+        return inspects and (f.l7_host or "").lower() == cond.values[0]
+    if cond.capability == CapabilityId.STATE:
+        return True
+    ip = f.src_ip if cond.capability == CapabilityId.IP_SOURCE else f.dst_ip
+    if cond.operator == MatchOperator.RANGE:
+        return ip_key(cond.values[0]) <= ip_key(ip) <= ip_key(cond.values[1])
+    return ip in cond.values
 
 
 def evaluate_flow(
@@ -61,28 +65,22 @@ def evaluate_flow(
     subject: str,
     obj: str,
 ) -> list[PathVerdict]:
-    """Verdict per enumerated path: first matching device blocks the flow."""
-    per_device: dict[str, list[RuleArtifact]] = {}
-    for artifact in artifacts:
-        per_device.setdefault(artifact.device, []).append(artifact)
+    """Verdict per enumerated path: its first blocking device blocks the flow."""
+    paths = topo.enumerate_paths(t, subject, obj)
+    blocking: set[str] = set()
+    for a in artifacts:
+        control = catalog.controls.get(a.nsf)
+        if a.device not in blocking and all(
+            cond is None or _admits(cond, f, control)
+            for cond in map(condition_of, a.capabilities)
+        ):
+            blocking.add(a.device)
 
-    verdicts = []
-    for path in topo.enumerate_paths(t, subject, obj):
-        blocked_by = None
-        for node_id in path.intermediate:
-            if any(
-                _artifact_matches(a, f, catalog)
-                for a in per_device.get(node_id, ())
-            ):
-                blocked_by = node_id
-                break
-        if blocked_by is None:
-            verdicts.append(PathVerdict(path=path, outcome=OUTCOME_ALLOWED))
-        else:
-            verdicts.append(
-                PathVerdict(path=path, outcome=OUTCOME_BLOCKED, device=blocked_by)
-            )
-    return verdicts
+    firsts = [next((n for n in p.intermediate if n in blocking), None) for p in paths]
+    return [
+        PathVerdict(p, OUTCOME_ALLOWED if d is None else OUTCOME_BLOCKED, d)
+        for p, d in zip(paths, firsts)
+    ]
 
 
 def verify_deployment(
@@ -95,16 +93,13 @@ def verify_deployment(
 ) -> tuple[bool, list[str]]:
     """True iff the flow is blocked on every path; report lists bypasses."""
     verdicts = evaluate_flow(t, artifacts, catalog, f, subject, obj)
-    report = []
     if not verdicts:
         logger.warning("no paths between %s and %s; vacuously blocked", subject, obj)
-        report.append(f"warning: no paths between {subject} and {obj}")
-        return True, report
-    blocked = True
-    for v in verdicts:
-        if v.outcome == OUTCOME_BLOCKED:
-            report.append(f"BLOCKED path {list(v.path.intermediate)} at {v.device}")
-        else:
-            blocked = False
-            report.append(f"ALLOWED (bypass) path {list(v.path.intermediate)}")
-    return blocked, report
+        return True, [f"warning: no paths between {subject} and {obj}"]
+    report = [
+        f"BLOCKED path {list(v.path.intermediate)} at {v.device}"
+        if v.outcome == OUTCOME_BLOCKED
+        else f"ALLOWED (bypass) path {list(v.path.intermediate)}"
+        for v in verdicts
+    ]
+    return all(v.outcome == OUTCOME_BLOCKED for v in verdicts), report

@@ -244,3 +244,105 @@ def test_malformed_artifacts_exit_document_syntax(tmp_path, capsys, document):
     err = capsys.readouterr().err
     assert err.count("error: DocumentSyntaxError: malformed artifact document") == 2
     assert "Traceback" not in err
+
+
+def _address_rule(device, src, dst):
+    return {
+        "hsplid": "h", "device": device, "nsf": "IpTables", "capabilities": [
+            {"capability": "IpSourceAddressConditionCapability", "detail": src},
+            {"capability": "IpDestinationAddressConditionCapability", "detail": dst},
+            {"capability": "DropActionCapability", "detail": "drop"},
+        ],
+    }
+
+
+def verify_eve_to_bob(artifacts_path, src_ip="80.71.158.96"):
+    return run_cli(
+        "verify",
+        "--topology", FIXTURES / "scenario1" / "topology.yaml",
+        "--catalog", FIXTURES / "catalog.json",
+        "--artifacts", artifacts_path,
+        "--subject", "Eve", "--object", "Bob",
+        "--src-ip", src_ip, "--dst-ip", "172.19.0.3",
+    )
+
+
+def test_verify_honours_range_and_union_rules(tmp_path, capsys):
+    """The verifier drops what the rendered --src-range/--dst-range and union
+    rules drop, not only exact address pairs."""
+    artifacts = tmp_path / "artifacts.json"
+    artifacts.write_text(json.dumps([
+        _address_rule("FW1", "80.71.158.0-80.71.158.255", "172.19.0.3"),
+        _address_rule("FW3", "10.0.0.1,80.71.158.96", "172.19.0.0-172.19.0.255"),
+    ]))
+    assert verify_eve_to_bob(artifacts) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" at ", 1)[1] for line in out] == ["FW1", "FW1", "FW3"]
+
+    assert verify_eve_to_bob(artifacts, src_ip="80.71.159.1") == cli.EXIT_BYPASS
+    assert capsys.readouterr().out.count("bypass") == 3
+
+
+def test_verify_rejects_a_flow_address_that_is_not_ipv4(tmp_path, capsys):
+    run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False))
+    code = verify_eve_to_bob(tmp_path / "out" / "artifacts.json", src_ip="not-an-ip")
+    assert code == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_address_less_endpoint_exits_validation(tmp_path, capsys):
+    topology = tmp_path / "topology.yaml"
+    base = (FIXTURES / "scenario1" / "topology.yaml").read_text()
+    bob = "  - {id: Bob, kind: endpoint, ip: 172.19.0.3}\n"
+    assert bob in base
+    topology.write_text(base.replace(bob, "  - {id: Bob, kind: endpoint}\n"))
+    flags = scenario_flags("scenario1", tmp_path)
+    flags[1] = topology
+    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    err = capsys.readouterr().err
+    assert "'Bob' has no ip address" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "kb.json").exists()
+
+
+def test_kb_path_naming_unknown_node_is_treated_as_absent(tmp_path, caplog):
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    assert run_cli("run", *scenario_flags("scenario1", cold)) == 0
+
+    kb = json.loads((cold / "kb.json").read_text())
+    kb["paths"]["hspl1"][0] = ["Subnet1", "Ghost", "Subnet4"]
+    (tmp_path / "kb.json").write_text(json.dumps(kb))
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
+    messages = [r.message for r in caplog.records]
+    assert any("corrupt knowledge base" in m and "Ghost" in m for m in messages)
+    assert any("event=kb_reuse intent=hspl1 result=miss" in m for m in messages)
+    assert read_tree(tmp_path / "out") == read_tree(cold / "out")
+    assert (tmp_path / "kb.json").read_text() == (cold / "kb.json").read_text()
+
+
+def test_markup_in_intent_id_gives_well_formed_mspl(tmp_path):
+    from intentrefine import converter, translator
+
+    hspl = tmp_path / "hspl.xml"
+    base = (FIXTURES / "scenario1" / "hspl.xml").read_text()
+    hspl.write_text(base.replace('id="hspl1"', 'id="a&amp;b&quot;&lt;c&gt;"'))
+    flags = scenario_flags("scenario1", tmp_path)
+    flags[3] = hspl
+    assert run_cli("run", *flags) == 0
+
+    tree = read_tree(tmp_path / "out")
+    for name in [n for n in tree if n.endswith(".mspl.xml")]:
+        policy = converter.parse_mspl(tree[name])
+        assert {rule.id for rule in policy.rules} == {'a&b"<c>'}
+        assert converter.serialize_mspl(policy) == tree[name]
+        rules = translator.rules_file_content(translator.translate_policy(policy))
+        assert rules == tree[name.replace(".mspl.xml", ".rules")]
+
+    assert run_cli("translate", "--out", tmp_path / "out") == 0
+    assert read_tree(tmp_path / "out") == tree
+

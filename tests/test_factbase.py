@@ -105,17 +105,6 @@ def test_extend_with_no_facts():
     assert k2.facts == ()
 
 
-def test_query_facts(scenario2_knowledge):
-    hits = factbase.query_facts(scenario2_knowledge, "entity", "url")
-    assert [f.get("url") for f in hits] == ["hadleyshope.3utilities.com"]
-    assert factbase.query_facts(scenario2_knowledge, "entity", "source-ip-address") == []
-    assert factbase.query_facts(scenario2_knowledge, "entity") == list(
-        scenario2_knowledge.facts
-    )
-    with pytest.raises(UnknownTemplate):
-        factbase.query_facts(scenario2_knowledge, "ghost")
-
-
 def test_serialize_parse_fixpoint(scenario1_knowledge, scenario2_knowledge):
     for k in (scenario1_knowledge, scenario2_knowledge):
         text = factbase.serialize_knowledge(k)

@@ -96,6 +96,26 @@ def test_bind_skips_unrelated_fact(scenario1_topology, scenario1_intent):
         bind_intent(scenario1_topology, scenario1_intent, k)
 
 
+SKIPPED_FACTS = (
+    '{"templates": ["(deftemplate entity (slot destination-ip-address (type STRING))'
+    ' (slot url (type STRING)))"], "facts": ['
+    '"(entity (destination-ip-address \\"80.71.158.96\\"))",'
+    ' "(entity (destination-ip-address \\"9.9.9.9\\"))",'
+    ' "(entity (url \\"elsewhere.example.com\\"))"]}'
+)
+
+
+@pytest.mark.parametrize("level, shown", [("INFO", False), ("DEBUG", True)])
+def test_bind_skip_lines_are_debug(scenario1_topology, scenario1_intent, caplog,
+                                   level, shown):
+    k = factbase.parse_knowledge(SKIPPED_FACTS)
+    with caplog.at_level(level, logger="intentrefine"):
+        assert len(bind_intent(scenario1_topology, scenario1_intent, k)) == 1
+    skipped = [r for r in caplog.records if r.message.endswith("; skipped")]
+    assert len(skipped) == (2 if shown else 0)
+    assert all(r.levelname == "DEBUG" for r in skipped)
+
+
 # --- select_enforcement_set -------------------------------------------------
 
 def test_scenario1_selection(scenario1_topology, catalog):

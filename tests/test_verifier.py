@@ -1,6 +1,10 @@
-import pytest
+import ipaddress
 
-from intentrefine import capability, refiner, topology, verifier
+import pytest
+from hypothesis import given, strategies as st
+
+from intentrefine import capability, converter, refiner, topology, translator, verifier
+from intentrefine.capability import CapabilityId
 from intentrefine.errors import UnknownEndpoint, ValidationError
 from intentrefine.verifier import FlowSpec, evaluate_flow, verify_deployment
 
@@ -126,3 +130,87 @@ def test_flow_requires_distinct_ips():
 def test_unknown_endpoint_rejected(scenario1_topology, catalog):
     with pytest.raises(UnknownEndpoint):
         evaluate_flow(scenario1_topology, [], catalog, MALICIOUS_FLOW, "Eve", "Mallory")
+
+
+# --- agreement with the translator -------------------------------------------
+
+ONE_DEVICE = """
+nodes:
+  - {id: A, kind: endpoint, ip: 10.0.0.100}
+  - {id: B, kind: endpoint, ip: 10.0.0.101}
+  - {id: S1, kind: subnet}
+  - {id: S2, kind: subnet}
+  - {id: FW, kind: device, controls: [IpTables]}
+links:
+  - [A, S1]
+  - [S1, FW]
+  - [FW, S2]
+  - [S2, B]
+"""
+
+# A small address pool, so that generated rules often match generated flows.
+addresses = st.integers(0, 7).map(lambda i: f"10.0.0.{i}")
+
+
+@st.composite
+def address_details(draw):
+    kind = draw(st.sampled_from(["exact", "range", "union"]))
+    if kind == "exact":
+        return draw(addresses)
+    if kind == "range":
+        begin, end = sorted(draw(st.lists(st.integers(0, 7), min_size=2, max_size=2)))
+        return f"10.0.0.{begin}-10.0.0.{end}"
+    return ",".join(draw(st.lists(addresses, min_size=2, max_size=3, unique=True)))
+
+
+@st.composite
+def iptables_artifacts(draw):
+    instances = []
+    for capability_id in (CapabilityId.IP_SOURCE, CapabilityId.IP_DESTINATION):
+        detail = draw(st.none() | address_details())
+        if detail is not None:
+            instances.append(refiner.CapabilityInstance(capability_id, detail))
+    if draw(st.booleans()):
+        instances.append(refiner.CapabilityInstance(CapabilityId.STATE, "NEW"))
+    instances.append(refiner.CapabilityInstance(CapabilityId.DROP, "drop"))
+    return refiner.RuleArtifact("h", "FW", "IpTables", tuple(instances))
+
+
+def _oracle_drops(rules_text: str, f: FlowSpec) -> bool:
+    """Whether any rendered iptables line drops the flow, read from its flags.
+    Connection state is not part of a flow, so --ctstate matches it."""
+    src, dst = ipaddress.ip_address(f.src_ip), ipaddress.ip_address(f.dst_ip)
+
+    def in_range(value, address):
+        begin, end = value.split("-")
+        return ipaddress.ip_address(begin) <= address <= ipaddress.ip_address(end)
+
+    checks = {
+        "-s": lambda v: ipaddress.ip_address(v) == src,
+        "-d": lambda v: ipaddress.ip_address(v) == dst,
+        "--src-range": lambda v: in_range(v, src),
+        "--dst-range": lambda v: in_range(v, dst),
+    }
+    for line in rules_text.splitlines():
+        words = line.split()
+        assert words[:3] == ["iptables", "-A", "FORWARD"] and words[-2:] == ["-j", "DROP"]
+        if all(
+            checks[flag](value)
+            for flag, value in zip(words, words[1:])
+            if flag in checks
+        ):
+            return True
+    return False
+
+
+@given(
+    artifacts=st.lists(iptables_artifacts(), min_size=1, max_size=4),
+    flow=st.lists(addresses, min_size=2, max_size=2, unique=True),
+)
+def test_verifier_agrees_with_rendered_iptables_rules(catalog, artifacts, flow):
+    t = topology.parse_topology(ONE_DEVICE)
+    f = FlowSpec(src_ip=flow[0], dst_ip=flow[1])
+    policy = converter.build_mspl(artifacts)["FW"]
+    rules = translator.rules_file_content(translator.translate_policy(policy))
+    [verdict] = evaluate_flow(t, artifacts, catalog, f, "A", "B")
+    assert (verdict.outcome == "BLOCKED") == _oracle_drops(rules, f)
