@@ -70,6 +70,8 @@ APPLICATION_REQUIRED = RequiredSet(
     layer=LAYER_APPLICATION,
     capabilities=frozenset({CapabilityId.HTTP_HOST, CapabilityId.DENY}),
 )
+# Each layer has exactly one required set.
+REQUIRED_BY_LAYER = {r.layer: r for r in (NETWORK_REQUIRED, APPLICATION_REQUIRED)}
 
 
 def load_catalog(document: str) -> Catalog:

@@ -124,7 +124,7 @@ def _refine(args, knowledge: factbase.Knowledge):
 
     with _kb_lock(args.kb):
         kb = refiner.load_kb(args.kb) if args.kb else None
-        artifacts, _paths, report, updated = refiner.refine(
+        artifacts, report, updated = refiner.refine(
             t, intents, knowledge, catalog, kb=kb
         )
         if args.kb:
@@ -133,9 +133,6 @@ def _refine(args, knowledge: factbase.Knowledge):
         logger.info("stage=refiner event=kb_reuse intent=%s result=hit", hid)
     for hid in report.misses:
         logger.info("stage=refiner event=kb_reuse intent=%s result=miss", hid)
-    logger.info(
-        "stage=refiner event=inventory reused=%s", str(report.inventory_reused).lower()
-    )
     return artifacts
 
 

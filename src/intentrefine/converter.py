@@ -3,7 +3,8 @@
 Serialization is hand-rolled so the XML is byte-deterministic: fixed header,
 two-space indentation, canonical condition order (source address, destination
 address, state, host), a trailing action element, and XML-escaped values.
-parse_mspl is the exact inverse, so serialize-parse-serialize is a fixpoint.
+parse_mspl is the exact inverse, so serialize-parse-serialize is a fixpoint,
+and it accepts only conditions build_mspl could have written.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from xml.etree import ElementTree as ET
 from .capability import ACTION_CAPABILITIES, CapabilityId
 from .errors import DocumentSyntaxError, InconsistentNsf, NormalizationError
 from .refiner import CapabilityInstance, RuleArtifact
+from .topology import is_host_name
 
 XML_HEADER = "<?xml version='1.0' encoding='utf-8'?>"
 
@@ -109,8 +111,8 @@ def _normalize_state(detail: str) -> MsplCondition:
 
 def _normalize_host(detail: str) -> MsplCondition:
     host = detail.strip().lower()
-    if not host:
-        raise NormalizationError("empty host value")
+    if not is_host_name(host):
+        raise NormalizationError(f"not an RFC 1123 host name: {host!r}")
     return MsplCondition(CapabilityId.HTTP_HOST, MatchOperator.EXACT, (host,))
 
 
@@ -159,9 +161,12 @@ def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
 # --- serialization ----------------------------------------------------------
 
 def _escape(value: str) -> str:
-    """Escape the XML markup characters of text and attribute values."""
+    """Escape the XML markup characters of text and attribute values, and
+    tab, newline and carriage return, which a parser would read as a space
+    in an attribute."""
     value = value.replace("&", "&amp;").replace("<", "&lt;")
-    return value.replace(">", "&gt;").replace('"', "&quot;")
+    value = value.replace(">", "&gt;").replace('"', "&quot;")
+    return value.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
 
 
 def _serialize_condition(cond: MsplCondition, indent: str) -> list[str]:
@@ -198,6 +203,19 @@ def serialize_mspl(p: MsplPolicy) -> str:
         lines.append("  </rule>")
     lines.append("</policy>")
     return "\n".join(lines) + "\n"
+
+
+def _checked(cond: MsplCondition) -> MsplCondition:
+    """`cond` if it is the condition build_mspl makes of its own values, as
+    one capability detail; NormalizationError otherwise."""
+    separator = "-" if cond.operator == MatchOperator.RANGE else ","
+    detail = CapabilityInstance(cond.capability, separator.join(cond.values))
+    if condition_of(detail) != cond:
+        raise NormalizationError(
+            f"non-canonical <{ELEMENT_NAMES[cond.capability]}> "
+            f"{cond.operator.value} condition {list(cond.values)}"
+        )
+    return cond
 
 
 def parse_mspl(document: str) -> MsplPolicy:
@@ -244,7 +262,7 @@ def parse_mspl(document: str) -> MsplPolicy:
                 values = tuple(
                     (m.text or "").strip() for m in container.findall("exactMatch")
                 )
-            conditions.append(MsplCondition(capability, operator, values))
+            conditions.append(_checked(MsplCondition(capability, operator, values)))
         if action not in ("drop", "deny"):
             raise DocumentSyntaxError(f"rule {rule_el.get('id')!r}: bad action {action!r}")
         rules.append(

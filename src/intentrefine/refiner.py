@@ -4,10 +4,14 @@ emit rule artifacts, and maintain the reuse knowledge base.
 Enforcement placement picks the fewest devices that hit every path between
 an intent's endpoints: a minimum subject-object vertex cut in which only
 capable devices may be cut, found by max-flow (see select_enforcement_set).
+The knowledge base records each intent's placement under a digest of the
+topology and catalog, checked on load, and reports which intents it already
+held a record for.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -27,6 +31,7 @@ from .errors import (
     NothingToEnforce,
     PersistError,
     Unenforceable,
+    UnknownEndpoint,
     UnsupportedAction,
     ValidationError,
 )
@@ -83,21 +88,27 @@ class ConditionBinding:
     host: str | None = None
 
 
+# An intent's placement: for each layer, the selected devices and the
+# control each enforces with.
+Placement = dict[str, dict[str, str]]
+
+
 @dataclass
 class KnowledgeBase:
-    topology_hash: str
+    """Placements of earlier runs, valid for the topology and catalog whose
+    kb_digest is `digest`."""
+
+    digest: str
     intents: dict[str, HsplPolicy] = field(default_factory=dict)
-    paths: dict[str, list[Path]] = field(default_factory=dict)
-    device_inventory: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    placements: dict[str, Placement] = field(default_factory=dict)
 
 
 @dataclass
 class ReuseReport:
-    """Which parts of a run came from the knowledge base."""
+    """Which intents the knowledge base held a current record for."""
 
     hits: list[str] = field(default_factory=list)
     misses: list[str] = field(default_factory=list)
-    inventory_reused: bool = False
 
 
 # --- HSPL parsing -----------------------------------------------------------
@@ -325,7 +336,7 @@ def build_artifacts(
     intent: HsplPolicy,
     rset: RequiredSet,
     bindings: list[ConditionBinding],
-    selection: tuple[set[str], dict[str, str]],
+    control_per_device: dict[str, str],
     catalog: Catalog,
 ) -> list[RuleArtifact]:
     """One artifact per selected device per binding, forward before reverse.
@@ -333,9 +344,8 @@ def build_artifacts(
     Stateful network controls get a connection-state condition per direction;
     stateless ones omit it. Application requirements yield a single host rule.
     """
-    devices, control_per_device = selection
     artifacts: list[RuleArtifact] = []
-    for device in sorted(devices):
+    for device in sorted(control_per_device):
         control_name = control_per_device[device]
         control = catalog.controls[control_name]
         for binding in bindings:
@@ -419,19 +429,23 @@ def _string(value: object) -> str:
 
 # --- knowledge base ---------------------------------------------------------
 
+def kb_digest(t: Topology, catalog: Catalog) -> str:
+    """sha256 over the two inputs placement reads: topology and catalog."""
+    inputs = t.canonical() + cap.serialize_catalog(catalog)
+    return hashlib.sha256(inputs.encode()).hexdigest()
+
+
 def kb_to_json(kb: KnowledgeBase) -> str:
     doc = {
-        "topology_hash": kb.topology_hash,
+        "digest": kb.digest,
         "intents": {
-            i.id: {"subject": i.subject, "action": i.action, "object": i.object}
+            i.id: {
+                "subject": i.subject,
+                "action": i.action,
+                "object": i.object,
+                "placement": kb.placements[i.id],
+            }
             for i in kb.intents.values()
-        },
-        "paths": {
-            hid: [list(p.intermediate) for p in paths]
-            for hid, paths in kb.paths.items()
-        },
-        "device_inventory": {
-            d: list(controls) for d, controls in kb.device_inventory.items()
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -440,33 +454,22 @@ def kb_to_json(kb: KnowledgeBase) -> str:
 def kb_from_json(document: str) -> KnowledgeBase:
     try:
         raw = json.loads(document)
-        kb = KnowledgeBase(
-            topology_hash=raw["topology_hash"],
-            intents={
-                hid: HsplPolicy(
-                    id=hid,
-                    subject=entry["subject"],
-                    action=entry["action"],
-                    object=entry["object"],
-                )
-                for hid, entry in raw["intents"].items()
-            },
-            paths={
-                hid: [Path(intermediate=tuple(p)) for p in paths]
-                for hid, paths in raw["paths"].items()
-            },
-            device_inventory={
-                d: tuple(controls)
-                for d, controls in raw["device_inventory"].items()
-            },
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CorruptKnowledgeBase(f"unreadable knowledge base: {exc}")
-    if not re.fullmatch(r"[0-9a-f]{64}", kb.topology_hash or ""):
-        raise CorruptKnowledgeBase("topology_hash is not a sha256 digest")
-    for hid in kb.paths:
-        if hid not in kb.intents:
-            raise CorruptKnowledgeBase(f"paths present for unknown intent {hid!r}")
+        kb = KnowledgeBase(digest=_string(raw["digest"]))
+        for hid, entry in raw["intents"].items():
+            kb.intents[hid] = HsplPolicy(
+                id=hid,
+                subject=_string(entry["subject"]),
+                action=_string(entry["action"]),
+                object=_string(entry["object"]),
+            )
+            kb.placements[hid] = {
+                layer: {d: _string(c) for d, c in controls.items()}
+                for layer, controls in entry["placement"].items()
+            }
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptKnowledgeBase(f"unreadable knowledge base: {exc!r}")
+    if not re.fullmatch(r"[0-9a-f]{64}", kb.digest):
+        raise CorruptKnowledgeBase("digest is not a sha256 digest")
     return kb
 
 
@@ -492,69 +495,95 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
         raise PersistError(f"cannot persist knowledge base to {path}: {exc}")
 
 
-def _build_inventory(t: Topology) -> dict[str, tuple[str, ...]]:
-    return {
-        n.id: n.controls
-        for n in sorted(t.nodes.values(), key=lambda n: n.id)
-        if n.kind == topo.DEVICE
-    }
+def _separates(t: Topology, subject: str, obj: str, devices) -> bool:
+    """Whether `obj` is reachable from `subject`, walking as enumerate_paths
+    does, but only through one of `devices`: a search that first stops at
+    those devices and then goes on through them."""
+    seen = {subject}
+    todo: list[str] = [subject]
+    held: list[str] = []
+    for crossing in (False, True):
+        while todo:
+            for nxt in t.neighbors(todo.pop()):
+                if nxt == obj:
+                    return crossing
+                if nxt not in seen and t.nodes[nxt].kind != topo.ENDPOINT:
+                    seen.add(nxt)
+                    (held if nxt in devices and not crossing else todo).append(nxt)
+        todo = held
+    return False
+
+
+def _record_fault(
+    t: Topology, catalog: Catalog, intent: HsplPolicy, placement: Placement
+) -> str | None:
+    """Why a recorded placement is not one refine could have made on these
+    inputs, or None: at least one layer, and per layer a non-empty set of
+    devices, each with the control placement picks, that cuts the intent's
+    connected endpoints."""
+    try:
+        topo.resolve_endpoint(t, intent.subject)
+        topo.resolve_endpoint(t, intent.object)
+    except UnknownEndpoint as exc:
+        return str(exc)
+    if not placement:
+        return "no placement"
+    for layer, controls in placement.items():
+        rset = cap.REQUIRED_BY_LAYER.get(layer)
+        if rset is None or not controls:
+            return f"no {layer!r} placement"
+        for device, control in controls.items():
+            node = t.nodes.get(device)
+            if node is None or node.kind != topo.DEVICE:
+                return f"{device!r} is not a device"
+            if [control] != _satisfying_controls(t, device, catalog, rset)[:1]:
+                return f"{device!r} would not enforce with {control!r}"
+        if not _separates(t, intent.subject, intent.object, controls):
+            return (
+                f"{layer} devices {sorted(controls)} are no cut between "
+                f"connected endpoints"
+            )
+    return None
 
 
 def kb_reconcile(
-    kb: KnowledgeBase | None, t: Topology, intents: list[HsplPolicy]
-) -> tuple[dict[str, list[Path]], dict[str, tuple[str, ...]], ReuseReport]:
-    """Return per-intent paths and the device inventory, reusing cached
-    results when the topology hash matches and the intent is unchanged. A KB
-    whose reused paths name a node that is not a topology device or subnet is
-    corrupt and, as in load_kb, treated as absent."""
-    report = ReuseReport()
-    reusable = kb is not None and kb.topology_hash == t.digest()
-    cached = {
-        i.id: kb.paths[i.id]
-        for i in intents
-        if reusable and kb.intents.get(i.id) == i and i.id in kb.paths
-    }
-    interior = {n for n, node in t.nodes.items() if node.kind != topo.ENDPOINT}
-    named = set().union(*(p.intermediate for ps in cached.values() for p in ps))
-    if stray := sorted(named - interior):
-        logger.warning("ignoring corrupt knowledge base: cached paths name %s", stray)
-        reusable, cached = False, {}
+    kb: KnowledgeBase | None, t: Topology, catalog: Catalog, intents: list[HsplPolicy]
+) -> tuple[KnowledgeBase, dict[str, list[Path]], ReuseReport]:
+    """The knowledge base this run builds on, every intent's paths, and which
+    intents hit.
 
+    `kb` is built on when it was made for this topology and catalog and each
+    of its records passes _record_fault; a KB with a failing record is
+    ignored with a warning, as load_kb ignores an unreadable one. Otherwise
+    the run starts from an empty KB. An intent equal to its record is a hit.
+    """
+    digest = kb_digest(t, catalog)
+    if kb is None or kb.digest != digest:
+        kb = KnowledgeBase(digest=digest)
+    for hid, placement in kb.placements.items():
+        if fault := _record_fault(t, catalog, kb.intents[hid], placement):
+            logger.warning("ignoring corrupt knowledge base: intent %s: %s", hid, fault)
+            kb = KnowledgeBase(digest=digest)
+            break
+
+    report = ReuseReport()
     paths: dict[str, list[Path]] = {}
     for intent in intents:
-        if intent.id in cached:
-            paths[intent.id] = list(cached[intent.id])
-            report.hits.append(intent.id)
-        else:
-            paths[intent.id] = topo.enumerate_paths(t, intent.subject, intent.object)
-            report.misses.append(intent.id)
-
-    if reusable:
-        inventory = dict(kb.device_inventory)
-        report.inventory_reused = True
-    else:
-        inventory = _build_inventory(t)
-    return paths, inventory, report
+        hit = kb.intents.get(intent.id) == intent
+        (report.hits if hit else report.misses).append(intent.id)
+        paths[intent.id] = topo.enumerate_paths(t, intent.subject, intent.object)
+    return kb, paths, report
 
 
 def kb_update(
-    kb: KnowledgeBase | None,
-    t: Topology,
-    intents: list[HsplPolicy],
-    paths: dict[str, list[Path]],
+    kb: KnowledgeBase, intents: list[HsplPolicy], placements: dict[str, Placement]
 ) -> KnowledgeBase:
-    """Merge new results into the knowledge base.
-
-    A topology change evicts all old paths; the hash is always refreshed.
-    """
-    digest = t.digest()
-    merged = KnowledgeBase(topology_hash=digest, device_inventory=_build_inventory(t))
-    if kb is not None and kb.topology_hash == digest:
-        merged.intents.update(kb.intents)
-        merged.paths.update(kb.paths)
+    """`kb` (as kb_reconcile returned it) with this run's intents and
+    placements merged in; records of other intents are kept."""
+    merged = KnowledgeBase(kb.digest, dict(kb.intents), dict(kb.placements))
     for intent in intents:
         merged.intents[intent.id] = intent
-        merged.paths[intent.id] = list(paths[intent.id])
+        merged.placements[intent.id] = placements[intent.id]
     return merged
 
 
@@ -566,13 +595,15 @@ def refine(
     k: Knowledge,
     catalog: Catalog,
     kb: KnowledgeBase | None = None,
-) -> tuple[list[RuleArtifact], dict[str, list[Path]], ReuseReport, KnowledgeBase]:
-    """Run binding, placement, and artifact construction for every intent.
+) -> tuple[list[RuleArtifact], ReuseReport, KnowledgeBase]:
+    """Run binding, placement, and artifact construction for every intent,
+    and record each intent's placement in the knowledge base.
 
     Placement depends only on the intent's paths and the required set, so it
     runs once per distinct required set of an intent, not once per fact.
     """
-    paths, _inventory, report = kb_reconcile(kb, t, intents)
+    base, paths, report = kb_reconcile(kb, t, catalog, intents)
+    placements: dict[str, Placement] = {}
     artifacts: list[RuleArtifact] = []
     for intent in intents:
         intent_paths = paths[intent.id]
@@ -581,19 +612,18 @@ def refine(
                 f"intent {intent.id!r}: no path between "
                 f"{intent.subject!r} and {intent.object!r}"
             )
-        selections: dict[RequiredSet, tuple[set[str], dict[str, str]]] = {}
+        placement: Placement = {}
         for _fact, rset, bindings in bind_intent(t, intent, k):
-            selection = selections.get(rset)
-            if selection is None:
-                selection = select_enforcement_set(intent_paths, t, catalog, rset)
-                selections[rset] = selection
+            controls = placement.get(rset.layer)
+            if controls is None:
+                _devices, controls = select_enforcement_set(
+                    intent_paths, t, catalog, rset
+                )
+                placement[rset.layer] = controls
                 logger.info(
                     "stage=refiner event=selection intent=%s layer=%s devices=%s",
-                    intent.id, rset.layer, ",".join(sorted(selection[0])),
+                    intent.id, rset.layer, ",".join(sorted(controls)),
                 )
-            artifacts.extend(
-                build_artifacts(intent, rset, bindings, selection, catalog)
-            )
-    # A KB that kb_reconcile did not reuse is not merged into either.
-    updated = kb_update(kb if report.inventory_reused else None, t, intents, paths)
-    return artifacts, paths, report, updated
+            artifacts.extend(build_artifacts(intent, rset, bindings, controls, catalog))
+        placements[intent.id] = placement
+    return artifacts, report, kb_update(base, intents, placements)

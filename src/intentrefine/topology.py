@@ -7,7 +7,6 @@ all operations here are pure.
 
 from __future__ import annotations
 
-import hashlib
 import ipaddress
 import json
 import re
@@ -18,6 +17,8 @@ import yaml
 from .errors import DocumentSyntaxError, UnknownEndpoint, ValidationError
 
 NODE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_HOST_LABEL = r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?"
+HOST_NAME_RE = re.compile(rf"{_HOST_LABEL}(\.{_HOST_LABEL})*")
 
 ENDPOINT = "endpoint"
 SUBNET = "subnet"
@@ -73,9 +74,6 @@ class Topology:
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
-
 
 def require_ipv4(value: str, context: str) -> str:
     try:
@@ -83,6 +81,12 @@ def require_ipv4(value: str, context: str) -> str:
     except (ipaddress.AddressValueError, ValueError):
         raise ValidationError(f"{context}: not an IPv4 dotted-quad: {value!r}")
     return value
+
+
+def is_host_name(host: str) -> bool:
+    """Whether `host` is a lower-case RFC 1123 host name: dot-separated
+    labels of letters, digits and inner hyphens, at most 253 characters."""
+    return len(host) <= 253 and HOST_NAME_RE.fullmatch(host) is not None
 
 
 def _parse_node(raw: object) -> Node:
@@ -96,6 +100,8 @@ def _parse_node(raw: object) -> Node:
         raise ValidationError(f"node {node_id}: missing or unknown kind {kind!r}")
     ip = raw.get("ip")
     domains = raw.get("domains") or []
+    if not isinstance(domains, list):
+        raise ValidationError(f"node {node_id}: domains must be a list")
     controls = raw.get("controls")
     if ip is not None:
         if kind != ENDPOINT:
@@ -103,6 +109,12 @@ def _parse_node(raw: object) -> Node:
         require_ipv4(str(ip), f"node {node_id}")
     if domains and kind != ENDPOINT:
         raise ValidationError(f"node {node_id}: only endpoints carry domains")
+    domains = [str(d).lower() for d in domains]
+    for domain in domains:
+        if not is_host_name(domain):
+            raise ValidationError(
+                f"node {node_id}: domain {domain!r} is not an RFC 1123 host name"
+            )
     if controls:
         if kind != DEVICE:
             raise ValidationError(f"node {node_id}: only devices carry controls")
@@ -112,7 +124,7 @@ def _parse_node(raw: object) -> Node:
         id=node_id,
         kind=kind,
         ip=str(ip) if ip is not None else None,
-        domains=frozenset(str(d).lower() for d in domains),
+        domains=frozenset(domains),
         controls=tuple(str(c) for c in controls),
     )
 
@@ -194,19 +206,25 @@ def enumerate_paths(topo: Topology, subject: str, obj: str) -> list[Path]:
     resolve_endpoint(topo, obj)
 
     found: list[tuple[str, ...]] = []
-    stack: list[str] = []
+    route: list[str] = []
     visited = {subject}
-
-    def dfs(current: str) -> None:
-        for nxt in topo.neighbors(current):
+    walkable = {n for n, node in topo.nodes.items() if node.kind != ENDPOINT}
+    # Depth-first with an explicit stack of neighbor iterators, one per node
+    # of the current route plus the subject, so a long route cannot exceed
+    # the interpreter's recursion limit. A `for` over the top iterator
+    # resumes where that node's scan stopped.
+    pending = [iter(topo.neighbors(subject))]
+    while pending:
+        for nxt in pending[-1]:
             if nxt == obj:
-                found.append(tuple(stack))
-            elif nxt not in visited and topo.nodes[nxt].kind != ENDPOINT:
+                found.append(tuple(route))
+            elif nxt not in visited and nxt in walkable:
                 visited.add(nxt)
-                stack.append(nxt)
-                dfs(nxt)
-                stack.pop()
-                visited.remove(nxt)
-
-    dfs(subject)
+                route.append(nxt)
+                pending.append(iter(topo.neighbors(nxt)))
+                break
+        else:
+            pending.pop()
+            if route:
+                visited.remove(route.pop())
     return [Path(intermediate=seq) for seq in sorted(found)]

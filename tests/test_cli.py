@@ -198,7 +198,7 @@ def test_rerun_is_byte_identical_and_cache_hits(tmp_path, caplog):
     assert (tmp_path / "kb.json").read_text() == first_kb
     messages = [r.message for r in caplog.records]
     assert any("event=kb_reuse intent=hspl1 result=hit" in m for m in messages)
-    assert any("event=inventory reused=true" in m for m in messages)
+    assert not any("result=miss" in m or "corrupt" in m for m in messages)
 
 
 def test_topology_change_forces_recompute(tmp_path, caplog):
@@ -308,21 +308,98 @@ def test_address_less_endpoint_exits_validation(tmp_path, capsys):
     assert not (tmp_path / "kb.json").exists()
 
 
-def test_kb_path_naming_unknown_node_is_treated_as_absent(tmp_path, caplog):
+def _rerun_on_kb(tmp_path, caplog, capsys, kb_doc, warning):
+    """Run scenario1 cold in its own directory, then on `kb_doc` as the KB;
+    the second run must warn, miss and equal the cold one, outputs and KB."""
     cold = tmp_path / "cold"
     cold.mkdir()
     assert run_cli("run", *scenario_flags("scenario1", cold)) == 0
-
-    kb = json.loads((cold / "kb.json").read_text())
-    kb["paths"]["hspl1"][0] = ["Subnet1", "Ghost", "Subnet4"]
-    (tmp_path / "kb.json").write_text(json.dumps(kb))
+    (tmp_path / "kb.json").write_text(json.dumps(kb_doc(cold / "kb.json")))
+    caplog.clear()
     with caplog.at_level("INFO"):
         assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
     messages = [r.message for r in caplog.records]
-    assert any("corrupt knowledge base" in m and "Ghost" in m for m in messages)
+    assert any("corrupt knowledge base" in m and warning in m for m in messages)
     assert any("event=kb_reuse intent=hspl1 result=miss" in m for m in messages)
+    assert "Traceback" not in capsys.readouterr().err
     assert read_tree(tmp_path / "out") == read_tree(cold / "out")
     assert (tmp_path / "kb.json").read_text() == (cold / "kb.json").read_text()
+
+
+TAMPERED_PLACEMENTS = {
+    "unknown-device": ({"FW1": "IpTables", "Ghost": "IpTables"},
+                       "intent hspl1: 'Ghost' is not a device"),
+    "other-control": ({"FW1": "ModSecurity", "FW3": "IpTables"},
+                      "intent hspl1: 'FW1' would not enforce with 'ModSecurity'"),
+    "dropped-device": ({"FW1": "IpTables"},
+                       "intent hspl1: network devices ['FW1'] are no cut"),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(TAMPERED_PLACEMENTS))
+def test_tampered_kb_record_is_treated_as_absent(tmp_path, caplog, capsys, tampering):
+    placement, warning = TAMPERED_PLACEMENTS[tampering]
+
+    def tamper(kb_path):
+        kb = json.loads(kb_path.read_text())
+        kb["intents"]["hspl1"]["placement"]["network"] = placement
+        return kb
+
+    _rerun_on_kb(tmp_path, caplog, capsys, tamper, warning)
+
+
+def test_kb_in_the_path_cache_format_is_treated_as_absent(tmp_path, caplog, capsys):
+    """A KB of the earlier format, which cached every simple path by topology
+    digest, matching this topology and intent."""
+    import hashlib
+
+    from intentrefine import topology
+
+    t = topology.parse_topology((FIXTURES / "scenario1" / "topology.yaml").read_text())
+    path_cache = {
+        "topology_hash": hashlib.sha256(t.canonical().encode()).hexdigest(),
+        "intents": {
+            "hspl1": {"subject": "Eve", "action": "deny-access", "object": "Bob"}
+        },
+        "paths": {"hspl1": [list(p.intermediate)
+                            for p in topology.enumerate_paths(t, "Eve", "Bob")]},
+        "device_inventory": {n.id: list(n.controls) for n in t.nodes.values()
+                             if n.kind == topology.DEVICE},
+    }
+    _rerun_on_kb(tmp_path, caplog, capsys, lambda _cold_kb: path_cache,
+                 "KeyError('digest')")
+
+
+def test_cached_intent_gaining_a_layer_matches_a_cold_run(tmp_path, caplog):
+    """Scenario 2 recorded with its url fact only; a new address fact adds a
+    network-layer placement, and the outputs and KB equal a cold run's."""
+    knowledge = json.loads((FIXTURES / "scenario2" / "knowledge.json").read_text())
+    knowledge["facts"].append('(entity (destination-ip-address "172.20.0.2"))')
+    both = tmp_path / "knowledge.json"
+    both.write_text(json.dumps(knowledge))
+
+    warm = tmp_path / "warm"
+    warm.mkdir()
+    assert run_cli("run", *scenario_flags("scenario2", warm)) == 0
+    flags = scenario_flags("scenario2", warm)
+    flags[5] = both
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *flags) == 0
+    messages = [r.message for r in caplog.records]
+    assert any("event=kb_reuse intent=hspl2 result=hit" in m for m in messages)
+    assert [m for m in messages if "event=selection" in m] == [
+        "stage=refiner event=selection intent=hspl2 layer=application devices=WAF",
+        "stage=refiner event=selection intent=hspl2 layer=network devices=FW3",
+    ]
+
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    flags = scenario_flags("scenario2", cold)
+    flags[5] = both
+    assert run_cli("run", *flags) == 0
+    assert read_tree(warm / "out") == read_tree(cold / "out")
+    assert "FW3.rules" in read_tree(cold / "out")
+    assert (warm / "kb.json").read_text() == (cold / "kb.json").read_text()
 
 
 def test_markup_in_intent_id_gives_well_formed_mspl(tmp_path):
@@ -346,3 +423,78 @@ def test_markup_in_intent_id_gives_well_formed_mspl(tmp_path):
     assert run_cli("translate", "--out", tmp_path / "out") == 0
     assert read_tree(tmp_path / "out") == tree
 
+
+
+def test_quote_in_served_domain_exits_validation(tmp_path, capsys):
+    """A `"` in a host would end the ModSecurity rule's quoted operand."""
+    topology = tmp_path / "topology.yaml"
+    topology.write_text((FIXTURES / "scenario2" / "topology.yaml").read_text().replace(
+        "domains: [allowed.utilities.com,", "domains: ['a\"b.com',"))
+    knowledge = tmp_path / "knowledge.json"
+    knowledge.write_text(json.dumps({
+        "templates": ["(deftemplate entity (slot url (type STRING)))"],
+        "facts": ['(entity (url "a\\"b.com"))'],
+    }))
+    flags = scenario_flags("scenario2", tmp_path)
+    flags[1], flags[5] = topology, knowledge
+    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    err = capsys.readouterr().err
+    assert "RFC 1123" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "kb.json").exists()
+
+
+def test_quote_in_artifact_host_exits_normalization(tmp_path, capsys):
+    artifacts = tmp_path / "artifacts.json"
+    artifacts.write_text(json.dumps([{
+        "hsplid": "h", "device": "WAF", "nsf": "ModSecurity", "capabilities": [
+            {"capability": "HttpHostHeaderConditionCapability", "detail": 'a"b.com'},
+            {"capability": "DenyActionCapability", "detail": "deny"},
+        ],
+    }]))
+    code = run_cli("convert", "--artifacts", artifacts, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CODES_BY_NAME["NormalizationError"]
+    err = capsys.readouterr().err
+    assert "RFC 1123" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_translate_rejects_an_injected_mspl_value(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False)) == 0
+    for rules in out.glob("*.rules"):
+        rules.unlink()
+    mspl = out / "FW1.mspl.xml"
+    mspl.write_text(mspl.read_text().replace(
+        "<exactMatch>80.71.158.96</exactMatch>",
+        "<exactMatch>1.2.3.4 -j ACCEPT ; rm -rf /</exactMatch>", 1))
+    code = run_cli("translate", "--out", out)
+    assert code == cli.EXIT_CODES_BY_NAME["NormalizationError"]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not list(out.glob("*.rules"))
+
+
+def test_run_on_a_chain_of_1500_devices(tmp_path):
+    from intentrefine import topology
+
+    devices = [f"D{i:04d}" for i in range(1500)]
+    route = ["Eve", "S0", *devices, "S1", "Bob"]
+    document = tmp_path / "topology.yaml"
+    document.write_text(
+        "name: chain\nnodes:\n"
+        "  - {id: Eve, kind: endpoint, ip: 80.71.158.96}\n"
+        "  - {id: Bob, kind: endpoint, ip: 172.19.0.3}\n"
+        "  - {id: S0, kind: subnet}\n  - {id: S1, kind: subnet}\n"
+        + "".join(f"  - {{id: {d}, kind: device, controls: [IpTables]}}\n"
+                  for d in devices)
+        + "links:\n" + "".join(f"  - [{a}, {b}]\n" for a, b in zip(route, route[1:]))
+    )
+    t = topology.parse_topology(document.read_text())
+    (path,) = topology.enumerate_paths(t, "Eve", "Bob")
+    assert list(path.intermediate) == route[1:-1]
+
+    flags = scenario_flags("scenario1", tmp_path, kb=False)
+    flags[1] = document
+    assert run_cli("run", *flags) == 0
+    assert set(read_tree(tmp_path / "out")) >= {"D0000.rules", "D0000.mspl.xml"}

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from intentrefine import converter
 from intentrefine.capability import CapabilityId
@@ -147,3 +148,117 @@ def test_serialization_is_deterministic():
     policies2 = build_mspl([_artifact(), WAF_ARTIFACT])
     for device in policies1:
         assert serialize_mspl(policies1[device]) == serialize_mspl(policies2[device])
+
+
+@pytest.mark.parametrize("host", ['a"b.com', "a b.com", "-a.com", "a..com", ""])
+def test_host_detail_must_be_an_rfc1123_host_name(host):
+    waf = RuleArtifact(
+        hsplid="h", device="WAF", nsf="ModSecurity",
+        capabilities=(CapabilityInstance(CapabilityId.HTTP_HOST, host),
+                      CapabilityInstance(CapabilityId.DENY, "deny")),
+    )
+    with pytest.raises(NormalizationError, match="RFC 1123"):
+        build_mspl([waf])
+
+
+def test_whitespace_in_ids_survives_the_roundtrip():
+    (policy,) = build_mspl([_artifact()]).values()
+    rule = policy.rules[0]
+    policy = MsplPolicy(
+        nsf_name="Ip\tTables\r\n",
+        rules=(MsplRule(id="a\nb", conditions=rule.conditions, action=rule.action),),
+    )
+    text = serialize_mspl(policy)
+    assert '<policy nsfName="Ip&#9;Tables&#13;&#10;">' in text
+    assert '<rule id="a&#10;b">' in text
+    assert parse_mspl(text) == policy
+
+
+# Characters XML 1.0 allows in a document, with the ones that need escaping
+# drawn often.
+XML_CHARS = st.one_of(
+    st.sampled_from("\t\n\r &<>\"'"),
+    st.characters(blacklist_categories=("Cs",)).filter(
+        lambda c: c in "\t\n\r" or "\x20" <= c <= "\ufffd" or c >= "\U00010000"
+    ),
+)
+XML_TEXT = st.text(XML_CHARS, max_size=12)
+
+
+@given(nsf_name=XML_TEXT, ids=st.lists(XML_TEXT, max_size=3))
+def test_mspl_fixpoint_for_any_xml_legal_id_and_nsf_name(nsf_name, ids):
+    shapes = [
+        rule
+        for policy in build_mspl([
+            _artifact(),
+            _artifact(src="10.0.0.1-10.0.0.9", dst="1.1.1.1,2.2.2.2", states=None),
+            WAF_ARTIFACT,
+        ]).values()
+        for rule in policy.rules
+    ]
+    policy = MsplPolicy(
+        nsf_name=nsf_name,
+        rules=tuple(
+            MsplRule(id=rule_id, conditions=shape.conditions, action=shape.action)
+            for rule_id, shape in zip(ids, shapes)
+        ),
+    )
+    text = serialize_mspl(policy)
+    parsed = parse_mspl(text)
+    assert parsed == policy
+    assert serialize_mspl(parsed) == text
+
+
+def _policy_with(condition_xml):
+    return (
+        "<policy nsfName=\"IpTables\">\n  <rule id=\"r\">\n"
+        f"{condition_xml}"
+        "    <actionCapability>drop</actionCapability>\n  </rule>\n</policy>\n"
+    )
+
+
+def _address(operator, values_xml):
+    return (
+        f'<ipSourceAddressConditionCapability operator="{operator}">'
+        f"<capabilityIpValue>{values_xml}</capabilityIpValue>"
+        "</ipSourceAddressConditionCapability>"
+    )
+
+
+NON_CANONICAL_CONDITIONS = {
+    "injected-address": _address(
+        "exactMatch", "<exactMatch>1.2.3.4 -j ACCEPT ; rm -rf /</exactMatch>"),
+    "empty-exact": _address("exactMatch", ""),
+    "two-exact-values": _address(
+        "exactMatch",
+        "<exactMatch>1.1.1.1</exactMatch><exactMatch>2.2.2.2</exactMatch>"),
+    "one-member-union": _address("union", "<exactMatch>1.1.1.1</exactMatch>"),
+    "descending-range": _address(
+        "range", "<range><begin>10.0.0.9</begin><end>10.0.0.1</end></range>"),
+    "range-of-non-addresses": _address(
+        "range", "<range><begin>a</begin><end>b</end></range>"),
+    "unknown-state": (
+        '<stateConditionCapability operator="exactMatch"><capabilityStateValue>'
+        "<state>FROZEN</state></capabilityStateValue></stateConditionCapability>"),
+    "host-with-quote": (
+        '<httpHostHeaderConditionCapability operator="exactMatch">'
+        "<capabilityStringValue><exactMatch>a&quot;b.com</exactMatch>"
+        "</capabilityStringValue></httpHostHeaderConditionCapability>"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_CANONICAL_CONDITIONS))
+def test_parse_rejects_values_the_converter_would_not_write(case):
+    with pytest.raises(NormalizationError):
+        parse_mspl(_policy_with(NON_CANONICAL_CONDITIONS[case]))
+
+
+def test_parse_accepts_every_shape_the_converter_writes():
+    artifacts = [
+        _artifact(),
+        _artifact(src="10.0.0.1-10.0.0.9", dst="1.1.1.1,2.2.2.2",
+                  states="ESTABLISHED,RELATED"),
+        WAF_ARTIFACT,
+    ]
+    for policy in build_mspl(artifacts).values():
+        assert parse_mspl(serialize_mspl(policy)) == policy

@@ -299,8 +299,8 @@ def _scenario1_artifacts(t, intent, knowledge, catalog):
     (entry,) = bind_intent(t, intent, knowledge)
     _fact, rset, bindings = entry
     paths = topology.enumerate_paths(t, intent.subject, intent.object)
-    selection = select_enforcement_set(paths, t, catalog, rset)
-    return build_artifacts(intent, rset, bindings, selection, catalog)
+    _devices, controls = select_enforcement_set(paths, t, catalog, rset)
+    return build_artifacts(intent, rset, bindings, controls, catalog)
 
 
 def test_scenario1_artifacts(scenario1_topology, scenario1_intent, scenario1_knowledge, catalog):
@@ -357,65 +357,170 @@ def test_artifact_json_roundtrip(scenario1_topology, scenario1_intent, scenario1
 
 # --- knowledge base ---------------------------------------------------------
 
-def test_kb_cycle(scenario1_topology, scenario1_intent):
+SCENARIO1_PLACEMENT = {"network": {"FW1": "IpTables", "FW3": "IpTables"}}
+
+
+def test_kb_cycle(scenario1_topology, scenario1_intent, scenario1_knowledge, catalog):
     t = scenario1_topology
     intents = [scenario1_intent]
 
-    paths, inventory, report = kb_reconcile(None, t, intents)
+    empty, paths, report = kb_reconcile(None, t, catalog, intents)
     assert report.misses == ["hspl1"] and not report.hits
-    assert not report.inventory_reused
     assert len(paths["hspl1"]) == 3
-    assert inventory["FW2"] == ()
+    assert empty.digest == refiner.kb_digest(t, catalog) and not empty.intents
 
-    kb = kb_update(None, t, intents, paths)
-    assert kb.topology_hash == t.digest()
-    assert set(kb.intents) == {"hspl1"}
+    _, _, kb = refiner.refine(t, intents, scenario1_knowledge, catalog)
+    assert kb.digest == empty.digest
+    assert kb.intents == {"hspl1": scenario1_intent}
+    assert kb.placements == {"hspl1": SCENARIO1_PLACEMENT}
+    assert kb_update(empty, intents, {"hspl1": SCENARIO1_PLACEMENT}) == kb
 
-    paths2, inventory2, report2 = kb_reconcile(kb, t, intents)
+    kept, paths2, report2 = kb_reconcile(kb, t, catalog, intents)
     assert report2.hits == ["hspl1"] and not report2.misses
-    assert report2.inventory_reused
-    assert paths2 == paths and inventory2 == inventory
+    assert len(paths2["hspl1"]) == 3 and kept.placements == kb.placements
 
     # idempotent update
-    kb2 = kb_update(kb, t, intents, paths2)
+    kb2 = kb_update(kept, intents, kept.placements)
     assert refiner.kb_to_json(kb2) == refiner.kb_to_json(kb)
 
 
-def test_kb_topology_change_forces_recompute(scenario1_topology, scenario1_intent, tmp_path):
+def test_kb_hit_records_this_runs_placement(
+    scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
+):
+    """A record that passes the load-time check but is no minimum cut (FW4 is
+    one device too many) still hits, and the run records its own placement
+    in its place."""
+    t, intents = scenario1_topology, [scenario1_intent]
+    cold, _, kb = refiner.refine(t, intents, scenario1_knowledge, catalog)
+    superset = {"network": {**SCENARIO1_PLACEMENT["network"], "FW4": "IpTables"}}
+    recorded = kb_update(kb, intents, {"hspl1": superset})
+
+    warm, report, kb2 = refiner.refine(
+        t, intents, scenario1_knowledge, catalog, kb=recorded
+    )
+    assert report.hits == ["hspl1"] and not report.misses
+    assert warm == cold and kb2 == kb
+
+
+def test_kb_topology_change_forces_recompute(
+    scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
+):
     intents = [scenario1_intent]
-    paths, _, _ = kb_reconcile(None, scenario1_topology, intents)
-    kb = kb_update(None, scenario1_topology, intents, paths)
+    _, _, kb = refiner.refine(scenario1_topology, intents, scenario1_knowledge, catalog)
 
     modified = topology.parse_topology(
         read_fixture("scenario1", "topology.yaml").replace("  - [FW2, FW3]\n", "")
     )
-    paths2, _, report = kb_reconcile(kb, modified, intents)
+    _, paths2, report = kb_reconcile(kb, modified, catalog, intents)
     assert report.misses == ["hspl1"]
     assert len(paths2["hspl1"]) == 2
 
-    kb2 = kb_update(kb, modified, intents, paths2)
-    assert kb2.topology_hash == modified.digest()
-    assert [list(p.intermediate) for p in kb2.paths["hspl1"]] == [
-        list(p.intermediate) for p in paths2["hspl1"]
-    ]
+    _, _, kb2 = refiner.refine(modified, intents, scenario1_knowledge, catalog, kb=kb)
+    assert kb2.digest == refiner.kb_digest(modified, catalog) != kb.digest
+    assert kb2.placements == {"hspl1": {"network": {"FW1": "IpTables"}}}
 
 
-def test_kb_persistence_roundtrip(scenario1_topology, scenario1_intent, tmp_path):
+def test_kb_catalog_change_forces_recompute(
+    scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
+):
     intents = [scenario1_intent]
-    paths, _, _ = kb_reconcile(None, scenario1_topology, intents)
-    kb = kb_update(None, scenario1_topology, intents, paths)
+    _, _, kb = refiner.refine(scenario1_topology, intents, scenario1_knowledge, catalog)
+
+    stateless = capability.load_catalog(
+        read_fixture("catalog.json").replace('"stateful": true', '"stateful": false')
+    )
+    _, paths2, report = kb_reconcile(kb, scenario1_topology, stateless, intents)
+    assert report.misses == ["hspl1"]
+    assert len(paths2["hspl1"]) == 3
+    assert refiner.kb_digest(scenario1_topology, stateless) != kb.digest
+
+
+def test_kb_persistence_roundtrip(
+    scenario1_topology, scenario1_intent, scenario1_knowledge, catalog, tmp_path
+):
+    _, _, kb = refiner.refine(
+        scenario1_topology, [scenario1_intent], scenario1_knowledge, catalog
+    )
     path = str(tmp_path / "kb.json")
     refiner.save_kb(kb, path)
     loaded = refiner.load_kb(path)
+    assert loaded == kb
     assert refiner.kb_to_json(loaded) == refiner.kb_to_json(kb)
 
 
 def test_corrupt_kb_treated_as_absent(tmp_path, caplog):
     path = tmp_path / "kb.json"
-    path.write_text('{"topology_hash": "zz", "intents": {}, "paths": {}, "device_inventory": {}}')
+    path.write_text('{"digest": "zz", "intents": {}}')
     with caplog.at_level("WARNING"):
         assert refiner.load_kb(str(path)) is None
     assert any("corrupt" in rec.message.lower() for rec in caplog.records)
+
+
+_DIGEST = "0" * 64
+
+
+@pytest.mark.parametrize("document", [
+    "not json",
+    "[]",
+    '{"digest": 5, "intents": {}}',
+    '{"digest": "%s", "intents": []}' % _DIGEST,
+    '{"digest": "%s", "intents": {"h": "x"}}' % _DIGEST,
+    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"network": ["FW1"]}}}}' % _DIGEST,
+    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"network": {"FW1": 1}}}}}' % _DIGEST,
+], ids=["syntax", "list", "digest-type", "intents-list", "entry-string",
+        "devices-list", "control-type"])
+def test_malformed_kb_treated_as_absent(tmp_path, caplog, document):
+    path = tmp_path / "kb.json"
+    path.write_text(document)
+    with caplog.at_level("WARNING"):
+        assert refiner.load_kb(str(path)) is None
+    assert any("corrupt" in rec.message.lower() for rec in caplog.records)
+
+
+@pytest.mark.parametrize("placement", [
+    {"network": {"FW1": "IpTables", "Ghost": "IpTables"}},
+    {"network": {"FW1": "IpTables", "Subnet2": "IpTables"}},
+    {"network": {"FW1": "ModSecurity", "FW3": "IpTables"}},
+    {"network": {"FW1": "IpTables"}},
+    {"network": {}},
+    {},
+    {"transport": {"FW1": "IpTables", "FW3": "IpTables"}},
+], ids=["unknown-device", "subnet", "other-control", "dropped-device", "empty",
+        "empty-record", "unknown-layer"])
+def test_kb_record_failing_the_check_discards_the_kb(
+    scenario1_topology, scenario1_intent, scenario1_knowledge, catalog, caplog,
+    placement,
+):
+    t, intents = scenario1_topology, [scenario1_intent]
+    _, _, kb = refiner.refine(t, intents, scenario1_knowledge, catalog)
+    other = refiner.HsplPolicy("other", "Bob", "deny-access", "Eve")
+    tampered = kb_update(kb, [other], {"other": placement})
+
+    with caplog.at_level("WARNING"):
+        base, paths, report = kb_reconcile(tampered, t, catalog, intents)
+    assert any("corrupt knowledge base: intent other" in r.message
+               for r in caplog.records)
+    assert report.misses == ["hspl1"] and set(paths) == {"hspl1"}
+    assert base == refiner.KnowledgeBase(digest=kb.digest)
+
+
+def test_kb_record_for_disconnected_endpoints_discards_the_kb(
+    scenario1_topology, scenario1_intent, catalog
+):
+    broken = topology.parse_topology(
+        read_fixture("scenario1", "topology.yaml")
+        .replace("  - [Subnet1, FW1]\n", "").replace("  - [Subnet1, FW2]\n", "")
+    )
+    assert topology.enumerate_paths(broken, "Eve", "Bob") == []
+    kb = refiner.KnowledgeBase(
+        digest=refiner.kb_digest(broken, catalog),
+        intents={"hspl1": scenario1_intent},
+        placements={"hspl1": {"network": {"FW1": "IpTables"}}},
+    )
+    _, _, report = kb_reconcile(kb, broken, catalog, [scenario1_intent])
+    assert report.misses == ["hspl1"]
 
 
 def test_missing_kb_file():

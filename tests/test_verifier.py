@@ -12,7 +12,7 @@ MALICIOUS_FLOW = FlowSpec(src_ip="80.71.158.96", dst_ip="172.19.0.3")
 
 
 def _artifacts(t, intent, knowledge, catalog):
-    artifacts, _, _, _ = refiner.refine(t, [intent], knowledge, catalog)
+    artifacts, _, _ = refiner.refine(t, [intent], knowledge, catalog)
     return artifacts
 
 
