@@ -10,7 +10,12 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DocumentSyntaxError, NoDerivableRequirement, ValidationError
+from .errors import (
+    DocumentSyntaxError,
+    NoDerivableRequirement,
+    ValidationError,
+    require_list,
+)
 from .factbase import Fact
 
 LAYER_NETWORK = "network"
@@ -70,8 +75,6 @@ APPLICATION_REQUIRED = RequiredSet(
     layer=LAYER_APPLICATION,
     capabilities=frozenset({CapabilityId.HTTP_HOST, CapabilityId.DENY}),
 )
-# Each layer has exactly one required set.
-REQUIRED_BY_LAYER = {r.layer: r for r in (NETWORK_REQUIRED, APPLICATION_REQUIRED)}
 
 
 def load_catalog(document: str) -> Catalog:
@@ -91,7 +94,9 @@ def load_catalog(document: str) -> Catalog:
         if layer not in LAYERS:
             raise ValidationError(f"control {name!r}: unknown layer {layer!r}")
         caps = set()
-        for cap_name in spec.get("capabilities") or []:
+        for cap_name in require_list(
+            spec.get("capabilities"), f"control {name!r}: capabilities"
+        ):
             try:
                 caps.add(CapabilityId(cap_name))
             except ValueError:

@@ -132,7 +132,14 @@ def _refine(args, knowledge: factbase.Knowledge):
     for hid in report.hits:
         logger.info("stage=refiner event=kb_reuse intent=%s result=hit", hid)
     for hid in report.misses:
-        logger.info("stage=refiner event=kb_reuse intent=%s result=miss", hid)
+        if hid in report.stale:
+            added, removed = report.stale[hid]
+            logger.info(
+                "stage=refiner event=kb_reuse intent=%s result=stale added=%s removed=%s",
+                hid, ",".join(added), ",".join(removed),
+            )
+        else:
+            logger.info("stage=refiner event=kb_reuse intent=%s result=miss", hid)
     return artifacts
 
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all pipeline stages.
+"""Exception hierarchy shared by all pipeline stages, and the shape check
+that input documents run through at their boundaries.
 
 Every error maps to a distinct CLI exit code (see cli.EXIT_CODES).
 """
@@ -80,3 +81,13 @@ class CorruptKnowledgeBase(PipelineError):
 
 class PersistError(PipelineError):
     """Knowledge base or output file could not be written."""
+
+
+def require_list(value, place, error=DocumentSyntaxError) -> list:
+    """`value`, which must be a list; an absent value (None) is an empty one.
+    Otherwise raises `error` naming `place`."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise error(f"{place} must be a list, got {value!r}")
+    return value

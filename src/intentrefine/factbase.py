@@ -22,6 +22,7 @@ from .errors import (
     UnknownSlot,
     UnknownTemplate,
     ValidationError,
+    require_list,
 )
 
 logger = logging.getLogger(__name__)
@@ -202,7 +203,7 @@ def parse_knowledge(document: str) -> Knowledge:
         logger.warning("knowledge envelope contains rules; ignoring them")
 
     templates: dict[str, Template] = {}
-    for text in raw.get("templates") or []:
+    for text in require_list(raw.get("templates"), "knowledge templates"):
         template = parse_template(str(text))
         if template.name in templates:
             raise ValidationError(f"duplicate template {template.name!r}")
@@ -210,7 +211,7 @@ def parse_knowledge(document: str) -> Knowledge:
 
     k = Knowledge(templates=templates)
     facts = []
-    for text in raw.get("facts") or []:
+    for text in require_list(raw.get("facts"), "knowledge facts"):
         fact = parse_fact(str(text))
         validate_fact(k, fact)
         facts.append(fact)

@@ -4,9 +4,9 @@ emit rule artifacts, and maintain the reuse knowledge base.
 Enforcement placement picks the fewest devices that hit every path between
 an intent's endpoints: a minimum subject-object vertex cut in which only
 capable devices may be cut, found by max-flow (see select_enforcement_set).
-The knowledge base records each intent's placement under a digest of the
-topology and catalog, checked on load, and reports which intents it already
-held a record for.
+The knowledge base is the record of the last deployment: each intent's
+placement under a digest of the topology and catalog. A run reports, per
+intent, whether that record was absent, equal to the new placement, or stale.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     NothingToEnforce,
     PersistError,
     Unenforceable,
-    UnknownEndpoint,
     UnsupportedAction,
     ValidationError,
 )
@@ -105,10 +104,15 @@ class KnowledgeBase:
 
 @dataclass
 class ReuseReport:
-    """Which intents the knowledge base held a current record for."""
+    """How each intent's knowledge-base record compares with this run's
+    placement: a hit equals it; a miss has no record of the unchanged intent,
+    or a stale one that differs."""
 
     hits: list[str] = field(default_factory=list)
     misses: list[str] = field(default_factory=list)
+    # stale intent -> the `layer:device:control` entries its placement added
+    # to and removed from its record, each sorted
+    stale: dict[str, tuple[list[str], list[str]]] = field(default_factory=dict)
 
 
 # --- HSPL parsing -----------------------------------------------------------
@@ -316,8 +320,8 @@ def select_enforcement_set(
         u, w = (d, _IN), (d, _OUT)
         # d lies in some minimum cut iff no residual path leads from its in-
         # to its out-vertex (Picard & Queyranne 1980); an unsaturated arc is
-        # such a path by itself.
-        if w in _residual_tree(residual, u):
+        # such a path by itself, and needs no search.
+        if residual[u][w] or w in _residual_tree(residual, u):
             continue
         selected.add(d)
         # Remove d along with the unit of flow through it; what is left is a
@@ -495,76 +499,20 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
         raise PersistError(f"cannot persist knowledge base to {path}: {exc}")
 
 
-def _separates(t: Topology, subject: str, obj: str, devices) -> bool:
-    """Whether `obj` is reachable from `subject`, walking as enumerate_paths
-    does, but only through one of `devices`: a search that first stops at
-    those devices and then goes on through them."""
-    seen = {subject}
-    todo: list[str] = [subject]
-    held: list[str] = []
-    for crossing in (False, True):
-        while todo:
-            for nxt in t.neighbors(todo.pop()):
-                if nxt == obj:
-                    return crossing
-                if nxt not in seen and t.nodes[nxt].kind != topo.ENDPOINT:
-                    seen.add(nxt)
-                    (held if nxt in devices and not crossing else todo).append(nxt)
-        todo = held
-    return False
-
-
-def _record_fault(
-    t: Topology, catalog: Catalog, intent: HsplPolicy, placement: Placement
-) -> str | None:
-    """Why a recorded placement is not one refine could have made on these
-    inputs, or None: at least one layer, and per layer a non-empty set of
-    devices, each with the control placement picks, that cuts the intent's
-    connected endpoints."""
-    try:
-        topo.resolve_endpoint(t, intent.subject)
-        topo.resolve_endpoint(t, intent.object)
-    except UnknownEndpoint as exc:
-        return str(exc)
-    if not placement:
-        return "no placement"
-    for layer, controls in placement.items():
-        rset = cap.REQUIRED_BY_LAYER.get(layer)
-        if rset is None or not controls:
-            return f"no {layer!r} placement"
-        for device, control in controls.items():
-            node = t.nodes.get(device)
-            if node is None or node.kind != topo.DEVICE:
-                return f"{device!r} is not a device"
-            if [control] != _satisfying_controls(t, device, catalog, rset)[:1]:
-                return f"{device!r} would not enforce with {control!r}"
-        if not _separates(t, intent.subject, intent.object, controls):
-            return (
-                f"{layer} devices {sorted(controls)} are no cut between "
-                f"connected endpoints"
-            )
-    return None
-
-
 def kb_reconcile(
     kb: KnowledgeBase | None, t: Topology, catalog: Catalog, intents: list[HsplPolicy]
 ) -> tuple[KnowledgeBase, dict[str, list[Path]], ReuseReport]:
     """The knowledge base this run builds on, every intent's paths, and which
-    intents hit.
+    intents have a record.
 
-    `kb` is built on when it was made for this topology and catalog and each
-    of its records passes _record_fault; a KB with a failing record is
-    ignored with a warning, as load_kb ignores an unreadable one. Otherwise
-    the run starts from an empty KB. An intent equal to its record is a hit.
+    `kb` is built on when it was made for this topology and catalog;
+    otherwise the run starts from an empty KB. An intent equal to its record
+    is a hit until refine has compared the record with its placement; any
+    other intent is a miss.
     """
     digest = kb_digest(t, catalog)
     if kb is None or kb.digest != digest:
         kb = KnowledgeBase(digest=digest)
-    for hid, placement in kb.placements.items():
-        if fault := _record_fault(t, catalog, kb.intents[hid], placement):
-            logger.warning("ignoring corrupt knowledge base: intent %s: %s", hid, fault)
-            kb = KnowledgeBase(digest=digest)
-            break
 
     report = ReuseReport()
     paths: dict[str, list[Path]] = {}
@@ -573,6 +521,14 @@ def kb_reconcile(
         (report.hits if hit else report.misses).append(intent.id)
         paths[intent.id] = topo.enumerate_paths(t, intent.subject, intent.object)
     return kb, paths, report
+
+
+def _entries(placement: Placement) -> set[str]:
+    return {
+        f"{layer}:{device}:{control}"
+        for layer, controls in placement.items()
+        for device, control in controls.items()
+    }
 
 
 def kb_update(
@@ -601,6 +557,8 @@ def refine(
 
     Placement depends only on the intent's paths and the required set, so it
     runs once per distinct required set of an intent, not once per fact.
+    A hit whose record differs from the intent's placement becomes stale: it
+    moves to the report's misses, and `report.stale` holds what changed.
     """
     base, paths, report = kb_reconcile(kb, t, catalog, intents)
     placements: dict[str, Placement] = {}
@@ -626,4 +584,12 @@ def refine(
                 )
             artifacts.extend(build_artifacts(intent, rset, bindings, controls, catalog))
         placements[intent.id] = placement
+
+    for hid in list(report.hits):
+        recorded, placed = base.placements[hid], placements[hid]
+        if recorded != placed:
+            report.hits.remove(hid)
+            report.misses.append(hid)
+            old, new = _entries(recorded), _entries(placed)
+            report.stale[hid] = (sorted(new - old), sorted(old - new))
     return artifacts, report, kb_update(base, intents, placements)

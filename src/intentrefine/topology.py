@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .errors import DocumentSyntaxError, UnknownEndpoint, ValidationError
+from .errors import DocumentSyntaxError, UnknownEndpoint, ValidationError, require_list
 
 NODE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _HOST_LABEL = r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?"
@@ -99,10 +99,12 @@ def _parse_node(raw: object) -> Node:
     if kind not in NODE_KINDS:
         raise ValidationError(f"node {node_id}: missing or unknown kind {kind!r}")
     ip = raw.get("ip")
-    domains = raw.get("domains") or []
-    if not isinstance(domains, list):
-        raise ValidationError(f"node {node_id}: domains must be a list")
-    controls = raw.get("controls")
+    domains = require_list(
+        raw.get("domains"), f"node {node_id}: domains", ValidationError
+    )
+    controls = require_list(
+        raw.get("controls"), f"node {node_id}: controls", ValidationError
+    )
     if ip is not None:
         if kind != ENDPOINT:
             raise ValidationError(f"node {node_id}: only endpoints carry an ip")
@@ -115,11 +117,8 @@ def _parse_node(raw: object) -> Node:
             raise ValidationError(
                 f"node {node_id}: domain {domain!r} is not an RFC 1123 host name"
             )
-    if controls:
-        if kind != DEVICE:
-            raise ValidationError(f"node {node_id}: only devices carry controls")
-    if controls is None:
-        controls = []
+    if controls and kind != DEVICE:
+        raise ValidationError(f"node {node_id}: only devices carry controls")
     return Node(
         id=node_id,
         kind=kind,
@@ -149,14 +148,14 @@ def parse_topology(document: str) -> Topology:
         raise DocumentSyntaxError("topology document must be a mapping")
 
     nodes: dict[str, Node] = {}
-    for entry in raw.get("nodes") or []:
+    for entry in require_list(raw.get("nodes"), "topology nodes"):
         node = _parse_node(entry)
         if node.id in nodes:
             raise ValidationError(f"duplicate node id {node.id!r}")
         nodes[node.id] = node
 
     links: set[frozenset[str]] = set()
-    for entry in raw.get("links") or []:
+    for entry in require_list(raw.get("links"), "topology links"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise DocumentSyntaxError(f"link entry must be a pair: {entry!r}")
         a, b = str(entry[0]), str(entry[1])

@@ -65,14 +65,18 @@ def evaluate_flow(
     subject: str,
     obj: str,
 ) -> list[PathVerdict]:
-    """Verdict per enumerated path: its first blocking device blocks the flow."""
+    """Verdict per enumerated path: its first blocking device blocks the flow.
+
+    Every detail of every artifact is parsed before any device is decided,
+    so a malformed one raises whatever the flow, as it does in `convert`.
+    """
     paths = topo.enumerate_paths(t, subject, obj)
+    conditions = [list(map(condition_of, a.capabilities)) for a in artifacts]
     blocking: set[str] = set()
-    for a in artifacts:
+    for a, conds in zip(artifacts, conditions):
         control = catalog.controls.get(a.nsf)
         if a.device not in blocking and all(
-            cond is None or _admits(cond, f, control)
-            for cond in map(condition_of, a.capabilities)
+            cond is None or _admits(cond, f, control) for cond in conds
         ):
             blocking.add(a.device)
 

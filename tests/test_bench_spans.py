@@ -38,30 +38,34 @@ def _traced_metrics(op):
             if o == op and not name.startswith(("cli.", "trace."))}
 
 
-def test_traced_runs_measure_every_per_layer_metric(tmp_path, monkeypatch):
-    spans = _load_spans(monkeypatch)
-    argv = [
+def _traced_run(spans, tracer, argv):
+    # Installed per op, as the benchmark does: the wrappers append to the
+    # span list that was current when they were installed.
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return spans.layer_metrics(tracer.take())
+
+
+def _run_argv(scenario, tmp_path, knowledge):
+    return [
         "run",
-        "--topology", str(FIXTURES / "scenario1" / "topology.yaml"),
-        "--hspl", str(FIXTURES / "scenario1" / "hspl.xml"),
-        "--knowledge", str(FIXTURES / "scenario1" / "knowledge.json"),
+        "--topology", str(FIXTURES / scenario / "topology.yaml"),
+        "--hspl", str(FIXTURES / scenario / "hspl.xml"),
+        "--knowledge", str(knowledge),
         "--catalog", str(FIXTURES / "catalog.json"),
         "--kb", str(tmp_path / "kb.json"),
         "--out", str(tmp_path / "out"),
     ]
+
+
+def test_traced_runs_measure_every_per_layer_metric(tmp_path, monkeypatch):
+    spans = _load_spans(monkeypatch)
+    argv = _run_argv("scenario1", tmp_path, FIXTURES / "scenario1" / "knowledge.json")
     tracer = spans.Tracer()
-
-    def traced_run():
-        # Installed per op, as the benchmark does: the wrappers append to the
-        # span list that was current when they were installed.
-        tracer.install()
-        try:
-            assert cli.main(argv) == 0
-        finally:
-            tracer.uninstall()
-        return spans.layer_metrics(tracer.take())
-
-    cold, warm = traced_run(), traced_run()
+    cold, warm = (_traced_run(spans, tracer, argv) for _ in range(2))
 
     assert _traced_metrics("run_cold") <= set(cold)
     assert _traced_metrics("run_warm") <= set(warm)
@@ -72,3 +76,22 @@ def test_traced_runs_measure_every_per_layer_metric(tmp_path, monkeypatch):
         assert metrics["refiner.cover_size"] == 2
         assert metrics["refiner.place_yield"] == 1.0
         assert metrics["refiner.artifacts"] == 4
+
+
+def test_traced_run_with_a_stale_intent_measures_every_metric(tmp_path, monkeypatch):
+    """Scenario 2 recorded with its url fact, then run with an added address
+    fact: the stale intent counts as a miss, so the hit ratio stays defined."""
+    spans = _load_spans(monkeypatch)
+    knowledge = json.loads((FIXTURES / "scenario2" / "knowledge.json").read_text())
+    knowledge["facts"].append('(entity (destination-ip-address "172.20.0.2"))')
+    both = tmp_path / "knowledge.json"
+    both.write_text(json.dumps(knowledge))
+    tracer = spans.Tracer()
+
+    recorded = _run_argv("scenario2", tmp_path, FIXTURES / "scenario2" / "knowledge.json")
+    assert cli.main(recorded) == 0
+    stale = _traced_run(spans, tracer, _run_argv("scenario2", tmp_path, both))
+
+    assert _traced_metrics("run_warm") <= set(stale)
+    assert stale["refiner.kb_hit_ratio"] == 0.0
+    assert stale["refiner.place_calls"] == 2

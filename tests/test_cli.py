@@ -283,6 +283,20 @@ def test_verify_honours_range_and_union_rules(tmp_path, capsys):
     assert capsys.readouterr().out.count("bypass") == 3
 
 
+@pytest.mark.parametrize("source", ["80.71.158.96", "9.9.9.9"],
+                         ids=["matching-source", "other-source"])
+def test_verify_rejects_a_malformed_detail_whatever_the_flow(tmp_path, capsys, source):
+    """Under a rule source the flow does not match, matching never reads the
+    destination; the detail is rejected all the same, as `convert` does."""
+    artifacts = tmp_path / "artifacts.json"
+    artifacts.write_text(json.dumps([_address_rule("FW1", source, "garbage")]))
+    assert verify_eve_to_bob(artifacts) == cli.EXIT_CODES_BY_NAME["NormalizationError"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: NormalizationError" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_rejects_a_flow_address_that_is_not_ipv4(tmp_path, capsys):
     run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False))
     code = verify_eve_to_bob(tmp_path / "out" / "artifacts.json", src_ip="not-an-ip")
@@ -308,9 +322,58 @@ def test_address_less_endpoint_exits_validation(tmp_path, capsys):
     assert not (tmp_path / "kb.json").exists()
 
 
-def _rerun_on_kb(tmp_path, caplog, capsys, kb_doc, warning):
+def _fw1_controls(value):
+    fw1 = "{id: FW1, kind: device, controls: [IpTables]}"
+    return lambda text: text.replace(fw1, fw1.replace("[IpTables]", value))
+
+
+def _json_with(**entries):
+    return lambda text: json.dumps({**json.loads(text), **entries})
+
+
+def _catalog_capabilities_5(text):
+    catalog = json.loads(text)
+    catalog["IpTables"]["capabilities"] = 5
+    return json.dumps(catalog)
+
+
+# case -> (index of the input in scenario_flags, edit, error, message)
+WRONG_SHAPES = {
+    "topology-nodes": (1, lambda text: "nodes: 5\n",
+                       "DocumentSyntaxError", "topology nodes must be a list"),
+    "topology-links": (1, lambda text: text.split("links:")[0] + "links: 5\n",
+                       "DocumentSyntaxError", "topology links must be a list"),
+    "controls-number": (1, _fw1_controls("5"),
+                        "ValidationError", "node FW1: controls must be a list"),
+    "controls-string": (1, _fw1_controls("IpTables"),
+                        "ValidationError", "node FW1: controls must be a list"),
+    "knowledge-templates": (5, _json_with(templates=5),
+                            "DocumentSyntaxError", "knowledge templates must be a list"),
+    "knowledge-facts": (5, _json_with(facts=5),
+                        "DocumentSyntaxError", "knowledge facts must be a list"),
+    "catalog-capabilities": (7, _catalog_capabilities_5, "DocumentSyntaxError",
+                             "control 'IpTables': capabilities must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_input_of_the_wrong_shape_exits_with_its_code(tmp_path, capsys, case):
+    index, edit, error, message = WRONG_SHAPES[case]
+    flags = scenario_flags("scenario1", tmp_path)
+    edited = tmp_path / pathlib.Path(flags[index]).name
+    edited.write_text(edit(pathlib.Path(flags[index]).read_text()))
+    flags[index] = edited
+    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME[error]
+    err = capsys.readouterr().err
+    assert f"error: {error}: {message}, got " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "kb.json").exists()
+
+
+def _rerun_on_kb(tmp_path, caplog, capsys, kb_doc):
     """Run scenario1 cold in its own directory, then on `kb_doc` as the KB;
-    the second run must warn, miss and equal the cold one, outputs and KB."""
+    the second run must equal the cold one, outputs and KB. Returns its log."""
     cold = tmp_path / "cold"
     cold.mkdir()
     assert run_cli("run", *scenario_flags("scenario1", cold)) == 0
@@ -318,34 +381,37 @@ def _rerun_on_kb(tmp_path, caplog, capsys, kb_doc, warning):
     caplog.clear()
     with caplog.at_level("INFO"):
         assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
-    messages = [r.message for r in caplog.records]
-    assert any("corrupt knowledge base" in m and warning in m for m in messages)
-    assert any("event=kb_reuse intent=hspl1 result=miss" in m for m in messages)
     assert "Traceback" not in capsys.readouterr().err
     assert read_tree(tmp_path / "out") == read_tree(cold / "out")
     assert (tmp_path / "kb.json").read_text() == (cold / "kb.json").read_text()
+    return [r.message for r in caplog.records]
 
 
 TAMPERED_PLACEMENTS = {
     "unknown-device": ({"FW1": "IpTables", "Ghost": "IpTables"},
-                       "intent hspl1: 'Ghost' is not a device"),
+                       "added=network:FW3:IpTables removed=network:Ghost:IpTables"),
     "other-control": ({"FW1": "ModSecurity", "FW3": "IpTables"},
-                      "intent hspl1: 'FW1' would not enforce with 'ModSecurity'"),
+                      "added=network:FW1:IpTables removed=network:FW1:ModSecurity"),
     "dropped-device": ({"FW1": "IpTables"},
-                       "intent hspl1: network devices ['FW1'] are no cut"),
+                       "added=network:FW3:IpTables removed="),
 }
 
 
 @pytest.mark.parametrize("tampering", sorted(TAMPERED_PLACEMENTS))
 def test_tampered_kb_record_is_treated_as_absent(tmp_path, caplog, capsys, tampering):
-    placement, warning = TAMPERED_PLACEMENTS[tampering]
+    """A tampered record never reaches the outputs: it is reported stale with
+    what this run's placement changed, and the run records its own."""
+    placement, diff = TAMPERED_PLACEMENTS[tampering]
 
     def tamper(kb_path):
         kb = json.loads(kb_path.read_text())
         kb["intents"]["hspl1"]["placement"]["network"] = placement
         return kb
 
-    _rerun_on_kb(tmp_path, caplog, capsys, tamper, warning)
+    messages = _rerun_on_kb(tmp_path, caplog, capsys, tamper)
+    reuse = [m for m in messages if "event=kb_reuse" in m]
+    assert reuse == [f"stage=refiner event=kb_reuse intent=hspl1 result=stale {diff}"]
+    assert not any("corrupt" in m for m in messages)
 
 
 def test_kb_in_the_path_cache_format_is_treated_as_absent(tmp_path, caplog, capsys):
@@ -366,13 +432,16 @@ def test_kb_in_the_path_cache_format_is_treated_as_absent(tmp_path, caplog, caps
         "device_inventory": {n.id: list(n.controls) for n in t.nodes.values()
                              if n.kind == topology.DEVICE},
     }
-    _rerun_on_kb(tmp_path, caplog, capsys, lambda _cold_kb: path_cache,
-                 "KeyError('digest')")
+    messages = _rerun_on_kb(tmp_path, caplog, capsys, lambda _cold_kb: path_cache)
+    assert any("corrupt knowledge base" in m and "KeyError('digest')" in m
+               for m in messages)
+    assert any("event=kb_reuse intent=hspl1 result=miss" in m for m in messages)
 
 
 def test_cached_intent_gaining_a_layer_matches_a_cold_run(tmp_path, caplog):
     """Scenario 2 recorded with its url fact only; a new address fact adds a
-    network-layer placement, and the outputs and KB equal a cold run's."""
+    network-layer placement, which makes the record stale, and the outputs
+    and KB equal a cold run's."""
     knowledge = json.loads((FIXTURES / "scenario2" / "knowledge.json").read_text())
     knowledge["facts"].append('(entity (destination-ip-address "172.20.0.2"))')
     both = tmp_path / "knowledge.json"
@@ -386,7 +455,10 @@ def test_cached_intent_gaining_a_layer_matches_a_cold_run(tmp_path, caplog):
     with caplog.at_level("INFO"):
         assert run_cli("run", *flags) == 0
     messages = [r.message for r in caplog.records]
-    assert any("event=kb_reuse intent=hspl2 result=hit" in m for m in messages)
+    assert [m for m in messages if "event=kb_reuse" in m] == [
+        "stage=refiner event=kb_reuse intent=hspl2 result=stale "
+        "added=network:FW3:IpTables removed=",
+    ]
     assert [m for m in messages if "event=selection" in m] == [
         "stage=refiner event=selection intent=hspl2 layer=application devices=WAF",
         "stage=refiner event=selection intent=hspl2 layer=network devices=FW3",

@@ -1,9 +1,10 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
-from intentrefine import capability, factbase, refiner, topology
+from intentrefine import capability, cli, factbase, refiner, topology
 from intentrefine.capability import CapabilityId
 from intentrefine.errors import (
     DocumentSyntaxError,
@@ -21,7 +22,7 @@ from intentrefine.refiner import (
     select_enforcement_set,
 )
 
-from conftest import read_fixture
+from conftest import FIXTURES, read_fixture
 from randomtopo import oracle_min_cover, random_topology
 
 
@@ -293,6 +294,32 @@ def test_ladder_picks_lexicographically_first_pair(catalog):
     assert controls == {"L00a": "IpTables", "L00b": "IpTables"}
 
 
+def test_unsaturated_candidates_need_no_residual_search(catalog, monkeypatch):
+    # one unit of flow saturates every device of a chain; once the first is
+    # kept and its flow removed, the others are unsaturated and decided at once
+    devices = [f"D{i:03d}" for i in range(200)]
+    route = ["A", "SA", *devices, "SB", "B"]
+    t = topology.parse_topology("\n".join([
+        "nodes:",
+        "  - {id: A, kind: endpoint}", "  - {id: B, kind: endpoint}",
+        "  - {id: SA, kind: subnet}", "  - {id: SB, kind: subnet}",
+        *(f"  - {{id: {d}, kind: device, controls: [IpTables]}}" for d in devices),
+        "links:", *(f"  - [{a}, {b}]" for a, b in zip(route, route[1:])),
+    ]))
+    paths = topology.enumerate_paths(t, "A", "B")
+    searches = []
+    residual_tree = refiner._residual_tree
+
+    def counted(residual, start):
+        searches.append(start)
+        return residual_tree(residual, start)
+
+    monkeypatch.setattr(refiner, "_residual_tree", counted)
+    selected, _ = select_enforcement_set(paths, t, catalog, capability.NETWORK_REQUIRED)
+    assert selected == {"D000"}
+    assert len(searches) <= 10
+
+
 # --- build_artifacts --------------------------------------------------------
 
 def _scenario1_artifacts(t, intent, knowledge, catalog):
@@ -387,9 +414,8 @@ def test_kb_cycle(scenario1_topology, scenario1_intent, scenario1_knowledge, cat
 def test_kb_hit_records_this_runs_placement(
     scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
 ):
-    """A record that passes the load-time check but is no minimum cut (FW4 is
-    one device too many) still hits, and the run records its own placement
-    in its place."""
+    """A record that is no minimum cut (FW4 is one device too many) is stale,
+    and the run records its own placement in its place."""
     t, intents = scenario1_topology, [scenario1_intent]
     cold, _, kb = refiner.refine(t, intents, scenario1_knowledge, catalog)
     superset = {"network": {**SCENARIO1_PLACEMENT["network"], "FW4": "IpTables"}}
@@ -398,7 +424,8 @@ def test_kb_hit_records_this_runs_placement(
     warm, report, kb2 = refiner.refine(
         t, intents, scenario1_knowledge, catalog, kb=recorded
     )
-    assert report.hits == ["hspl1"] and not report.misses
+    assert not report.hits and report.misses == ["hspl1"]
+    assert report.stale == {"hspl1": ([], ["network:FW4:IpTables"])}
     assert warm == cold and kb2 == kb
 
 
@@ -479,36 +506,83 @@ def test_malformed_kb_treated_as_absent(tmp_path, caplog, document):
     assert any("corrupt" in rec.message.lower() for rec in caplog.records)
 
 
-@pytest.mark.parametrize("placement", [
-    {"network": {"FW1": "IpTables", "Ghost": "IpTables"}},
-    {"network": {"FW1": "IpTables", "Subnet2": "IpTables"}},
-    {"network": {"FW1": "ModSecurity", "FW3": "IpTables"}},
-    {"network": {"FW1": "IpTables"}},
-    {"network": {}},
-    {},
-    {"transport": {"FW1": "IpTables", "FW3": "IpTables"}},
+FW1_FW3 = ["network:FW1:IpTables", "network:FW3:IpTables"]
+
+
+@pytest.mark.parametrize("placement, added, removed", [
+    ({"network": {"FW1": "IpTables", "Ghost": "IpTables"}},
+     ["network:FW3:IpTables"], ["network:Ghost:IpTables"]),
+    ({"network": {"FW1": "IpTables", "Subnet2": "IpTables"}},
+     ["network:FW3:IpTables"], ["network:Subnet2:IpTables"]),
+    ({"network": {"FW1": "ModSecurity", "FW3": "IpTables"}},
+     ["network:FW1:IpTables"], ["network:FW1:ModSecurity"]),
+    ({"network": {"FW1": "IpTables"}}, ["network:FW3:IpTables"], []),
+    ({"network": {}}, FW1_FW3, []),
+    ({}, FW1_FW3, []),
+    ({"transport": {"FW1": "IpTables", "FW3": "IpTables"}},
+     FW1_FW3, ["transport:FW1:IpTables", "transport:FW3:IpTables"]),
 ], ids=["unknown-device", "subnet", "other-control", "dropped-device", "empty",
         "empty-record", "unknown-layer"])
 def test_kb_record_failing_the_check_discards_the_kb(
-    scenario1_topology, scenario1_intent, scenario1_knowledge, catalog, caplog,
-    placement,
+    tmp_path, caplog, capsys, placement, added, removed
 ):
+    """A record that is not this run's placement is stale: it is logged with
+    what changed, never reaches the outputs, and is replaced in the KB."""
+    def run(name):
+        return cli.main([str(a) for a in (
+            "run",
+            "--topology", FIXTURES / "scenario1" / "topology.yaml",
+            "--hspl", FIXTURES / "scenario1" / "hspl.xml",
+            "--knowledge", FIXTURES / "scenario1" / "knowledge.json",
+            "--catalog", FIXTURES / "catalog.json",
+            "--out", tmp_path / name / "out",
+            "--kb", tmp_path / name / "kb.json",
+        )])
+
+    def files(name):
+        return {p.relative_to(tmp_path / name): p.read_text()
+                for p in sorted((tmp_path / name).rglob("*")) if p.is_file()}
+
+    (tmp_path / "cold").mkdir()
+    assert run("cold") == 0
+    kb = json.loads((tmp_path / "cold" / "kb.json").read_text())
+    kb["intents"]["hspl1"]["placement"] = placement
+    (tmp_path / "warm").mkdir()
+    (tmp_path / "warm" / "kb.json").write_text(json.dumps(kb))
+
+    with caplog.at_level("INFO"):
+        assert run("warm") == 0
+    assert [r.message for r in caplog.records if "event=kb_reuse" in r.message] == [
+        "stage=refiner event=kb_reuse intent=hspl1 result=stale "
+        f"added={','.join(added)} removed={','.join(removed)}"
+    ]
+    assert "Traceback" not in capsys.readouterr().err
+    assert files("warm") == files("cold")
+
+
+def test_kb_record_of_another_intent_is_carried_over(
+    scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
+):
+    """A record of an intent this run does not place is kept as it is, even
+    one that no run could have placed."""
     t, intents = scenario1_topology, [scenario1_intent]
     _, _, kb = refiner.refine(t, intents, scenario1_knowledge, catalog)
     other = refiner.HsplPolicy("other", "Bob", "deny-access", "Eve")
-    tampered = kb_update(kb, [other], {"other": placement})
+    bad = {"transport": {"Ghost": "IpTables"}}
+    recorded = kb_update(kb, [other], {"other": bad})
 
-    with caplog.at_level("WARNING"):
-        base, paths, report = kb_reconcile(tampered, t, catalog, intents)
-    assert any("corrupt knowledge base: intent other" in r.message
-               for r in caplog.records)
-    assert report.misses == ["hspl1"] and set(paths) == {"hspl1"}
-    assert base == refiner.KnowledgeBase(digest=kb.digest)
+    _, report, kb2 = refiner.refine(
+        t, intents, scenario1_knowledge, catalog, kb=recorded
+    )
+    assert report.hits == ["hspl1"] and not report.misses and not report.stale
+    assert kb2 == recorded
 
 
 def test_kb_record_for_disconnected_endpoints_discards_the_kb(
-    scenario1_topology, scenario1_intent, catalog
+    scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
 ):
+    """A record of a placement between endpoints that are now disconnected
+    does not stand in for the "no path" failure."""
     broken = topology.parse_topology(
         read_fixture("scenario1", "topology.yaml")
         .replace("  - [Subnet1, FW1]\n", "").replace("  - [Subnet1, FW2]\n", "")
@@ -519,8 +593,14 @@ def test_kb_record_for_disconnected_endpoints_discards_the_kb(
         intents={"hspl1": scenario1_intent},
         placements={"hspl1": {"network": {"FW1": "IpTables"}}},
     )
-    _, _, report = kb_reconcile(kb, broken, catalog, [scenario1_intent])
-    assert report.misses == ["hspl1"]
+    messages = []
+    for recorded in (None, kb):
+        with pytest.raises(Unenforceable) as exc:
+            refiner.refine(
+                broken, [scenario1_intent], scenario1_knowledge, catalog, kb=recorded
+            )
+        messages.append(str(exc.value))
+    assert messages == ["intent 'hspl1': no path between 'Eve' and 'Bob'"] * 2
 
 
 def test_missing_kb_file():
