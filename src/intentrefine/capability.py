@@ -43,9 +43,8 @@ class ControlSpec:
     capabilities: frozenset[CapabilityId]
 
 
-@dataclass(frozen=True)
-class Catalog:
-    controls: dict[str, ControlSpec]
+# Control name -> its spec, as load_catalog returns it.
+Catalog = dict[str, ControlSpec]
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,6 @@ class RequiredSet:
             raise ValidationError(
                 "a required set must contain exactly one action capability"
             )
-
-    @property
-    def action(self) -> CapabilityId:
-        return next(iter(self.capabilities & ACTION_CAPABILITIES))
 
 
 NETWORK_REQUIRED = RequiredSet(
@@ -111,13 +106,13 @@ def load_catalog(document: str) -> Catalog:
             raise ValidationError(
                 f"control {name!r}: application-layer control cannot track state"
             )
+        stateful = spec.get("stateful", False)
+        if not isinstance(stateful, bool):
+            raise ValidationError(f"control {name!r}: stateful must be true or false")
         controls[name] = ControlSpec(
-            name=name,
-            layer=layer,
-            stateful=bool(spec.get("stateful", False)),
-            capabilities=frozenset(caps),
+            name=name, layer=layer, stateful=stateful, capabilities=frozenset(caps)
         )
-    return Catalog(controls=controls)
+    return controls
 
 
 def serialize_catalog(c: Catalog) -> str:
@@ -127,7 +122,7 @@ def serialize_catalog(c: Catalog) -> str:
             "stateful": spec.stateful,
             "capabilities": sorted(cap.value for cap in spec.capabilities),
         }
-        for name, spec in sorted(c.controls.items())
+        for name, spec in sorted(c.items())
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -4,7 +4,8 @@ Serialization is hand-rolled so the XML is byte-deterministic: fixed header,
 two-space indentation, canonical condition order (source address, destination
 address, state, host), a trailing action element, and XML-escaped values.
 parse_mspl is the exact inverse, so serialize-parse-serialize is a fixpoint,
-and it accepts only conditions build_mspl could have written.
+and it accepts only conditions build_mspl could have written. A rule carries
+each capability at most once and exactly one action (check_capabilities).
 """
 
 from __future__ import annotations
@@ -23,29 +24,19 @@ XML_HEADER = "<?xml version='1.0' encoding='utf-8'?>"
 
 STATE_ORDER = ("NEW", "ESTABLISHED", "RELATED")
 
-CONDITION_ORDER = (
-    CapabilityId.IP_SOURCE,
-    CapabilityId.IP_DESTINATION,
-    CapabilityId.STATE,
-    CapabilityId.HTTP_HOST,
-)
-
-ELEMENT_NAMES = {
-    CapabilityId.IP_SOURCE: "ipSourceAddressConditionCapability",
-    CapabilityId.IP_DESTINATION: "ipDestinationAddressConditionCapability",
-    CapabilityId.STATE: "stateConditionCapability",
-    CapabilityId.HTTP_HOST: "httpHostHeaderConditionCapability",
+# Each condition capability's MSPL element and value container, in the
+# canonical order of conditions within a rule.
+CONDITION_ELEMENTS = {
+    CapabilityId.IP_SOURCE: ("ipSourceAddressConditionCapability", "capabilityIpValue"),
+    CapabilityId.IP_DESTINATION: (
+        "ipDestinationAddressConditionCapability", "capabilityIpValue"),
+    CapabilityId.STATE: ("stateConditionCapability", "capabilityStateValue"),
+    CapabilityId.HTTP_HOST: ("httpHostHeaderConditionCapability", "capabilityStringValue"),
 }
-CAPABILITY_BY_ELEMENT = {v: k for k, v in ELEMENT_NAMES.items()}
-
-VALUE_CONTAINERS = {
-    CapabilityId.IP_SOURCE: "capabilityIpValue",
-    CapabilityId.IP_DESTINATION: "capabilityIpValue",
-    CapabilityId.STATE: "capabilityStateValue",
-    CapabilityId.HTTP_HOST: "capabilityStringValue",
-}
+CAPABILITY_BY_ELEMENT = {e: c for c, (e, _) in CONDITION_ELEMENTS.items()}
 
 ACTION_KEYWORDS = {CapabilityId.DROP: "drop", CapabilityId.DENY: "deny"}
+CAPABILITY_BY_ACTION = {k: c for c, k in ACTION_KEYWORDS.items()}
 
 
 class MatchOperator(str, Enum):
@@ -127,19 +118,21 @@ def condition_of(inst: CapabilityInstance) -> MsplCondition | None:
     return _normalize_address(inst.capability, inst.detail)
 
 
-def _rule_from_instances(
-    rule_id: str, instances: tuple[CapabilityInstance, ...]
-) -> MsplRule:
-    conditions = {i.capability: condition_of(i) for i in instances}
-    actions = [ACTION_KEYWORDS[c] for c in conditions if c in ACTION_KEYWORDS]
-    if not actions:
-        raise NormalizationError(f"rule {rule_id!r}: artifact carries no action")
-    ordered = tuple(conditions[c] for c in CONDITION_ORDER if c in conditions)
-    return MsplRule(id=rule_id, conditions=ordered, action=actions[-1])
+def check_capabilities(rule_id: str, carried: list[CapabilityId]) -> None:
+    """NormalizationError unless a rule carries each capability at most once
+    and exactly one action: the one reading of a rule that build_mspl,
+    parse_mspl and the verifier share."""
+    actions = ACTION_CAPABILITIES.intersection(carried)
+    if len(set(carried)) < len(carried) or len(actions) != 1:
+        raise NormalizationError(
+            f"rule {rule_id!r} must carry each capability at most once and "
+            f"exactly one action, got {[c.value for c in carried]}"
+        )
 
 
 def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
-    """One policy per device, artifact order preserved within each policy."""
+    """One policy per device, artifact order preserved within each policy,
+    each rule's conditions in canonical order."""
     nsf_per_device: dict[str, str] = {}
     rules_per_device: dict[str, list[MsplRule]] = {}
     for artifact in artifacts:
@@ -149,8 +142,12 @@ def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
                 f"device {artifact.device!r} assigned both {known!r} and "
                 f"{artifact.nsf!r}"
             )
+        check_capabilities(artifact.hsplid, [i.capability for i in artifact.capabilities])
+        conditions = {i.capability: condition_of(i) for i in artifact.capabilities}
+        [action] = ACTION_CAPABILITIES.intersection(conditions)
+        ordered = tuple(conditions[c] for c in CONDITION_ELEMENTS if c in conditions)
         rules_per_device.setdefault(artifact.device, []).append(
-            _rule_from_instances(artifact.hsplid, artifact.capabilities)
+            MsplRule(artifact.hsplid, ordered, ACTION_KEYWORDS[action])
         )
     return {
         device: MsplPolicy(nsf_name=nsf_per_device[device], rules=tuple(rules))
@@ -170,8 +167,7 @@ def _escape(value: str) -> str:
 
 
 def _serialize_condition(cond: MsplCondition, indent: str) -> list[str]:
-    name = ELEMENT_NAMES[cond.capability]
-    container = VALUE_CONTAINERS[cond.capability]
+    name, container = CONDITION_ELEMENTS[cond.capability]
     lines = [f'{indent}<{name} operator="{cond.operator.value}">']
     lines.append(f"{indent}  <{container}>")
     if cond.capability == CapabilityId.STATE:
@@ -212,7 +208,7 @@ def _checked(cond: MsplCondition) -> MsplCondition:
     detail = CapabilityInstance(cond.capability, separator.join(cond.values))
     if condition_of(detail) != cond:
         raise NormalizationError(
-            f"non-canonical <{ELEMENT_NAMES[cond.capability]}> "
+            f"non-canonical <{CONDITION_ELEMENTS[cond.capability][0]}> "
             f"{cond.operator.value} condition {list(cond.values)}"
         )
     return cond
@@ -229,10 +225,10 @@ def parse_mspl(document: str) -> MsplPolicy:
     rules = []
     for rule_el in root.findall("rule"):
         conditions = []
-        action = None
+        actions = []
         for el in rule_el:
             if el.tag == "actionCapability":
-                action = (el.text or "").strip()
+                actions.append((el.text or "").strip())
                 continue
             capability = CAPABILITY_BY_ELEMENT.get(el.tag)
             if capability is None:
@@ -243,7 +239,7 @@ def parse_mspl(document: str) -> MsplPolicy:
                 raise DocumentSyntaxError(
                     f"unknown operator on <{el.tag}>: {el.get('operator')!r}"
                 )
-            container = el.find(VALUE_CONTAINERS[capability])
+            container = el.find(CONDITION_ELEMENTS[capability][1])
             if container is None:
                 raise DocumentSyntaxError(f"<{el.tag}> missing its value container")
             if capability == CapabilityId.STATE:
@@ -263,13 +259,12 @@ def parse_mspl(document: str) -> MsplPolicy:
                     (m.text or "").strip() for m in container.findall("exactMatch")
                 )
             conditions.append(_checked(MsplCondition(capability, operator, values)))
-        if action not in ("drop", "deny"):
-            raise DocumentSyntaxError(f"rule {rule_el.get('id')!r}: bad action {action!r}")
-        rules.append(
-            MsplRule(
-                id=rule_el.get("id", ""),
-                conditions=tuple(conditions),
-                action=action,
-            )
+        rule_id = rule_el.get("id", "")
+        if not actions or not set(actions) <= CAPABILITY_BY_ACTION.keys():
+            raise DocumentSyntaxError(f"rule {rule_id!r}: bad action {actions}")
+        check_capabilities(
+            rule_id,
+            [c.capability for c in conditions] + [CAPABILITY_BY_ACTION[a] for a in actions],
         )
+        rules.append(MsplRule(id=rule_id, conditions=tuple(conditions), action=actions[0]))
     return MsplPolicy(nsf_name=root.get("nsfName", ""), rules=tuple(rules))

@@ -16,7 +16,6 @@ class DocumentSyntaxError(PipelineError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class ValidationError(PipelineError):

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from . import factbase
-from .factbase import Fact, Knowledge, SlotDef, Template
+from .factbase import Fact, Knowledge, Template
 
 ENTITY_TEMPLATE = "entity"
 
@@ -95,8 +95,8 @@ def indicators_to_knowledge(indicators: list[Indicator], base: Knowledge) -> Kno
             facts=k.facts,
         )
     for ind in indicators:
-        if ind.kind not in k.templates[ENTITY_TEMPLATE].slot_names():
-            k = factbase.extend_template(k, ENTITY_TEMPLATE, SlotDef(name=ind.kind))
+        if ind.kind not in k.templates[ENTITY_TEMPLATE].slots:
+            k = factbase.extend_template(k, ENTITY_TEMPLATE, ind.kind)
         k = factbase.assert_fact(
             k, Fact(template=ENTITY_TEMPLATE, bindings=((ind.kind, ind.value),))
         )

@@ -31,18 +31,9 @@ SLOT_TYPE_STRING = "STRING"
 
 
 @dataclass(frozen=True)
-class SlotDef:
-    name: str
-    type: str = SLOT_TYPE_STRING
-
-
-@dataclass(frozen=True)
 class Template:
     name: str
-    slots: tuple[SlotDef, ...] = ()
-
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.slots)
+    slots: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -143,7 +134,7 @@ def parse_template(text: str) -> Template:
         if item[1] in seen:
             raise ValidationError(f"duplicate slot {item[1]!r} in template {name!r}")
         seen.add(item[1])
-        slots.append(SlotDef(name=item[1]))
+        slots.append(item[1])
     return Template(name=name, slots=tuple(slots))
 
 
@@ -168,12 +159,14 @@ def parse_fact(text: str) -> Fact:
 
 
 def serialize_template(t: Template) -> str:
-    slots = "".join(f" (slot {s.name} (type {s.type}))" for s in t.slots)
+    slots = "".join(f" (slot {s} (type {SLOT_TYPE_STRING}))" for s in t.slots)
     return f"(deftemplate {t.name}{slots})"
 
 
 def serialize_fact(f: Fact) -> str:
-    bindings = " ".join(f'({name} "{value}")' for name, value in f.bindings)
+    """Values escape `\\` and `"`, so _tokenize reads them back unchanged."""
+    escaped = [(n, v.replace("\\", "\\\\").replace('"', '\\"')) for n, v in f.bindings]
+    bindings = " ".join(f'({name} "{value}")' for name, value in escaped)
     return f"({f.template} {bindings})"
 
 
@@ -183,7 +176,7 @@ def validate_fact(k: Knowledge, fact: Fact) -> None:
     template = k.templates.get(fact.template)
     if template is None:
         raise UnknownTemplate(f"fact references unknown template {fact.template!r}")
-    known = set(template.slot_names())
+    known = set(template.slots)
     for name, _ in fact.bindings:
         if name not in known:
             raise UnknownSlot(
@@ -226,15 +219,13 @@ def serialize_knowledge(k: Knowledge) -> str:
     return json.dumps(envelope, indent=2) + "\n"
 
 
-def extend_template(k: Knowledge, template: str, new_slot: SlotDef) -> Knowledge:
+def extend_template(k: Knowledge, template: str, new_slot: str) -> Knowledge:
     """Append a slot to a template; existing facts stay valid and unmodified."""
     current = k.templates.get(template)
     if current is None:
         raise UnknownTemplate(f"cannot extend unknown template {template!r}")
-    if new_slot.name in current.slot_names():
-        raise DuplicateSlot(
-            f"template {template!r} already has slot {new_slot.name!r}"
-        )
+    if new_slot in current.slots:
+        raise DuplicateSlot(f"template {template!r} already has slot {new_slot!r}")
     templates = dict(k.templates)
     templates[template] = Template(
         name=current.name, slots=current.slots + (new_slot,)

@@ -70,12 +70,6 @@ class RuleArtifact:
     nsf: str
     capabilities: tuple[CapabilityInstance, ...]
 
-    def detail_of(self, capability: CapabilityId) -> str | None:
-        for inst in self.capabilities:
-            if inst.capability == capability:
-                return inst.detail
-        return None
-
 
 @dataclass(frozen=True)
 class ConditionBinding:
@@ -222,8 +216,7 @@ def _satisfying_controls(t: Topology, device: str, catalog: Catalog, r: Required
     return sorted(
         name
         for name in t.nodes[device].controls
-        if name in catalog.controls
-        and control_satisfies(catalog.controls[name], r)
+        if name in catalog and control_satisfies(catalog[name], r)
     )
 
 
@@ -351,7 +344,7 @@ def build_artifacts(
     artifacts: list[RuleArtifact] = []
     for device in sorted(control_per_device):
         control_name = control_per_device[device]
-        control = catalog.controls[control_name]
+        control = catalog[control_name]
         for binding in bindings:
             instances: list[CapabilityInstance] = []
             if rset.layer == cap.LAYER_NETWORK:

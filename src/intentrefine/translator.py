@@ -1,27 +1,21 @@
 """Render MSPL policies into each control's native configuration language.
 
-Renderers are registered per control name; translation is a pure function of
-the policy, so equal input yields byte-equal output. Union conditions expand
-to one rendered rule per value combination before rendering.
+Renderers are registered per control name in RENDERERS; translation is a pure
+function of the policy, so equal input yields byte-equal output. Union
+conditions expand to one rendered rule per value combination before rendering.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from .capability import Catalog, CapabilityId
-from .converter import MatchOperator, MsplCondition, MsplPolicy, MsplRule
-from .errors import UnknownControl, UnsupportedCapability, ValidationError
+from .converter import (
+    CAPABILITY_BY_ACTION, MatchOperator, MsplCondition, MsplPolicy, MsplRule)
+from .errors import UnknownControl, UnsupportedCapability
 
 MODSEC_ESCAPE_RE = re.compile(r"[.\\+*?()\[\]{}|^$]")
-
-
-@dataclass(frozen=True)
-class LowLevelRule:
-    control: str
-    text: str
 
 
 def _expand_unions(rule: MsplRule) -> list[MsplRule]:
@@ -49,19 +43,11 @@ def _address_flags(cond: MsplCondition, exact_flag: str, range_flag: str) -> lis
     return [exact_flag, cond.values[0]]
 
 
-def render_iptables(r: MsplRule) -> LowLevelRule:
+def render_iptables(r: MsplRule, rule_number: int = 1) -> str:
     """Single iptables command on the FORWARD chain, fixed flag order:
-    conntrack state, source, destination, jump target."""
-    allowed = {CapabilityId.IP_SOURCE, CapabilityId.IP_DESTINATION, CapabilityId.STATE}
+    conntrack state, source, destination, jump target. iptables rules carry
+    no id, so `rule_number` is unused."""
     conditions = {c.capability: c for c in r.conditions}
-    unsupported = set(conditions) - allowed
-    if unsupported:
-        raise UnsupportedCapability(
-            f"iptables cannot render {sorted(c.value for c in unsupported)}"
-        )
-    if r.action != "drop":
-        raise UnsupportedCapability(f"iptables renderer only drops, got {r.action!r}")
-
     parts = ["iptables", "-A", "FORWARD"]
     state = conditions.get(CapabilityId.STATE)
     if state is not None:
@@ -73,42 +59,30 @@ def render_iptables(r: MsplRule) -> LowLevelRule:
     if dst is not None:
         parts += _address_flags(dst, "-d", "--dst-range")
     parts += ["-j", "DROP"]
-    return LowLevelRule(control="IpTables", text=" ".join(parts))
+    return " ".join(parts)
 
 
 def escape_modsecurity_regex(host: str) -> str:
     return MODSEC_ESCAPE_RE.sub(lambda m: "\\" + m.group(0), host)
 
 
-def render_modsecurity(r: MsplRule, rule_number: int) -> LowLevelRule:
+def render_modsecurity(r: MsplRule, rule_number: int) -> str:
     """Anchored host-header SecRule; ids are assigned per policy file."""
-    if rule_number < 1:
-        raise ValidationError("ModSecurity rule numbers start at 1")
-    conditions = {c.capability: c for c in r.conditions}
-    unsupported = set(conditions) - {CapabilityId.HTTP_HOST}
-    if unsupported or CapabilityId.HTTP_HOST not in conditions:
-        raise UnsupportedCapability(
-            "ModSecurity renderer handles exactly one host-header condition"
-        )
-    if r.action != "deny":
-        raise UnsupportedCapability(f"ModSecurity renderer only denies, got {r.action!r}")
-    host = conditions[CapabilityId.HTTP_HOST].values[0]
-    escaped = escape_modsecurity_regex(host)
-    text = (
+    escaped = escape_modsecurity_regex(r.conditions[0].values[0])
+    return (
         f'SecRule REQUEST_HEADERS:Host "@rx ^{escaped}$" \\\n'
         f'  "deny, id:{rule_number}"'
     )
-    return LowLevelRule(control="ModSecurity", text=text)
 
 
-RENDERER_CAPABILITIES = {
-    "IpTables": {
-        CapabilityId.IP_SOURCE,
-        CapabilityId.IP_DESTINATION,
-        CapabilityId.STATE,
-        CapabilityId.DROP,
-    },
-    "ModSecurity": {CapabilityId.HTTP_HOST, CapabilityId.DENY},
+# Per control: the capabilities every rule must carry (its action included),
+# those a rule may carry besides, and the renderer, called with the rule and
+# its 1-based number in the policy.
+RENDERERS = {
+    "IpTables": ({CapabilityId.DROP},
+                 {CapabilityId.IP_SOURCE, CapabilityId.IP_DESTINATION, CapabilityId.STATE},
+                 render_iptables),
+    "ModSecurity": ({CapabilityId.HTTP_HOST, CapabilityId.DENY}, set(), render_modsecurity),
 }
 
 
@@ -118,11 +92,11 @@ def check_renderer_totality(catalog: Catalog) -> None:
     A declared-but-unrenderable capability is a configuration error caught at
     startup rather than during translation.
     """
-    for name, spec in catalog.controls.items():
-        supported = RENDERER_CAPABILITIES.get(name)
-        if supported is None:
+    for name, spec in catalog.items():
+        if name not in RENDERERS:
             continue
-        missing = spec.capabilities - supported
+        required, optional, _ = RENDERERS[name]
+        missing = spec.capabilities - required - optional
         if missing:
             raise UnsupportedCapability(
                 f"control {name!r} declares capabilities its renderer cannot "
@@ -130,22 +104,26 @@ def check_renderer_totality(catalog: Catalog) -> None:
             )
 
 
-def translate_policy(p: MsplPolicy) -> list[LowLevelRule]:
-    """Deterministically render a policy, one rule per expanded combination."""
-    if p.nsf_name == "IpTables":
-        return [
-            render_iptables(expanded)
-            for rule in p.rules
-            for expanded in _expand_unions(rule)
-        ]
-    if p.nsf_name == "ModSecurity":
-        expanded = [e for rule in p.rules for e in _expand_unions(rule)]
-        return [
-            render_modsecurity(rule, number)
-            for number, rule in enumerate(expanded, start=1)
-        ]
-    raise UnknownControl(f"no renderer registered for control {p.nsf_name!r}")
+def translate_policy(p: MsplPolicy) -> list[str]:
+    """Deterministically render a policy, one rule per expanded combination.
+
+    Raises UnsupportedCapability for a rule that lacks a capability its
+    control's renderer requires or carries one it cannot render."""
+    if p.nsf_name not in RENDERERS:
+        raise UnknownControl(f"no renderer registered for control {p.nsf_name!r}")
+    required, optional, render = RENDERERS[p.nsf_name]
+    expanded = [e for rule in p.rules for e in _expand_unions(rule)]
+    for rule in expanded:
+        carried = {c.capability for c in rule.conditions}
+        carried.add(CAPABILITY_BY_ACTION.get(rule.action))
+        if not required <= carried or carried - required - optional:
+            raise UnsupportedCapability(
+                f"{p.nsf_name} renderer cannot map rule {rule.id!r}: conditions "
+                f"{[c.capability.value for c in rule.conditions]}, "
+                f"action {rule.action!r}"
+            )
+    return [render(rule, n) for n, rule in enumerate(expanded, start=1)]
 
 
-def rules_file_content(rules: list[LowLevelRule]) -> str:
-    return "".join(rule.text + "\n" for rule in rules)
+def rules_file_content(rules: list[str]) -> str:
+    return "".join(rule + "\n" for rule in rules)

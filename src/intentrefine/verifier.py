@@ -1,7 +1,7 @@
 """Symbolic flow verifier: replay a synthetic flow against deployed artifacts.
 
 No packets are processed. A device blocks the flow when one of its rules, read
-as the converter's conditions that the translator renders, admits the flow on
+as the converter's MSPL rule that the translator renders, admits the flow on
 every condition: an address by exact value, union member or range; the HTTP
 host only at a control that inspects the application layer; any connection
 state. Each path is blocked at its first blocking device.
@@ -14,15 +14,13 @@ from dataclasses import dataclass
 
 from . import topology as topo
 from .capability import Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION
-from .converter import MatchOperator, MsplCondition, condition_of, ip_key
+from .converter import (
+    MatchOperator, MsplCondition, check_capabilities, condition_of, ip_key)
 from .errors import ValidationError
 from .refiner import RuleArtifact
 from .topology import Path, Topology
 
 logger = logging.getLogger(__name__)
-
-OUTCOME_BLOCKED = "BLOCKED"
-OUTCOME_ALLOWED = "ALLOWED"
 
 
 @dataclass(frozen=True)
@@ -36,13 +34,6 @@ class FlowSpec:
         topo.require_ipv4(self.dst_ip, "flow destination")
         if self.src_ip == self.dst_ip:
             raise ValidationError("flow source and destination must differ")
-
-
-@dataclass(frozen=True)
-class PathVerdict:
-    path: Path
-    outcome: str
-    device: str | None = None
 
 
 def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec | None) -> bool:
@@ -64,26 +55,28 @@ def evaluate_flow(
     f: FlowSpec,
     subject: str,
     obj: str,
-) -> list[PathVerdict]:
-    """Verdict per enumerated path: its first blocking device blocks the flow.
+) -> list[tuple[Path, str | None]]:
+    """Each enumerated path with its first blocking device, or None when the
+    flow passes it.
 
-    Every detail of every artifact is parsed before any device is decided,
-    so a malformed one raises whatever the flow, as it does in `convert`.
+    Every artifact passes the converter's checks before any device is
+    decided, so a malformed one raises whatever the flow, as it does in
+    `convert`.
     """
     paths = topo.enumerate_paths(t, subject, obj)
-    conditions = [list(map(condition_of, a.capabilities)) for a in artifacts]
+    conditions = []
+    for a in artifacts:
+        check_capabilities(a.hsplid, [i.capability for i in a.capabilities])
+        conditions.append(list(map(condition_of, a.capabilities)))
     blocking: set[str] = set()
     for a, conds in zip(artifacts, conditions):
-        control = catalog.controls.get(a.nsf)
+        control = catalog.get(a.nsf)
         if a.device not in blocking and all(
             cond is None or _admits(cond, f, control) for cond in conds
         ):
             blocking.add(a.device)
-
-    firsts = [next((n for n in p.intermediate if n in blocking), None) for p in paths]
     return [
-        PathVerdict(p, OUTCOME_ALLOWED if d is None else OUTCOME_BLOCKED, d)
-        for p, d in zip(paths, firsts)
+        (p, next((n for n in p.intermediate if n in blocking), None)) for p in paths
     ]
 
 
@@ -101,9 +94,9 @@ def verify_deployment(
         logger.warning("no paths between %s and %s; vacuously blocked", subject, obj)
         return True, [f"warning: no paths between {subject} and {obj}"]
     report = [
-        f"BLOCKED path {list(v.path.intermediate)} at {v.device}"
-        if v.outcome == OUTCOME_BLOCKED
-        else f"ALLOWED (bypass) path {list(v.path.intermediate)}"
-        for v in verdicts
+        f"ALLOWED (bypass) path {list(p.intermediate)}"
+        if device is None
+        else f"BLOCKED path {list(p.intermediate)} at {device}"
+        for p, device in verdicts
     ]
-    return all(v.outcome == OUTCOME_BLOCKED for v in verdicts), report
+    return all(device is not None for _, device in verdicts), report

@@ -23,16 +23,16 @@ from conftest import read_fixture
 
 
 def test_default_catalog(catalog):
-    iptables = catalog.controls["IpTables"]
+    iptables = catalog["IpTables"]
     assert iptables.layer == "network" and iptables.stateful
     assert CapabilityId.IP_SOURCE in iptables.capabilities
-    modsec = catalog.controls["ModSecurity"]
+    modsec = catalog["ModSecurity"]
     assert modsec.layer == "application"
     assert CapabilityId.HTTP_HOST in modsec.capabilities
 
 
 def test_empty_catalog():
-    assert load_catalog("{}").controls == {}
+    assert load_catalog("{}") == {}
 
 
 def test_unknown_capability_name_rejected():
@@ -112,9 +112,9 @@ def test_required_set_must_have_one_action():
 def test_control_satisfies(catalog):
     network = capability.NETWORK_REQUIRED
     application = capability.APPLICATION_REQUIRED
-    assert control_satisfies(catalog.controls["IpTables"], network)
-    assert not control_satisfies(catalog.controls["IpTables"], application)
-    assert control_satisfies(catalog.controls["ModSecurity"], application)
+    assert control_satisfies(catalog["IpTables"], network)
+    assert not control_satisfies(catalog["IpTables"], application)
+    assert control_satisfies(catalog["ModSecurity"], application)
     empty = ControlSpec(name="E", layer="network", stateful=False, capabilities=frozenset())
     assert not control_satisfies(empty, network)
 

@@ -3,7 +3,10 @@ import pathlib
 
 import pytest
 
-from intentrefine import cli
+from intentrefine import cli, converter, factbase
+from intentrefine.capability import CapabilityId
+from intentrefine.converter import MsplPolicy, MsplRule
+from intentrefine.refiner import CapabilityInstance
 
 from conftest import FIXTURES
 
@@ -297,6 +300,62 @@ def test_verify_rejects_a_malformed_detail_whatever_the_flow(tmp_path, capsys, s
     assert "Traceback" not in captured.err
 
 
+SOURCE = "IpSourceAddressConditionCapability"
+DESTINATION = "IpDestinationAddressConditionCapability"
+DROP = "DropActionCapability"
+
+# case -> the capabilities of one FW1 rule that carries a capability twice
+REPEATED_CAPABILITIES = {
+    "two-sources": [(SOURCE, "1.1.1.1"), (SOURCE, "80.71.158.96"),
+                    (DESTINATION, "172.19.0.3"), (DROP, "drop")],
+    "two-actions": [(SOURCE, "80.71.158.96"), (DESTINATION, "172.19.0.3"),
+                    (DROP, "drop"), ("DenyActionCapability", "deny")],
+    "drop-twice": [(SOURCE, "80.71.158.96"), (DESTINATION, "172.19.0.3"),
+                   (DROP, "drop"), (DROP, "drop")],
+}
+
+
+def _mspl_of(capabilities):
+    """The MSPL document of one FW1 rule carrying `capabilities`, with each
+    element written as serialize_mspl writes it."""
+    instances = [CapabilityInstance(CapabilityId(c), d) for c, d in capabilities]
+    conditions = [converter.condition_of(i) for i in instances]
+    actions = [i.detail for i, c in zip(instances, conditions) if c is None]
+    rule = MsplRule("h", tuple(c for c in conditions if c), actions[0])
+    document = converter.serialize_mspl(MsplPolicy("IpTables", (rule,)))
+    extra = "".join(f"    <actionCapability>{a}</actionCapability>\n" for a in actions[1:])
+    return document.replace("  </rule>", extra + "  </rule>")
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_CAPABILITIES))
+@pytest.mark.parametrize("command", ["convert", "translate", "verify"])
+def test_a_rule_repeating_a_capability_exits_normalization(tmp_path, capsys, command, case):
+    """convert, translate and verify read a rule the same way, so none of
+    them keeps one of two values of a capability."""
+    capabilities = REPEATED_CAPABILITIES[case]
+    artifacts = tmp_path / "artifacts.json"
+    artifacts.write_text(json.dumps([{
+        "hsplid": "h", "device": "FW1", "nsf": "IpTables",
+        "capabilities": [{"capability": c, "detail": d} for c, d in capabilities],
+    }]))
+    out = tmp_path / "out"
+    if command == "convert":
+        code = run_cli("convert", "--artifacts", artifacts, "--out", out)
+    elif command == "translate":
+        out.mkdir()
+        (out / "FW1.mspl.xml").write_text(_mspl_of(capabilities))
+        code = run_cli("translate", "--out", out)
+    else:
+        code = verify_eve_to_bob(artifacts)
+    assert code == cli.EXIT_CODES_BY_NAME["NormalizationError"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: NormalizationError: rule 'h' must carry each capability" in captured.err
+    assert "Traceback" not in captured.err
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == (["FW1.mspl.xml"] if command == "translate" else [])
+
+
 def test_verify_rejects_a_flow_address_that_is_not_ipv4(tmp_path, capsys):
     run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False))
     code = verify_eve_to_bob(tmp_path / "out" / "artifacts.json", src_ip="not-an-ip")
@@ -369,6 +428,132 @@ def test_input_of_the_wrong_shape_exits_with_its_code(tmp_path, capsys, case):
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "kb.json").exists()
+
+
+@pytest.mark.parametrize("stateful", ["no", "false", 0, 1])
+def test_catalog_stateful_must_be_a_boolean(tmp_path, capsys, stateful):
+    catalog = json.loads((FIXTURES / "catalog.json").read_text())
+    catalog["IpTables"]["stateful"] = stateful
+    flags = scenario_flags("scenario1", tmp_path)
+    flags[7] = tmp_path / "catalog.json"
+    flags[7].write_text(json.dumps(catalog))
+    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    err = capsys.readouterr().err
+    assert "error: ValidationError: control 'IpTables': stateful must be true or false" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "kb.json").exists()
+
+
+def test_extracted_fact_values_read_back_unchanged(tmp_path):
+    """A value holding a quote or a backslash survives extract, and refine
+    reads the extracted knowledge as it reads the original."""
+    knowledge = tmp_path / "knowledge.json"
+    knowledge.write_text(json.dumps({
+        "templates": ["(deftemplate entity (slot destination-ip-address (type STRING))"
+                      " (slot note (type STRING)))"],
+        "facts": ['(entity (destination-ip-address "80.71.158.96"))',
+                  '(entity (note "say \\"hi\\""))', '(entity (note "x\\\\y"))'],
+    }))
+    extracted = tmp_path / "extracted" / "knowledge.json"
+    assert run_cli("extract", "--knowledge", knowledge, "--out", extracted.parent) == 0
+    facts = factbase.parse_knowledge(extracted.read_text()).facts
+    assert [f.bindings[0][1] for f in facts] == ["80.71.158.96", 'say "hi"', "x\\y"]
+    for name, source in (("direct", knowledge), ("staged", extracted)):
+        flags = scenario_flags("scenario1", tmp_path / name, kb=False)
+        flags[5] = source
+        assert run_cli("refine", *flags) == 0
+    assert read_tree(tmp_path / "staged" / "out") == read_tree(tmp_path / "direct" / "out")
+
+
+# Values the sweep puts in place of each value of an input document in turn.
+SWEEP_VALUES = [None, 5, "x", [], {"a": 1}, "no"]
+
+# Scenario 2's input documents, and the subcommands that read each one.
+SWEPT_DOCUMENTS = {
+    "topology": ["run", "verify"],
+    "catalog": ["run", "verify", "translate"],
+    "knowledge": ["run"],
+    "artifacts": ["convert", "verify"],
+    "kb": ["run"],
+}
+
+
+def _positions(document, path=()):
+    """The key path of every value in a JSON document, the root included."""
+    yield path
+    if isinstance(document, (dict, list)):
+        items = document.items() if isinstance(document, dict) else enumerate(document)
+        for key, value in items:
+            yield from _positions(value, path + (key,))
+
+
+def _replaced(document, path, value):
+    if not path:
+        return value
+    copy = dict(document) if isinstance(document, dict) else list(document)
+    copy[path[0]] = _replaced(document[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.fixture(scope="module")
+def scenario2_documents(tmp_path_factory):
+    import yaml
+
+    base = tmp_path_factory.mktemp("scenario2")
+    assert run_cli("run", *scenario_flags("scenario2", base)) == 0
+    return {
+        "topology": yaml.safe_load((FIXTURES / "scenario2" / "topology.yaml").read_text()),
+        "catalog": json.loads((FIXTURES / "catalog.json").read_text()),
+        "knowledge": json.loads((FIXTURES / "scenario2" / "knowledge.json").read_text()),
+        "artifacts": json.loads((base / "out" / "artifacts.json").read_text()),
+        "kb": json.loads((base / "kb.json").read_text()),
+        "mspl": (base / "out" / "WAF.mspl.xml").read_text(),
+    }
+
+
+@pytest.mark.parametrize("swept", sorted(SWEPT_DOCUMENTS))
+def test_every_replaced_input_value_exits_with_a_documented_code(
+    tmp_path, capsys, scenario2_documents, swept
+):
+    """Each value of each document, replaced by each of SWEEP_VALUES: every
+    subcommand reading the document exits with a documented code and prints
+    no traceback. Every position is visited; a sampled one would seldom be
+    the one key a regression breaks."""
+    files = {name: tmp_path / f"{name}.json" for name in SWEPT_DOCUMENTS}
+    mspl_dir = tmp_path / "mspl"
+    argvs = {
+        "run": ["run", "--topology", files["topology"],
+                "--hspl", FIXTURES / "scenario2" / "hspl.xml",
+                "--knowledge", files["knowledge"], "--catalog", files["catalog"],
+                "--kb", files["kb"], "--out", tmp_path / "out"],
+        "convert": ["convert", "--artifacts", files["artifacts"], "--out", tmp_path / "out"],
+        "translate": ["translate", "--out", mspl_dir, "--catalog", files["catalog"]],
+        "verify": ["verify", "--topology", files["topology"], "--catalog", files["catalog"],
+                   "--artifacts", files["artifacts"], "--subject", "Alice",
+                   "--object", "WebServer", "--src-ip", "172.20.0.2",
+                   "--dst-ip", "172.20.0.3", "--l7-host", "hadleyshope.3utilities.com"],
+    }
+    mspl_dir.mkdir()
+    (mspl_dir / "WAF.mspl.xml").write_text(scenario2_documents["mspl"])
+    documented = {0, cli.EXIT_BYPASS, cli.EXIT_USAGE, *cli.EXIT_CODES.values()}
+    failures = []
+    for path in _positions(scenario2_documents[swept]):
+        for value in SWEEP_VALUES:
+            for name, file in files.items():
+                document = scenario2_documents[name]
+                file.write_text(json.dumps(
+                    _replaced(document, path, value) if name == swept else document))
+            for command in SWEPT_DOCUMENTS[swept]:
+                try:
+                    code = run_cli(*argvs[command])
+                except Exception as exc:  # an uncaught error is a traceback
+                    failures.append((command, path, value, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if code not in documented or "Traceback" in err:
+                    failures.append((command, path, value, code))
+    assert failures == []
 
 
 def _rerun_on_kb(tmp_path, caplog, capsys, kb_doc):
@@ -475,7 +660,7 @@ def test_cached_intent_gaining_a_layer_matches_a_cold_run(tmp_path, caplog):
 
 
 def test_markup_in_intent_id_gives_well_formed_mspl(tmp_path):
-    from intentrefine import converter, translator
+    from intentrefine import translator
 
     hspl = tmp_path / "hspl.xml"
     base = (FIXTURES / "scenario1" / "hspl.xml").read_text()

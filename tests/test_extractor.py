@@ -72,7 +72,7 @@ def test_determinism():
 def test_indicators_extend_schema(scenario1_knowledge):
     indicators = extract_indicators(read_fixture("scenario2", "cti.txt"))
     k = indicators_to_knowledge(indicators, scenario1_knowledge)
-    assert k.templates["entity"].slot_names() == ("destination-ip-address", "url")
+    assert k.templates["entity"].slots == ("destination-ip-address", "url")
     assert len(k.facts) == len(scenario1_knowledge.facts) + 1
     assert k.facts[-1].get("url") == "hadleyshope.3utilities.com"
 
@@ -100,5 +100,5 @@ def test_extraction_from_empty_base():
     k = indicators_to_knowledge(
         extract_indicators("spotted 4.4.4.4 in logs"), factbase.Knowledge()
     )
-    assert k.templates["entity"].slot_names() == ("destination-ip-address",)
+    assert k.templates["entity"].slots == ("destination-ip-address",)
     assert len(k.facts) == 1

@@ -10,7 +10,7 @@ from intentrefine.errors import (
     UnknownSlot,
     UnknownTemplate,
 )
-from intentrefine.factbase import Fact, SlotDef
+from intentrefine.factbase import Fact
 
 LISTING_EXAMPLE = json.dumps(
     {
@@ -22,7 +22,7 @@ LISTING_EXAMPLE = json.dumps(
 
 def test_parse_basic_envelope():
     k = factbase.parse_knowledge(LISTING_EXAMPLE)
-    assert k.templates["entity"].slot_names() == ("source-ip-address",)
+    assert k.templates["entity"].slots == ("source-ip-address",)
     assert len(k.facts) == 1
     assert k.facts[0].get("source-ip-address") == "1.2.3.4"
 
@@ -78,30 +78,30 @@ def test_rules_member_ignored_with_warning(caplog):
 
 
 def test_extend_appends_slot(scenario1_knowledge):
-    k = factbase.extend_template(scenario1_knowledge, "entity", SlotDef(name="url"))
-    assert k.templates["entity"].slot_names() == ("destination-ip-address", "url")
+    k = factbase.extend_template(scenario1_knowledge, "entity", "url")
+    assert k.templates["entity"].slots == ("destination-ip-address", "url")
     # original untouched, facts preserved
-    assert scenario1_knowledge.templates["entity"].slot_names() == (
+    assert scenario1_knowledge.templates["entity"].slots == (
         "destination-ip-address",
     )
     assert k.facts == scenario1_knowledge.facts
 
 
 def test_extend_duplicate_slot_rejected(scenario1_knowledge):
-    k = factbase.extend_template(scenario1_knowledge, "entity", SlotDef(name="url"))
+    k = factbase.extend_template(scenario1_knowledge, "entity", "url")
     with pytest.raises(DuplicateSlot):
-        factbase.extend_template(k, "entity", SlotDef(name="url"))
+        factbase.extend_template(k, "entity", "url")
 
 
 def test_extend_unknown_template_rejected(scenario1_knowledge):
     with pytest.raises(UnknownTemplate):
-        factbase.extend_template(scenario1_knowledge, "ghost", SlotDef(name="url"))
+        factbase.extend_template(scenario1_knowledge, "ghost", "url")
 
 
 def test_extend_with_no_facts():
     k = factbase.parse_knowledge('{"templates": ["(deftemplate entity (slot a (type STRING)))"], "facts": []}')
-    k2 = factbase.extend_template(k, "entity", SlotDef(name="b"))
-    assert k2.templates["entity"].slot_names() == ("a", "b")
+    k2 = factbase.extend_template(k, "entity", "b")
+    assert k2.templates["entity"].slots == ("a", "b")
     assert k2.facts == ()
 
 
@@ -134,9 +134,9 @@ def test_schema_monotonicity(slots, new_slot, values):
     k = factbase.parse_knowledge(json.dumps(doc))
     if new_slot in slots:
         with pytest.raises(DuplicateSlot):
-            factbase.extend_template(k, "entity", SlotDef(name=new_slot))
+            factbase.extend_template(k, "entity", new_slot)
         return
-    k2 = factbase.extend_template(k, "entity", SlotDef(name=new_slot))
+    k2 = factbase.extend_template(k, "entity", new_slot)
     assert k2.facts == k.facts
     for fact in k2.facts:
         factbase.validate_fact(k2, fact)
@@ -146,3 +146,18 @@ def test_assert_fact_counts(scenario1_knowledge):
     fact = Fact(template="entity", bindings=(("destination-ip-address", "9.9.9.9"),))
     k = factbase.assert_fact(scenario1_knowledge, fact)
     assert len(k.facts) == len(scenario1_knowledge.facts) + 1
+
+
+# Any printable text, with the two characters a string token escapes drawn often.
+fact_values = st.text(
+    st.one_of(st.sampled_from('\\"'), st.characters(blacklist_categories=("Cs", "Cc")))
+)
+
+
+@given(template=st.from_regex(r"[a-z][a-z-]{0,10}", fullmatch=True),
+       bindings=st.lists(
+           st.tuples(st.from_regex(r"[a-z][a-z-]{0,10}", fullmatch=True), fact_values),
+           min_size=1, max_size=3))
+def test_fact_serialization_roundtrips(template, bindings):
+    fact = Fact(template=template, bindings=tuple(bindings))
+    assert factbase.parse_fact(factbase.serialize_fact(fact)) == fact

@@ -330,6 +330,13 @@ def _scenario1_artifacts(t, intent, knowledge, catalog):
     return build_artifacts(intent, rset, bindings, controls, catalog)
 
 
+def _detail(artifact, capability):
+    """The detail of the artifact's first instance of `capability`, or None."""
+    return next(
+        (i.detail for i in artifact.capabilities if i.capability == capability), None
+    )
+
+
 def test_scenario1_artifacts(scenario1_topology, scenario1_intent, scenario1_knowledge, catalog):
     artifacts = _scenario1_artifacts(
         scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
@@ -341,13 +348,13 @@ def test_scenario1_artifacts(scenario1_topology, scenario1_intent, scenario1_kno
         ("FW3", "IpTables"),
     ]
     forward = artifacts[0]
-    assert forward.detail_of(CapabilityId.IP_SOURCE) == "80.71.158.96"
-    assert forward.detail_of(CapabilityId.IP_DESTINATION) == "172.19.0.3"
-    assert forward.detail_of(CapabilityId.STATE) == "NEW,ESTABLISHED"
-    assert forward.detail_of(CapabilityId.DROP) == "drop"
+    assert _detail(forward, CapabilityId.IP_SOURCE) == "80.71.158.96"
+    assert _detail(forward, CapabilityId.IP_DESTINATION) == "172.19.0.3"
+    assert _detail(forward, CapabilityId.STATE) == "NEW,ESTABLISHED"
+    assert _detail(forward, CapabilityId.DROP) == "drop"
     reverse = artifacts[1]
-    assert reverse.detail_of(CapabilityId.IP_SOURCE) == "172.19.0.3"
-    assert reverse.detail_of(CapabilityId.STATE) == "ESTABLISHED,RELATED"
+    assert _detail(reverse, CapabilityId.IP_SOURCE) == "172.19.0.3"
+    assert _detail(reverse, CapabilityId.STATE) == "ESTABLISHED,RELATED"
 
 
 def test_stateless_control_omits_state(scenario1_topology, scenario1_intent, scenario1_knowledge):
@@ -360,7 +367,7 @@ def test_stateless_control_omits_state(scenario1_topology, scenario1_intent, sce
         scenario1_topology, scenario1_intent, scenario1_knowledge, stateless
     )
     assert len(artifacts) == 4
-    assert all(a.detail_of(CapabilityId.STATE) is None for a in artifacts)
+    assert all(_detail(a, CapabilityId.STATE) is None for a in artifacts)
 
 
 def test_scenario2_single_artifact(scenario2_topology, scenario2_intent, scenario2_knowledge, catalog):
@@ -370,8 +377,8 @@ def test_scenario2_single_artifact(scenario2_topology, scenario2_intent, scenari
     assert len(artifacts) == 1
     a = artifacts[0]
     assert (a.device, a.nsf) == ("WAF", "ModSecurity")
-    assert a.detail_of(CapabilityId.HTTP_HOST) == "hadleyshope.3utilities.com"
-    assert a.detail_of(CapabilityId.DENY) == "deny"
+    assert _detail(a, CapabilityId.HTTP_HOST) == "hadleyshope.3utilities.com"
+    assert _detail(a, CapabilityId.DENY) == "deny"
 
 
 def test_artifact_json_roundtrip(scenario1_topology, scenario1_intent, scenario1_knowledge, catalog):

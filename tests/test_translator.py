@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from intentrefine import translator
@@ -50,38 +52,36 @@ def _host_rule(host="hadleyshope.3utilities.com"):
 
 
 def test_iptables_forward_matches_expected_bytes():
-    assert render_iptables(_ip_rule()).text == LISTING_FORWARD
+    assert render_iptables(_ip_rule()) == LISTING_FORWARD
 
 
 def test_iptables_reverse_matches_expected_bytes():
     rule = _ip_rule(src="172.19.0.3", dst="80.71.158.96",
                     states=("ESTABLISHED", "RELATED"))
-    assert render_iptables(rule).text == LISTING_REVERSE
+    assert render_iptables(rule) == LISTING_REVERSE
 
 
 def test_iptables_stateless_omits_conntrack():
-    text = render_iptables(_ip_rule(states=None)).text
+    text = render_iptables(_ip_rule(states=None))
     assert text == "iptables -A FORWARD -s 80.71.158.96 -d 172.19.0.3 -j DROP"
 
 
 def test_iptables_range_uses_iprange():
     rule = _ip_rule(src=("10.0.0.1", "10.0.0.9"), src_op=MatchOperator.RANGE,
                     states=None)
-    text = render_iptables(rule).text
+    text = render_iptables(rule)
     assert "-m iprange --src-range 10.0.0.1-10.0.0.9" in text
     assert "-s " not in text
 
 
 def test_iptables_rejects_host_condition():
-    import dataclasses
-
+    rule = dataclasses.replace(_host_rule(), action="drop")
     with pytest.raises(UnsupportedCapability):
-        render_iptables(dataclasses.replace(_host_rule(), action="drop"))
+        translate_policy(MsplPolicy(nsf_name="IpTables", rules=(rule,)))
 
 
 def test_modsecurity_matches_expected_bytes():
-    rule = render_modsecurity(_host_rule(), 1)
-    assert rule.text == (
+    assert render_modsecurity(_host_rule(), 1) == (
         'SecRule REQUEST_HEADERS:Host "@rx ^hadleyshope\\.3utilities\\.com$" \\\n'
         '  "deny, id:1"'
     )
@@ -89,7 +89,7 @@ def test_modsecurity_matches_expected_bytes():
 
 def test_modsecurity_id_and_escaping():
     rule = render_modsecurity(_host_rule(host="a.b"), 7)
-    assert rule.text == 'SecRule REQUEST_HEADERS:Host "@rx ^a\\.b$" \\\n  "deny, id:7"'
+    assert rule == 'SecRule REQUEST_HEADERS:Host "@rx ^a\\.b$" \\\n  "deny, id:7"'
 
 
 def test_modsecurity_escapes_all_metacharacters():
@@ -98,8 +98,19 @@ def test_modsecurity_escapes_all_metacharacters():
 
 
 def test_modsecurity_rejects_address_conditions():
+    rule = dataclasses.replace(_ip_rule(), action="deny")
     with pytest.raises(UnsupportedCapability):
-        render_modsecurity(_ip_rule(), 1)
+        translate_policy(MsplPolicy(nsf_name="ModSecurity", rules=(rule,)))
+
+
+@pytest.mark.parametrize("nsf_name, rule", [
+    ("ModSecurity", MsplRule(id="h", conditions=(), action="deny")),
+    ("IpTables", dataclasses.replace(_ip_rule(), action="deny")),
+    ("IpTables", dataclasses.replace(_ip_rule(), action="accept")),
+], ids=["modsecurity-without-host", "iptables-deny", "unknown-action"])
+def test_rule_outside_its_renderer_table_is_rejected(nsf_name, rule):
+    with pytest.raises(UnsupportedCapability):
+        translate_policy(MsplPolicy(nsf_name=nsf_name, rules=(rule,)))
 
 
 def test_translate_policy_empty():
@@ -114,7 +125,7 @@ def test_translate_unknown_control():
 def test_union_expands_to_one_line_per_member():
     rule = _ip_rule(src=("1.1.1.1", "2.2.2.2"), src_op=MatchOperator.UNION,
                     states=None)
-    lines = [r.text for r in translate_policy(MsplPolicy(nsf_name="IpTables", rules=(rule,)))]
+    lines = translate_policy(MsplPolicy(nsf_name="IpTables", rules=(rule,)))
     assert lines == [
         "iptables -A FORWARD -s 1.1.1.1 -d 172.19.0.3 -j DROP",
         "iptables -A FORWARD -s 2.2.2.2 -d 172.19.0.3 -j DROP",
@@ -125,7 +136,7 @@ def test_modsecurity_ids_sequential_per_policy():
     policy = MsplPolicy(
         nsf_name="ModSecurity", rules=(_host_rule("a.example.com"), _host_rule("b.example.com"))
     )
-    texts = [r.text for r in translate_policy(policy)]
+    texts = translate_policy(policy)
     assert '"deny, id:1"' in texts[0]
     assert '"deny, id:2"' in texts[1]
 
@@ -144,7 +155,7 @@ def test_faithfulness_every_detail_appears():
     for rule, rendered in zip(policy.rules, translate_policy(policy)):
         for cond in rule.conditions:
             for value in cond.values:
-                assert value in rendered.text or value in rendered.text.replace(
+                assert value in rendered or value in rendered.replace(
                     ",", " "
                 )
 

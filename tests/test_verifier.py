@@ -30,22 +30,21 @@ def test_scenario1_flow_blocked_everywhere(scenario1_topology, scenario1_artifac
     verdicts = evaluate_flow(
         scenario1_topology, scenario1_artifacts, catalog, MALICIOUS_FLOW, "Eve", "Bob"
     )
-    assert [v.outcome for v in verdicts] == ["BLOCKED"] * 3
-    assert [v.device for v in verdicts] == ["FW1", "FW1", "FW3"]
+    assert [device for _, device in verdicts] == ["FW1", "FW1", "FW3"]
 
 
 def test_blocking_device_lies_on_its_path(scenario1_topology, scenario1_artifacts, catalog):
-    for v in evaluate_flow(
+    for path, device in evaluate_flow(
         scenario1_topology, scenario1_artifacts, catalog, MALICIOUS_FLOW, "Eve", "Bob"
     ):
-        assert v.device in v.path.intermediate
+        assert device in path.intermediate
 
 
 def test_no_artifacts_allows_everything(scenario1_topology, catalog):
     verdicts = evaluate_flow(
         scenario1_topology, [], catalog, MALICIOUS_FLOW, "Eve", "Bob"
     )
-    assert [v.outcome for v in verdicts] == ["ALLOWED"] * 3
+    assert [device for _, device in verdicts] == [None] * 3
 
 
 def test_scenario2_malicious_host_blocked_at_waf(scenario2_topology, scenario2_artifacts, catalog):
@@ -55,7 +54,7 @@ def test_scenario2_malicious_host_blocked_at_waf(scenario2_topology, scenario2_a
     verdicts = evaluate_flow(
         scenario2_topology, scenario2_artifacts, catalog, flow, "Alice", "WebServer"
     )
-    assert [(v.outcome, v.device) for v in verdicts] == [("BLOCKED", "WAF")] * 2
+    assert [device for _, device in verdicts] == ["WAF"] * 2
 
 
 def test_scenario2_benign_host_allowed(scenario2_topology, scenario2_artifacts, catalog):
@@ -65,7 +64,7 @@ def test_scenario2_benign_host_allowed(scenario2_topology, scenario2_artifacts, 
     verdicts = evaluate_flow(
         scenario2_topology, scenario2_artifacts, catalog, flow, "Alice", "WebServer"
     )
-    assert [v.outcome for v in verdicts] == ["ALLOWED", "ALLOWED"]
+    assert [device for _, device in verdicts] == [None, None]
 
 
 def test_network_devices_blind_to_l7_host(scenario1_topology, scenario1_artifacts, catalog):
@@ -212,5 +211,5 @@ def test_verifier_agrees_with_rendered_iptables_rules(catalog, artifacts, flow):
     f = FlowSpec(src_ip=flow[0], dst_ip=flow[1])
     policy = converter.build_mspl(artifacts)["FW"]
     rules = translator.rules_file_content(translator.translate_policy(policy))
-    [verdict] = evaluate_flow(t, artifacts, catalog, f, "A", "B")
-    assert (verdict.outcome == "BLOCKED") == _oracle_drops(rules, f)
+    [(_, device)] = evaluate_flow(t, artifacts, catalog, f, "A", "B")
+    assert (device is not None) == _oracle_drops(rules, f)
