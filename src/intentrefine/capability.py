@@ -76,8 +76,10 @@ def load_catalog(document: str) -> Catalog:
     """Parse and validate the control catalog JSON."""
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(f"malformed catalog: {exc}", line=exc.lineno)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DocumentSyntaxError(
+            f"malformed catalog: {exc}", line=getattr(exc, "lineno", None)
+        )
     if not isinstance(raw, dict):
         raise DocumentSyntaxError("catalog must be a JSON object of controls")
 

@@ -130,18 +130,23 @@ def check_capabilities(rule_id: str, carried: list[CapabilityId]) -> None:
         )
 
 
+def check_nsf(nsf_per_device: dict[str, str], artifact: RuleArtifact) -> None:
+    """Record `artifact`'s control as its device's in `nsf_per_device`;
+    InconsistentNsf when the device already has another."""
+    known = nsf_per_device.setdefault(artifact.device, artifact.nsf)
+    if known != artifact.nsf:
+        raise InconsistentNsf(
+            f"device {artifact.device!r} assigned both {known!r} and {artifact.nsf!r}"
+        )
+
+
 def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
     """One policy per device, artifact order preserved within each policy,
     each rule's conditions in canonical order."""
     nsf_per_device: dict[str, str] = {}
     rules_per_device: dict[str, list[MsplRule]] = {}
     for artifact in artifacts:
-        known = nsf_per_device.setdefault(artifact.device, artifact.nsf)
-        if known != artifact.nsf:
-            raise InconsistentNsf(
-                f"device {artifact.device!r} assigned both {known!r} and "
-                f"{artifact.nsf!r}"
-            )
+        check_nsf(nsf_per_device, artifact)
         check_capabilities(artifact.hsplid, [i.capability for i in artifact.capabilities])
         conditions = {i.capability: condition_of(i) for i in artifact.capabilities}
         [action] = ACTION_CAPABILITIES.intersection(conditions)

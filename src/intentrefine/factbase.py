@@ -188,8 +188,10 @@ def parse_knowledge(document: str) -> Knowledge:
     """Parse the JSON envelope; templates register before facts validate."""
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(f"malformed knowledge envelope: {exc}", line=exc.lineno)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DocumentSyntaxError(
+            f"malformed knowledge envelope: {exc}", line=getattr(exc, "lineno", None)
+        )
     if not isinstance(raw, dict):
         raise DocumentSyntaxError("knowledge envelope must be a JSON object")
     if raw.get("rules"):

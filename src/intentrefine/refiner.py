@@ -19,6 +19,7 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from xml.etree import ElementTree as ET
 
 from . import capability as cap
@@ -379,25 +380,39 @@ def build_artifacts(
 
 
 def artifacts_to_json(artifacts: list[RuleArtifact]) -> str:
-    doc = [
-        {
-            "hsplid": a.hsplid,
-            "device": a.device,
-            "nsf": a.nsf,
-            "capabilities": [
-                {"capability": inst.capability.value, "detail": inst.detail}
-                for inst in a.capabilities
-            ],
-        }
-        for a in artifacts
-    ]
-    return json.dumps(doc, indent=2) + "\n"
+    """The artifact list as `json.dumps(doc, indent=2) + "\n"` writes it.
+
+    The fixed two-level layout is written directly: with `indent` set,
+    json's encoder runs in Python, while its string escaping
+    (`encode_basestring_ascii`) is in C.
+    """
+    if not artifacts:
+        return "[]\n"
+    entries = []
+    for a in artifacts:
+        capabilities = ",\n".join(
+            "      {\n"
+            f'        "capability": {_quote(inst.capability.value)},\n'
+            f'        "detail": {_quote(inst.detail)}\n'
+            "      }"
+            for inst in a.capabilities
+        )
+        capabilities = f"[\n{capabilities}\n    ]" if capabilities else "[]"
+        entries.append(
+            "  {\n"
+            f'    "hsplid": {_quote(a.hsplid)},\n'
+            f'    "device": {_quote(a.device)},\n'
+            f'    "nsf": {_quote(a.nsf)},\n'
+            f'    "capabilities": {capabilities}\n'
+            "  }"
+        )
+    return "[\n" + ",\n".join(entries) + "\n]\n"
 
 
 def artifacts_from_json(document: str) -> list[RuleArtifact]:
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentSyntaxError(f"malformed artifact document: {exc}")
     try:
         return [
@@ -463,7 +478,8 @@ def kb_from_json(document: str) -> KnowledgeBase:
                 layer: {d: _string(c) for d, c in controls.items()}
                 for layer, controls in entry["placement"].items()
             }
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError,
+            AttributeError) as exc:
         raise CorruptKnowledgeBase(f"unreadable knowledge base: {exc!r}")
     if not re.fullmatch(r"[0-9a-f]{64}", kb.digest):
         raise CorruptKnowledgeBase("digest is not a sha256 digest")

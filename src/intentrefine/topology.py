@@ -20,6 +20,25 @@ NODE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _HOST_LABEL = r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?"
 HOST_NAME_RE = re.compile(rf"{_HOST_LABEL}(\.{_HOST_LABEL})*")
 
+if yaml.__with_libyaml__:
+    class _Loader(
+        yaml.composer.Composer,
+        yaml.cyaml.CParser,
+        yaml.constructor.SafeConstructor,
+        yaml.resolver.Resolver,
+    ):
+        """`yaml.SafeLoader` on libyaml's C scanner and parser. The composer
+        stays PyYAML's: libyaml's recurses on the C stack, so deep nesting
+        crashes the process, where this one raises RecursionError."""
+
+        def __init__(self, stream):
+            yaml.cyaml.CParser.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+            yaml.constructor.SafeConstructor.__init__(self)
+            yaml.resolver.Resolver.__init__(self)
+else:
+    _Loader = yaml.SafeLoader
+
 ENDPOINT = "endpoint"
 SUBNET = "subnet"
 DEVICE = "device"
@@ -137,11 +156,16 @@ def parse_topology(document: str) -> Topology:
     subnet).
     """
     try:
-        raw = yaml.safe_load(document)
+        raw = yaml.load(document, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise DocumentSyntaxError(f"malformed topology document: {exc}", line=line)
+    except (RecursionError, ValueError, LookupError, AttributeError) as exc:
+        # Nesting deeper than the composer's recursion allows, or a value the
+        # safe constructor cannot build under its tag (`!!int x`, the date
+        # 2020-13-45, `!!timestamp x`).
+        raise DocumentSyntaxError(f"malformed topology document: {exc!r}")
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

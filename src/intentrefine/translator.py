@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sequence
 
 from .capability import Catalog, CapabilityId
 from .converter import (
@@ -104,24 +105,34 @@ def check_renderer_totality(catalog: Catalog) -> None:
             )
 
 
+def check_rule(
+    nsf_name: str, rule_id: str, conditions: Sequence[MsplCondition], action: str
+) -> None:
+    """UnsupportedCapability unless control `nsf_name`'s renderer can map a
+    rule with `conditions` and action keyword `action`: the rule carries every
+    capability the renderer requires and none it cannot render. `nsf_name`
+    must have a renderer."""
+    required, optional, _ = RENDERERS[nsf_name]
+    carried = {c.capability for c in conditions}
+    carried.add(CAPABILITY_BY_ACTION.get(action))
+    if not required <= carried or carried - required - optional:
+        raise UnsupportedCapability(
+            f"{nsf_name} renderer cannot map rule {rule_id!r}: conditions "
+            f"{[c.capability.value for c in conditions]}, action {action!r}"
+        )
+
+
 def translate_policy(p: MsplPolicy) -> list[str]:
     """Deterministically render a policy, one rule per expanded combination.
 
-    Raises UnsupportedCapability for a rule that lacks a capability its
-    control's renderer requires or carries one it cannot render."""
+    Raises UnsupportedCapability for a rule outside its control's renderer
+    table (see check_rule)."""
     if p.nsf_name not in RENDERERS:
         raise UnknownControl(f"no renderer registered for control {p.nsf_name!r}")
-    required, optional, render = RENDERERS[p.nsf_name]
+    for rule in p.rules:
+        check_rule(p.nsf_name, rule.id, rule.conditions, rule.action)
+    render = RENDERERS[p.nsf_name][2]
     expanded = [e for rule in p.rules for e in _expand_unions(rule)]
-    for rule in expanded:
-        carried = {c.capability for c in rule.conditions}
-        carried.add(CAPABILITY_BY_ACTION.get(rule.action))
-        if not required <= carried or carried - required - optional:
-            raise UnsupportedCapability(
-                f"{p.nsf_name} renderer cannot map rule {rule.id!r}: conditions "
-                f"{[c.capability.value for c in rule.conditions]}, "
-                f"action {rule.action!r}"
-            )
     return [render(rule, n) for n, rule in enumerate(expanded, start=1)]
 
 

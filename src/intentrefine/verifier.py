@@ -13,12 +13,15 @@ import logging
 from dataclasses import dataclass
 
 from . import topology as topo
-from .capability import Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION
+from .capability import (
+    ACTION_CAPABILITIES, Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION)
 from .converter import (
-    MatchOperator, MsplCondition, check_capabilities, condition_of, ip_key)
-from .errors import ValidationError
+    ACTION_KEYWORDS, MatchOperator, MsplCondition, check_capabilities, check_nsf,
+    condition_of, ip_key)
+from .errors import UnknownControl, ValidationError
 from .refiner import RuleArtifact
 from .topology import Path, Topology
+from .translator import RENDERERS, check_rule
 
 logger = logging.getLogger(__name__)
 
@@ -36,9 +39,9 @@ class FlowSpec:
             raise ValidationError("flow source and destination must differ")
 
 
-def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec | None) -> bool:
+def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec) -> bool:
     if cond.capability == CapabilityId.HTTP_HOST:
-        inspects = control is not None and control.layer == LAYER_APPLICATION
+        inspects = control.layer == LAYER_APPLICATION
         return inspects and (f.l7_host or "").lower() == cond.values[0]
     if cond.capability == CapabilityId.STATE:
         return True
@@ -46,6 +49,32 @@ def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec | None) -> bo
     if cond.operator == MatchOperator.RANGE:
         return ip_key(cond.values[0]) <= ip_key(ip) <= ip_key(cond.values[1])
     return ip in cond.values
+
+
+def _check_deployable(
+    t: Topology,
+    catalog: Catalog,
+    nsf_per_device: dict[str, str],
+    a: RuleArtifact,
+    conds: list[MsplCondition],
+    carried: tuple[CapabilityId, ...],
+) -> None:
+    """What `convert` and `translate` check of a well-formed artifact, and
+    that its device is a topology device listing its control."""
+    check_nsf(nsf_per_device, a)
+    if a.nsf not in catalog or a.nsf not in RENDERERS:
+        raise UnknownControl(
+            f"rule {a.hsplid!r} on {a.device!r}: control {a.nsf!r} is not in "
+            f"the catalog or has no renderer"
+        )
+    [action] = ACTION_CAPABILITIES.intersection(carried)
+    check_rule(a.nsf, a.hsplid, conds, ACTION_KEYWORDS[action])
+    node = t.nodes.get(a.device)
+    if node is None or a.nsf not in node.controls:
+        raise ValidationError(
+            f"rule {a.hsplid!r}: {a.device!r} is not a device of topology "
+            f"{t.name!r} listing control {a.nsf!r}"
+        )
 
 
 def evaluate_flow(
@@ -59,21 +88,29 @@ def evaluate_flow(
     """Each enumerated path with its first blocking device, or None when the
     flow passes it.
 
-    Every artifact passes the converter's checks before any device is
-    decided, so a malformed one raises whatever the flow, as it does in
-    `convert`.
+    Every artifact passes the checks `convert` and `translate` make of it
+    before any device is decided, and its device must be a topology device
+    listing its control; so a deployment that no stage could render raises
+    whatever the flow.
     """
     paths = topo.enumerate_paths(t, subject, obj)
+    nsf_per_device: dict[str, str] = {}
+    # (device, control, capabilities) of each artifact _check_deployable
+    # passed, which decide its outcome for any later artifact
+    deployable: set[tuple] = set()
     conditions = []
     for a in artifacts:
-        check_capabilities(a.hsplid, [i.capability for i in a.capabilities])
-        conditions.append(list(map(condition_of, a.capabilities)))
+        carried = tuple(i.capability for i in a.capabilities)
+        check_capabilities(a.hsplid, carried)
+        conds = [c for c in map(condition_of, a.capabilities) if c is not None]
+        if (a.device, a.nsf, carried) not in deployable:
+            _check_deployable(t, catalog, nsf_per_device, a, conds, carried)
+            deployable.add((a.device, a.nsf, carried))
+        conditions.append(conds)
     blocking: set[str] = set()
     for a, conds in zip(artifacts, conditions):
-        control = catalog.get(a.nsf)
-        if a.device not in blocking and all(
-            cond is None or _admits(cond, f, control) for cond in conds
-        ):
+        control = catalog[a.nsf]
+        if a.device not in blocking and all(_admits(c, f, control) for c in conds):
             blocking.add(a.device)
     return [
         (p, next((n for n in p.intermediate if n in blocking), None)) for p in paths

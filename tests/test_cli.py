@@ -755,3 +755,155 @@ def test_run_on_a_chain_of_1500_devices(tmp_path):
     flags[1] = document
     assert run_cli("run", *flags) == 0
     assert set(read_tree(tmp_path / "out")) >= {"D0000.rules", "D0000.mspl.xml"}
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+# case -> a topology document the YAML loader must reject with exit 2
+HOSTILE_TOPOLOGIES = {
+    "nested-100000": f"nodes: {NESTED}\n",
+    "escape-past-unicode": 'name: "\\U0011FFFF"\nnodes: []\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_TOPOLOGIES))
+def test_hostile_topology_exits_document_syntax(tmp_path, case):
+    """Run in its own process: a parser that recursed on the C stack would
+    crash it rather than raise."""
+    import subprocess
+    import sys
+
+    from intentrefine import topology
+
+    document = tmp_path / "topology.yaml"
+    document.write_text(HOSTILE_TOPOLOGIES[case])
+    flags = scenario_flags("scenario1", tmp_path)
+    flags[1] = document
+    src = str(pathlib.Path(topology.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "intentrefine.cli", "run", *map(str, flags)],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"], done.stderr
+    assert "error: DocumentSyntaxError: " in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+# case -> (document replaced by NESTED, subcommand reading it)
+NESTED_DOCUMENTS = {
+    "knowledge-run": ("knowledge", "run"),
+    "catalog-run": ("catalog", "run"),
+    "catalog-translate": ("catalog", "translate"),
+    "catalog-verify": ("catalog", "verify"),
+    "artifacts-convert": ("artifacts", "convert"),
+    "artifacts-verify": ("artifacts", "verify"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_DOCUMENTS))
+def test_deeply_nested_json_exits_document_syntax(tmp_path, capsys, case):
+    document, command = NESTED_DOCUMENTS[case]
+    assert run_cli("run", *scenario_flags("scenario1", tmp_path / "base", kb=False)) == 0
+    files = {
+        "knowledge": FIXTURES / "scenario1" / "knowledge.json",
+        "catalog": FIXTURES / "catalog.json",
+        "artifacts": tmp_path / "base" / "out" / "artifacts.json",
+    }
+    files[document] = tmp_path / f"{document}.json"
+    files[document].write_text(NESTED)
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", *scenario_flags("scenario1", tmp_path)],
+        "translate": ["translate", "--out", tmp_path / "base" / "out",
+                      "--catalog", files["catalog"]],
+        "convert": ["convert", "--artifacts", files["artifacts"], "--out", out],
+        "verify": ["verify", "--topology", FIXTURES / "scenario1" / "topology.yaml",
+                   "--catalog", files["catalog"], "--artifacts", files["artifacts"],
+                   "--subject", "Eve", "--object", "Bob",
+                   "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3"],
+    }[command]
+    if command == "run":
+        argv[argv.index("--knowledge") + 1] = files["knowledge"]
+        argv[argv.index("--catalog") + 1] = files["catalog"]
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"]
+    captured = capsys.readouterr()
+    assert "error: DocumentSyntaxError: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "kb.json").exists()
+
+
+@pytest.mark.parametrize("nested", ["document", "digest"])
+def test_deeply_nested_kb_is_treated_as_absent(tmp_path, caplog, capsys, nested):
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    assert run_cli("run", *scenario_flags("scenario1", cold)) == 0
+    kb = tmp_path / "kb.json"
+    kb.write_text(NESTED if nested == "document" else f'{{"digest": {NESTED}}}')
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    messages = [r.message for r in caplog.records]
+    assert any("ignoring corrupt knowledge base" in m and "RecursionError" in m
+               for m in messages)
+    assert "stage=refiner event=kb_reuse intent=hspl1 result=miss" in messages
+    assert read_tree(tmp_path / "out") == read_tree(cold / "out")
+    assert kb.read_text() == (cold / "kb.json").read_text()
+
+
+def _scenario1_artifacts_with(tmp_path, edit):
+    """Scenario 1's artifacts, each passed through `edit` (artifact -> list)."""
+    assert run_cli("run", *scenario_flags("scenario1", tmp_path / "base", kb=False)) == 0
+    artifacts = json.loads((tmp_path / "base" / "out" / "artifacts.json").read_text())
+    path = tmp_path / "artifacts.json"
+    path.write_text(json.dumps([e for a in artifacts for e in edit(a)]))
+    return path
+
+
+def _on(name, **fields):
+    """An edit setting `fields` on each artifact of device `name`."""
+    return lambda a: [{**a, **fields} if a["device"] == name else a]
+
+
+def _second_fw1_rule_on_modsecurity(a):
+    if a["device"] == "FW1" and "ESTABLISHED,RELATED" in json.dumps(a):
+        return [{**a, "nsf": "ModSecurity"}]
+    return [a]
+
+
+# case -> (edit of scenario 1's artifacts, error, whether convert and
+# translate, which read no topology, reject them too)
+UNDEPLOYABLE = {
+    "control-not-in-catalog": (_on("FW1", nsf="Teleporter"), "UnknownControl", True),
+    "network-rule-on-modsecurity": (
+        _on("FW3", nsf="ModSecurity"), "UnsupportedCapability", True),
+    "two-controls-on-one-device": (
+        _second_fw1_rule_on_modsecurity, "InconsistentNsf", True),
+    "device-without-the-control": (
+        lambda a: [a, _address_rule("FW2", "80.71.158.96", "172.19.0.3")],
+        "ValidationError", False),
+    "device-not-in-topology": (_on("FW3", device="Ghost"), "ValidationError", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDEPLOYABLE))
+def test_verify_rejects_a_deployment_no_stage_can_render(tmp_path, capsys, case):
+    """verify decides no device of a deployment that convert or translate
+    would reject, or that puts a rule where the topology has no such control."""
+    edit, error, pipeline_rejects = UNDEPLOYABLE[case]
+    artifacts = _scenario1_artifacts_with(tmp_path, edit)
+    capsys.readouterr()
+    assert verify_eve_to_bob(artifacts) == cli.EXIT_CODES_BY_NAME[error]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {error}: " in captured.err
+    assert "Traceback" not in captured.err
+
+    out = tmp_path / "out"
+    codes = [run_cli("convert", "--artifacts", artifacts, "--out", out)]
+    if codes[0] == 0:
+        codes.append(run_cli("translate", "--out", out))
+    assert (codes[-1] == cli.EXIT_CODES_BY_NAME[error]) == pipeline_rejects
+    assert "Traceback" not in capsys.readouterr().err

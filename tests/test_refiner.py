@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from intentrefine import capability, cli, factbase, refiner, topology
 from intentrefine.capability import CapabilityId
@@ -387,6 +388,45 @@ def test_artifact_json_roundtrip(scenario1_topology, scenario1_intent, scenario1
     )
     text = refiner.artifacts_to_json(artifacts)
     assert refiner.artifacts_from_json(text) == artifacts
+
+
+def _reference_artifacts_json(artifacts):
+    """What artifacts_to_json wrote when it called json.dumps."""
+    doc = [
+        {
+            "hsplid": a.hsplid,
+            "device": a.device,
+            "nsf": a.nsf,
+            "capabilities": [
+                {"capability": inst.capability.value, "detail": inst.detail}
+                for inst in a.capabilities
+            ],
+        }
+        for a in artifacts
+    ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Quotes, backslashes, control, non-ASCII and non-BMP characters drawn often,
+# the characters json escapes.
+json_text = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\U0001F600'))
+rule_artifacts = st.builds(
+    refiner.RuleArtifact,
+    hsplid=json_text,
+    device=json_text,
+    nsf=json_text,
+    capabilities=st.lists(
+        st.builds(refiner.CapabilityInstance, st.sampled_from(CapabilityId), json_text),
+        max_size=5,
+    ).map(tuple),
+)
+
+
+@given(artifacts=st.lists(rule_artifacts, max_size=4))
+@example(artifacts=[])
+@example(artifacts=[refiner.RuleArtifact("h", "FW1", "IpTables", ())])
+def test_artifacts_to_json_writes_what_json_dumps_writes(artifacts):
+    assert refiner.artifacts_to_json(artifacts) == _reference_artifacts_json(artifacts)
 
 
 # --- knowledge base ---------------------------------------------------------

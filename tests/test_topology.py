@@ -1,9 +1,12 @@
 import random
 
 import pytest
+import yaml
+from hypothesis import given, strategies as st
 
 from intentrefine import topology
-from intentrefine.errors import DocumentSyntaxError, UnknownEndpoint, ValidationError
+from intentrefine.errors import (
+    DocumentSyntaxError, PipelineError, UnknownEndpoint, ValidationError)
 
 from conftest import read_fixture
 from randomtopo import oracle_simple_paths, random_topology
@@ -173,3 +176,64 @@ def test_domains_must_be_a_list():
     )
     with pytest.raises(ValidationError, match="domains must be a list"):
         topology.parse_topology(doc)
+
+
+# --- the YAML loader -----------------------------------------------------------
+
+# Text with what a YAML emitter must quote or escape drawn often: quotes,
+# backslashes, control characters, line breaks and non-BMP characters.
+yaml_text = st.text(st.one_of(
+    st.characters(exclude_categories=("Cs",)),
+    st.sampled_from("'\"\\\x00\x07\x1b\t\n\r\x85\u2028\ufeff: #-\U0001F600\U0010FFFF"),
+))
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | yaml_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(yaml_text, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(value=yaml_values, flow=st.sampled_from([None, True, False]),
+       allow_unicode=st.booleans())
+def test_loader_reads_what_safe_dump_writes_as_safe_load_does(value, flow, allow_unicode):
+    document = yaml.safe_dump(
+        value, default_flow_style=flow, allow_unicode=allow_unicode)
+    assert yaml.load(document, Loader=topology._Loader) == yaml.safe_load(document)
+
+
+# Fragments of YAML syntax, so that arbitrary text often reaches the parser's
+# and the constructor's error paths: indicators, explicit tags on values they
+# cannot build, an impossible date and an escape past U+10FFFF.
+YAML_FRAGMENTS = [
+    "\n", "  ", "- ", ": ", "? ", "[", "]", "{", "}", ",", "&a ", "*a", "*b", "|",
+    ">", "#", "'", '"', "\\", "%YAML 1.1\n", "---\n", "...\n", "\t", "<<: ",
+    "!!int ", "!!float ", "!!bool ", "!!timestamp ", "!!binary ", "!!set ",
+    "!!omap ", "!!str ", "!local ", "x", "0x", "1:2", "2020-13-45", "\\U0011FFFF",
+    "nodes", "links", "id", "kind", "device", "controls", "\U0001F600", "\x00",
+]
+
+
+@given(document=st.text() | st.lists(st.sampled_from(YAML_FRAGMENTS)).map("".join))
+def test_parse_topology_raises_only_pipeline_errors(document):
+    try:
+        topology.parse_topology(document)
+    except PipelineError:
+        pass
+
+
+UNCONSTRUCTIBLE = {
+    "int-tag": "name: !!int x\n",
+    "empty-int": "name: !!int ''\n",
+    "bool-tag": "name: !!bool maybe\n",
+    "timestamp-tag": "name: !!timestamp x\n",
+    "impossible-date": "name: 2020-13-45\n",
+    "escape-past-unicode": 'name: "\\U0011FFFF"\n',
+    "nested-100000": "nodes: " + "[" * 100_000 + "]" * 100_000 + "\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCONSTRUCTIBLE))
+def test_unconstructible_yaml_is_a_syntax_error(case):
+    with pytest.raises(DocumentSyntaxError, match="malformed topology document"):
+        topology.parse_topology(UNCONSTRUCTIBLE[case])
