@@ -57,8 +57,11 @@ def _exit_code_for(exc: errors.PipelineError) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise errors.DocumentSyntaxError(f"{path} is not UTF-8 text: {exc}")
 
 
 def _write_outputs(out_dir: str, outputs: dict[str, str]) -> None:
@@ -74,6 +77,42 @@ def _write_outputs(out_dir: str, outputs: dict[str, str]) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise errors.PersistError(f"cannot write {name}: {exc}")
+
+
+def _listed_earlier(out_dir: str) -> list[str]:
+    """The file names the manifest of an earlier run in `out_dir` lists.
+    A manifest that is not a JSON object of `files`, and a name that is not
+    a plain file name, are ignored with a warning."""
+    path = os.path.join(out_dir, MANIFEST_NAME)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            files = json.load(fh)["files"]
+        if not isinstance(files, dict):
+            raise TypeError(f"files is a {type(files).__name__}")
+    except FileNotFoundError:
+        return []
+    except (OSError, ValueError, RecursionError, LookupError, TypeError) as exc:
+        logger.warning("ignoring unreadable manifest %s: %r", path, exc)
+        return []
+    separators = [c for c in (os.sep, os.altsep, "\0") if c]
+    names = []
+    for name in files:
+        if name in ("", ".", "..") or any(c in name for c in separators):
+            logger.warning("ignoring %r in manifest %s: not a plain file name", name, path)
+        else:
+            names.append(name)
+    return names
+
+
+def _remove_outputs(out_dir: str, names: list[str]) -> None:
+    for name in names:
+        try:
+            os.unlink(os.path.join(out_dir, name))
+        except FileNotFoundError:
+            continue
+        except OSError as exc:
+            raise errors.PersistError(f"cannot remove earlier output {name}: {exc}")
+        logger.info("stage=cli event=removed file=%s", name)
 
 
 def _manifest(outputs: dict[str, str]) -> str:
@@ -223,7 +262,9 @@ def cmd_run(args) -> int:
     }
     outputs.update(_render_all(artifacts))
     outputs[MANIFEST_NAME] = _manifest(outputs)
+    earlier = _listed_earlier(args.out)
     _write_outputs(args.out, outputs)
+    _remove_outputs(args.out, [name for name in earlier if name not in outputs])
     logger.info("stage=cli event=done files=%d", len(outputs))
     return 0
 

@@ -118,6 +118,16 @@ def condition_of(inst: CapabilityInstance) -> MsplCondition | None:
     return _normalize_address(inst.capability, inst.detail)
 
 
+class Conditions(dict):
+    """CapabilityInstance -> its condition_of, computed once per distinct
+    instance on first lookup. A detail that fails to normalize raises on
+    every lookup, as condition_of does."""
+
+    def __missing__(self, inst: CapabilityInstance) -> MsplCondition | None:
+        cond = self[inst] = condition_of(inst)
+        return cond
+
+
 def check_capabilities(rule_id: str, carried: list[CapabilityId]) -> None:
     """NormalizationError unless a rule carries each capability at most once
     and exactly one action: the one reading of a rule that build_mspl,
@@ -145,10 +155,11 @@ def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
     each rule's conditions in canonical order."""
     nsf_per_device: dict[str, str] = {}
     rules_per_device: dict[str, list[MsplRule]] = {}
+    normalized = Conditions()
     for artifact in artifacts:
         check_nsf(nsf_per_device, artifact)
         check_capabilities(artifact.hsplid, [i.capability for i in artifact.capabilities])
-        conditions = {i.capability: condition_of(i) for i in artifact.capabilities}
+        conditions = {i.capability: normalized[i] for i in artifact.capabilities}
         [action] = ACTION_CAPABILITIES.intersection(conditions)
         ordered = tuple(conditions[c] for c in CONDITION_ELEMENTS if c in conditions)
         rules_per_device.setdefault(artifact.device, []).append(

@@ -4,6 +4,16 @@ that input documents run through at their boundaries.
 Every error maps to a distinct CLI exit code (see cli.EXIT_CODES).
 """
 
+import reprlib
+
+# At most 4 items of a collection, 2 levels deep, and 30 characters of a
+# string or other value: a few hundred characters in all.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 2
+_SHORT.maxlist = _SHORT.maxtuple = _SHORT.maxdict = _SHORT.maxset = 4
+_SHORT.maxfrozenset = _SHORT.maxdeque = _SHORT.maxarray = 4
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 30
+
 
 class PipelineError(Exception):
     """Base class for all errors raised by this package."""
@@ -82,11 +92,18 @@ class PersistError(PipelineError):
     """Knowledge base or output file could not be written."""
 
 
+def shown(value) -> str:
+    """repr(value), cut short. A document value can be far larger than the
+    document: YAML aliases share one object, so six levels of ten aliases
+    each make a million-element list of a few hundred bytes."""
+    return _SHORT.repr(value)
+
+
 def require_list(value, place, error=DocumentSyntaxError) -> list:
     """`value`, which must be a list; an absent value (None) is an empty one.
     Otherwise raises `error` naming `place`."""
     if value is None:
         return []
     if not isinstance(value, list):
-        raise error(f"{place} must be a list, got {value!r}")
+        raise error(f"{place} must be a list, got {shown(value)}")
     return value

@@ -44,8 +44,25 @@ def _is_valid_ipv4(value: str) -> bool:
         return False
 
 
+def _cue_window(text: str, start: int) -> str:
+    """The last CUE_WINDOW_TOKENS whitespace-separated tokens of
+    `text[:start]`, joined by single spaces and lower-cased.
+
+    Reads back from `start` only as far as those tokens reach: a stretch
+    holding more tokens than the window has its first, possibly cut, token
+    outside the window.
+    """
+    reach = 128
+    while True:
+        begin = max(0, start - reach)
+        tokens = text[begin:start].split()
+        if begin == 0 or len(tokens) > CUE_WINDOW_TOKENS:
+            return " ".join(tokens[-CUE_WINDOW_TOKENS:]).lower()
+        reach *= 16
+
+
 def _has_source_cue(text: str, start: int) -> bool:
-    window = " ".join(text[:start].split()[-CUE_WINDOW_TOKENS:]).lower()
+    window = _cue_window(text, start)
     return any(cue in window for cue in SOURCE_CUES)
 
 

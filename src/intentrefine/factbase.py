@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import (
     DocumentSyntaxError,
@@ -52,6 +53,17 @@ class Fact:
 class Knowledge:
     templates: dict[str, Template] = field(default_factory=dict)
     facts: tuple[Fact, ...] = ()
+
+    @cached_property
+    def value_index(self) -> dict[str, list[int]]:
+        """Each lower-cased binding value -> the ascending positions in
+        `facts` of the facts that bind it. Built on first use; a Knowledge
+        never changes, so it cannot go stale."""
+        index: dict[str, list[int]] = {}
+        for position, fact in enumerate(self.facts):
+            for value in {v.lower() for _, v in fact.bindings}:
+                index.setdefault(value, []).append(position)
+        return index
 
 
 # --- s-expression layer -----------------------------------------------------

@@ -158,26 +158,31 @@ def bind_intent(
 
     A fact is relevant when one of its IP values equals the subject's or
     object's address, or a url value is among the object's served domains.
+    Only the facts that bind one of those values (looked up lower-cased in
+    `k.value_index`) are checked, in fact order. A fact with no derivable
+    requirement is skipped here; refine warns of it once.
     """
     subject = topo.resolve_endpoint(t, intent.subject)
     obj = topo.resolve_endpoint(t, intent.object)
 
+    index = k.value_index
+    values = {subject.ip, obj.ip, *obj.domains} - {None}
+    candidates = sorted(set().union(*(index.get(v.lower(), ()) for v in values)))
+
     results: list[tuple[Fact, RequiredSet, list[ConditionBinding]]] = []
-    for fact in k.facts:
+    relevant = 0
+    for position in candidates:
+        fact = k.facts[position]
         try:
             required_sets = cap.derive_required(fact)
         except NoDerivableRequirement:
-            logger.warning("skipping fact with no derivable requirement: %s", fact)
             continue
+        bound = len(results)
         for rset in required_sets:
             if rset.layer == cap.LAYER_NETWORK:
                 ips = {v for name, v in fact.bindings if name.endswith("ip-address")}
                 endpoint_ips = {subject.ip, obj.ip} - {None}
                 if not (ips & endpoint_ips):
-                    logger.debug(
-                        "intent %s: fact IPs %s match no endpoint; skipped",
-                        intent.id, sorted(ips),
-                    )
                     continue
                 for e in (subject, obj):
                     if e.ip is None:
@@ -195,14 +200,15 @@ def bind_intent(
             else:
                 host = fact.get("url")
                 if host is None or host.lower() not in obj.domains:
-                    logger.debug(
-                        "intent %s: url fact %r not served by %s; skipped",
-                        intent.id, host, obj.id,
-                    )
                     continue
                 bindings = [ConditionBinding(host=host.lower())]
             results.append((fact, rset, bindings))
+        relevant += len(results) > bound
 
+    logger.debug(
+        "intent %s: %d of %d facts match no endpoint; skipped",
+        intent.id, len(k.facts) - relevant, len(k.facts),
+    )
     if not results:
         raise NothingToEnforce(
             f"intent {intent.id!r}: no knowledge fact is relevant to "
@@ -493,7 +499,7 @@ def load_kb(path: str) -> KnowledgeBase | None:
     try:
         with open(path, encoding="utf-8") as fh:
             return kb_from_json(fh.read())
-    except CorruptKnowledgeBase as exc:
+    except (CorruptKnowledgeBase, UnicodeDecodeError) as exc:
         logger.warning("ignoring corrupt knowledge base %s: %s", path, exc)
         return None
 
@@ -508,6 +514,13 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
         raise PersistError(f"cannot persist knowledge base to {path}: {exc}")
 
 
+def _attachments(t: Topology, intent: HsplPolicy) -> tuple:
+    """The subnets the intent's subject and object attach to. Its simple
+    paths depend on these alone, since enumerate_paths never walks through
+    an endpoint; parse_topology attaches each endpoint to exactly one."""
+    return t.neighbors(intent.subject), t.neighbors(intent.object)
+
+
 def kb_reconcile(
     kb: KnowledgeBase | None, t: Topology, catalog: Catalog, intents: list[HsplPolicy]
 ) -> tuple[KnowledgeBase, dict[str, list[Path]], ReuseReport]:
@@ -517,7 +530,8 @@ def kb_reconcile(
     `kb` is built on when it was made for this topology and catalog;
     otherwise the run starts from an empty KB. An intent equal to its record
     is a hit until refine has compared the record with its placement; any
-    other intent is a miss.
+    other intent is a miss. Paths are enumerated once per distinct pair of
+    attachment subnets; intents sharing the pair share one list.
     """
     digest = kb_digest(t, catalog)
     if kb is None or kb.digest != digest:
@@ -525,10 +539,16 @@ def kb_reconcile(
 
     report = ReuseReport()
     paths: dict[str, list[Path]] = {}
+    families: dict[tuple, list[Path]] = {}
     for intent in intents:
         hit = kb.intents.get(intent.id) == intent
         (report.hits if hit else report.misses).append(intent.id)
-        paths[intent.id] = topo.enumerate_paths(t, intent.subject, intent.object)
+        topo.resolve_endpoint(t, intent.subject)
+        topo.resolve_endpoint(t, intent.object)
+        family = _attachments(t, intent)
+        if family not in families:
+            families[family] = topo.enumerate_paths(t, intent.subject, intent.object)
+        paths[intent.id] = families[family]
     return kb, paths, report
 
 
@@ -564,12 +584,19 @@ def refine(
     """Run binding, placement, and artifact construction for every intent,
     and record each intent's placement in the knowledge base.
 
-    Placement depends only on the intent's paths and the required set, so it
-    runs once per distinct required set of an intent, not once per fact.
+    Placement depends only on the intent's paths, so on its attachment
+    subnets, and the required set: it runs once per distinct pair of the
+    two in the run, and intents sharing it share its control map.
     A hit whose record differs from the intent's placement becomes stale: it
     moves to the report's misses, and `report.stale` holds what changed.
     """
     base, paths, report = kb_reconcile(kb, t, catalog, intents)
+    for fact in k.facts:
+        try:
+            cap.derive_required(fact)
+        except NoDerivableRequirement:
+            logger.warning("skipping fact with no derivable requirement: %s", fact)
+    family_controls: dict[tuple, dict[str, str]] = {}
     placements: dict[str, Placement] = {}
     artifacts: list[RuleArtifact] = []
     for intent in intents:
@@ -579,13 +606,17 @@ def refine(
                 f"intent {intent.id!r}: no path between "
                 f"{intent.subject!r} and {intent.object!r}"
             )
+        family = _attachments(t, intent)
         placement: Placement = {}
         for _fact, rset, bindings in bind_intent(t, intent, k):
             controls = placement.get(rset.layer)
             if controls is None:
-                _devices, controls = select_enforcement_set(
-                    intent_paths, t, catalog, rset
-                )
+                controls = family_controls.get((family, rset))
+                if controls is None:
+                    _devices, controls = select_enforcement_set(
+                        intent_paths, t, catalog, rset
+                    )
+                    family_controls[family, rset] = controls
                 placement[rset.layer] = controls
                 logger.info(
                     "stage=refiner event=selection intent=%s layer=%s devices=%s",

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .errors import DocumentSyntaxError, UnknownEndpoint, ValidationError, require_list
+from .errors import (
+    DocumentSyntaxError,
+    UnknownEndpoint,
+    ValidationError,
+    require_list,
+    shown,
+)
 
 NODE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _HOST_LABEL = r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?"
@@ -108,15 +114,25 @@ def is_host_name(host: str) -> bool:
     return len(host) <= 253 and HOST_NAME_RE.fullmatch(host) is not None
 
 
+def _text(value: object, place: str) -> str:
+    """`value` as text. A collection is no scalar: its text could be far
+    larger than the document (see errors.shown)."""
+    if isinstance(value, (list, tuple, dict, set)):
+        raise ValidationError(f"{place} must be a scalar, got {shown(value)}")
+    return str(value)
+
+
 def _parse_node(raw: object) -> Node:
     if not isinstance(raw, dict) or "id" not in raw:
-        raise DocumentSyntaxError(f"node entry must be a mapping with an 'id': {raw!r}")
-    node_id = str(raw["id"])
+        raise DocumentSyntaxError(
+            f"node entry must be a mapping with an 'id': {shown(raw)}"
+        )
+    node_id = _text(raw["id"], "node id")
     if not NODE_ID_RE.match(node_id):
         raise ValidationError(f"invalid node id {node_id!r}")
     kind = raw.get("kind")
     if kind not in NODE_KINDS:
-        raise ValidationError(f"node {node_id}: missing or unknown kind {kind!r}")
+        raise ValidationError(f"node {node_id}: missing or unknown kind {shown(kind)}")
     ip = raw.get("ip")
     domains = require_list(
         raw.get("domains"), f"node {node_id}: domains", ValidationError
@@ -127,10 +143,10 @@ def _parse_node(raw: object) -> Node:
     if ip is not None:
         if kind != ENDPOINT:
             raise ValidationError(f"node {node_id}: only endpoints carry an ip")
-        require_ipv4(str(ip), f"node {node_id}")
+        ip = require_ipv4(_text(ip, f"node {node_id}: ip"), f"node {node_id}")
     if domains and kind != ENDPOINT:
         raise ValidationError(f"node {node_id}: only endpoints carry domains")
-    domains = [str(d).lower() for d in domains]
+    domains = [_text(d, f"node {node_id}: domain").lower() for d in domains]
     for domain in domains:
         if not is_host_name(domain):
             raise ValidationError(
@@ -141,9 +157,9 @@ def _parse_node(raw: object) -> Node:
     return Node(
         id=node_id,
         kind=kind,
-        ip=str(ip) if ip is not None else None,
+        ip=ip,
         domains=frozenset(domains),
-        controls=tuple(str(c) for c in controls),
+        controls=tuple(_text(c, f"node {node_id}: control") for c in controls),
     )
 
 
@@ -181,8 +197,8 @@ def parse_topology(document: str) -> Topology:
     links: set[frozenset[str]] = set()
     for entry in require_list(raw.get("links"), "topology links"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise DocumentSyntaxError(f"link entry must be a pair: {entry!r}")
-        a, b = str(entry[0]), str(entry[1])
+            raise DocumentSyntaxError(f"link entry must be a pair: {shown(entry)}")
+        a, b = (_text(end, "link end") for end in entry)
         if a == b:
             raise ValidationError(f"self-link on {a!r}")
         for end in (a, b):
@@ -205,7 +221,7 @@ def parse_topology(document: str) -> Topology:
                 )
 
     return Topology(
-        name=str(raw.get("name", "")),
+        name=_text(raw.get("name", ""), "topology name"),
         nodes=nodes,
         links=frozenset(links),
         _adjacency={n: tuple(sorted(v)) for n, v in adjacency.items()},

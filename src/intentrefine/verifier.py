@@ -16,8 +16,8 @@ from . import topology as topo
 from .capability import (
     ACTION_CAPABILITIES, Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION)
 from .converter import (
-    ACTION_KEYWORDS, MatchOperator, MsplCondition, check_capabilities, check_nsf,
-    condition_of, ip_key)
+    ACTION_KEYWORDS, Conditions, MatchOperator, MsplCondition, check_capabilities,
+    check_nsf, ip_key)
 from .errors import UnknownControl, ValidationError
 from .refiner import RuleArtifact
 from .topology import Path, Topology
@@ -98,11 +98,12 @@ def evaluate_flow(
     # (device, control, capabilities) of each artifact _check_deployable
     # passed, which decide its outcome for any later artifact
     deployable: set[tuple] = set()
+    normalized = Conditions()
     conditions = []
     for a in artifacts:
         carried = tuple(i.capability for i in a.capabilities)
         check_capabilities(a.hsplid, carried)
-        conds = [c for c in map(condition_of, a.capabilities) if c is not None]
+        conds = [c for i in a.capabilities if (c := normalized[i]) is not None]
         if (a.device, a.nsf, carried) not in deployable:
             _check_deployable(t, catalog, nsf_per_device, a, conds, carried)
             deployable.add((a.device, a.nsf, carried))

@@ -907,3 +907,159 @@ def test_verify_rejects_a_deployment_no_stage_can_render(tmp_path, capsys, case)
         codes.append(run_cli("translate", "--out", out))
     assert (codes[-1] == cli.EXIT_CODES_BY_NAME[error]) == pipeline_rejects
     assert "Traceback" not in capsys.readouterr().err
+
+
+# subcommand -> the inputs it reads: a flag, or "mspl" for the policies
+# translate reads from --out
+INPUTS_READ = {
+    "run": ["--topology", "--hspl", "--cti", "--knowledge", "--catalog"],
+    "refine": ["--topology", "--hspl", "--cti", "--knowledge", "--catalog"],
+    "extract": ["--cti", "--knowledge"],
+    "convert": ["--artifacts"],
+    "translate": ["--catalog", "mspl"],
+    "verify": ["--topology", "--catalog", "--artifacts"],
+}
+
+
+@pytest.mark.parametrize("command, read", [
+    (command, read) for command, reads in INPUTS_READ.items() for read in reads])
+def test_undecodable_input_exits_document_syntax(tmp_path, capsys, command, read):
+    base = tmp_path / "base"
+    assert run_cli("run", *scenario_flags("scenario1", base, kb=False)) == 0
+    s1 = FIXTURES / "scenario1"
+    files = {"--topology": s1 / "topology.yaml", "--hspl": s1 / "hspl.xml",
+             "--cti": s1 / "cti.txt", "--knowledge": s1 / "knowledge.json",
+             "--catalog": FIXTURES / "catalog.json",
+             "--artifacts": base / "out" / "artifacts.json"}
+    mspl = tmp_path / "mspl"
+    mspl.mkdir()
+    files["mspl"] = mspl / "FW1.mspl.xml"
+    files["mspl"].write_bytes((base / "out" / "FW1.mspl.xml").read_bytes())
+    bad = files["mspl"] if read == "mspl" else tmp_path / "undecodable"
+    bad.write_bytes(b"\xff" + files[read].read_bytes())
+    files[read] = bad
+
+    out = tmp_path / "out"
+    flags = [flag for flag in INPUTS_READ[command] if flag != "mspl"]
+    argv = [command, *(arg for flag in flags for arg in (flag, files[flag]))]
+    if command == "translate":
+        argv += ["--out", mspl]
+    elif command == "verify":
+        argv += ["--subject", "Eve", "--object", "Bob",
+                 "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3"]
+    else:
+        argv += ["--out", out]
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"]
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: DocumentSyntaxError: {bad} is not UTF-8 text")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert sorted(p.name for p in mspl.iterdir()) == ["FW1.mspl.xml"]
+
+
+def test_undecodable_kb_is_treated_as_absent(tmp_path, caplog, capsys):
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    assert run_cli("run", *scenario_flags("scenario1", cold)) == 0
+    kb = tmp_path / "kb.json"
+    kb.write_bytes(b"\xff" + (cold / "kb.json").read_bytes())
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    messages = [r.message for r in caplog.records]
+    assert any(m.startswith(f"ignoring corrupt knowledge base {kb}: 'utf-8' codec")
+               for m in messages)
+    assert "stage=refiner event=kb_reuse intent=hspl1 result=miss" in messages
+    assert read_tree(tmp_path / "out") == read_tree(cold / "out")
+    assert kb.read_text() == (cold / "kb.json").read_text()
+
+
+# Six levels of ten aliases: *l6 is a list of 10**6 strings, whose repr
+# alone is 52 MB.
+ALIASES = "l0: &l0 [a, a, a, a, a, a, a, a, a, a]\n" + "".join(
+    f"l{n}: &l{n} [{', '.join([f'*l{n - 1}'] * 10)}]\n" for n in range(1, 7))
+
+# case -> (what follows ALIASES in the topology document, error)
+ALIASED_TOPOLOGIES = {
+    "node-entry": ("nodes: [*l6]\n", "DocumentSyntaxError"),
+    "nodes": ("nodes: {a: *l6}\n", "DocumentSyntaxError"),
+    "link-pair": ("nodes: []\nlinks: [*l6]\n", "DocumentSyntaxError"),
+    "link-end": ("nodes: [{id: S, kind: subnet}]\nlinks: [[*l6, S]]\n",
+                 "ValidationError"),
+    "name": ("name: *l6\nnodes: []\n", "ValidationError"),
+    "node-id": ("nodes: [{id: *l6, kind: subnet}]\n", "ValidationError"),
+    "kind": ("nodes: [{id: N, kind: *l6}]\n", "ValidationError"),
+    "ip": ("nodes: [{id: N, kind: endpoint, ip: *l6}]\n", "ValidationError"),
+    "domains": ("nodes: [{id: N, kind: endpoint, domains: {a: *l6}}]\n",
+                "ValidationError"),
+    "domain": ("nodes: [{id: N, kind: endpoint, domains: [*l6]}]\n",
+               "ValidationError"),
+    "control": ("nodes: [{id: N, kind: device, controls: [*l6]}]\n",
+                "ValidationError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALIASED_TOPOLOGIES))
+def test_aliased_topology_value_gives_a_short_message(tmp_path, capsys, case):
+    rest, error = ALIASED_TOPOLOGIES[case]
+    document = tmp_path / "topology.yaml"
+    document.write_text(ALIASES + rest)
+    assert len(document.read_bytes()) < 500
+    capsys.readouterr()
+    code = run_cli("verify", "--topology", document,
+                   "--catalog", FIXTURES / "catalog.json",
+                   "--artifacts", tmp_path / "absent.json", "--subject", "Eve",
+                   "--object", "Bob", "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3")
+    assert code == cli.EXIT_CODES_BY_NAME[error]
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {error}: ")
+    assert len(captured.err.encode()) < 1024
+
+
+def test_run_removes_the_files_of_an_earlier_run_it_does_not_write(tmp_path, caplog):
+    assert run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False)) == 0
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *scenario_flags("scenario2", tmp_path, kb=False)) == 0
+    alone = tmp_path / "alone"
+    assert run_cli("run", *scenario_flags("scenario2", alone, kb=False)) == 0
+    out = tmp_path / "out"
+    assert read_tree(out) == read_tree(alone / "out")
+    removed = [r.message for r in caplog.records if "event=removed" in r.message]
+    assert removed == [f"stage=cli event=removed file={name}" for name in
+                       ("FW1.mspl.xml", "FW1.rules", "FW3.mspl.xml", "FW3.rules")]
+
+    for rules in out.glob("*.rules"):
+        rules.unlink()
+    assert run_cli("translate", "--out", out) == 0
+    assert sorted(p.name for p in out.glob("*.rules")) == ["WAF.rules"]
+    assert read_tree(out) == read_tree(alone / "out")
+
+
+# manifest -> what run must ignore in it
+UNREADABLE_MANIFESTS = {
+    "not-json": "{",
+    "a-list": "[]",
+    "no-files": '{"digests": {}}',
+    "files-a-list": '{"files": ["kept"]}',
+    "names-with-separators": json.dumps({"files": {
+        name: "0" for name in ("../victim", "sub/kept", "", ".", "..", "a\0b")}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_MANIFESTS))
+def test_run_ignores_what_it_cannot_read_in_a_manifest(tmp_path, caplog, case):
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / "sub" / "kept").write_text("kept")
+    (out / "kept").write_text("kept")
+    (tmp_path / "victim").write_text("kept")
+    (out / "manifest.json").write_text(UNREADABLE_MANIFESTS[case])
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *scenario_flags("scenario2", tmp_path, kb=False)) == 0
+    warnings = [r.message for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings and all(m.startswith("ignoring ") for m in warnings)
+    for kept in (out / "sub" / "kept", out / "kept", tmp_path / "victim"):
+        assert kept.read_text() == "kept"
+    assert not any("event=removed" in r.message for r in caplog.records)

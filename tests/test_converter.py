@@ -95,6 +95,32 @@ def test_bad_state_detail_rejected():
         build_mspl([_artifact(states="NEW,FROZEN")])
 
 
+def test_each_distinct_detail_is_normalized_once(monkeypatch):
+    artifacts = [_artifact(device=device, states=states)
+                 for device in ("FW1", "FW2")
+                 for states in ("NEW,ESTABLISHED", "ESTABLISHED,RELATED", "NEW")]
+    normalized = []
+    condition_of = converter.condition_of
+
+    def counted(inst):
+        normalized.append(inst)
+        return condition_of(inst)
+
+    monkeypatch.setattr(converter, "condition_of", counted)
+    policies = build_mspl(artifacts)
+    # source, destination, three state sets and the action
+    assert len(normalized) == len(set(normalized)) == 6
+    assert policies["FW1"].rules == policies["FW2"].rules
+    assert [r.conditions[2].values for r in policies["FW1"].rules] == [
+        ("NEW", "ESTABLISHED"), ("ESTABLISHED", "RELATED"), ("NEW",)]
+
+
+def test_the_first_bad_detail_in_artifact_order_is_reported():
+    artifacts = [_artifact(), _artifact(dst="9.9.9"), _artifact(), _artifact(src="8.8.8")]
+    with pytest.raises(NormalizationError, match="'9.9.9'"):
+        build_mspl(artifacts)
+
+
 def test_descending_range_rejected():
     with pytest.raises(NormalizationError):
         build_mspl([_artifact(src="10.0.0.9-10.0.0.1")])

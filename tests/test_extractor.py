@@ -1,3 +1,5 @@
+from hypothesis import example, given, strategies as st
+
 from intentrefine import extractor, factbase
 from intentrefine.extractor import (
     KIND_DESTINATION_IP,
@@ -102,3 +104,31 @@ def test_extraction_from_empty_base():
     )
     assert k.templates["entity"].slots == ("destination-ip-address",)
     assert len(k.facts) == 1
+
+
+# Runs of mixed whitespace, str.split's included (vertical tab, form feed,
+# the information separators, NEL, no-break and ideographic space), and of
+# token characters, upper case and a character lower() lengthens among them.
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u3000"
+TOKEN_CHARS = "aZ09.-İ\u00df"
+RUNS = st.lists(
+    st.one_of(st.text(WHITESPACE, min_size=1, max_size=300),
+              st.text(TOKEN_CHARS, min_size=1, max_size=300),
+              st.sampled_from(["FROM the ADDRESS", "Originating   from"])),
+    max_size=40,
+).map("".join)
+
+
+def reference_window(text, start):
+    return " ".join(text[:start].split()[-8:]).lower()
+
+
+@given(RUNS.flatmap(lambda text: st.tuples(st.just(text), st.integers(0, len(text)))))
+@example(("", 0))
+@example(("a b c d e f g h i j 1.2.3.4", 20))
+@example((" " * 600 + "x" * 600 + " a", 1202))
+@example(("x" * 200 + " a" * 7, 214))
+def test_cue_window_is_the_last_eight_tokens_before_the_hit(case):
+    text, start = case
+    for at in (start, min(start, 3)):
+        assert extractor._cue_window(text, at) == reference_window(text, at)

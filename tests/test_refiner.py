@@ -9,6 +9,7 @@ from intentrefine import capability, cli, factbase, refiner, topology
 from intentrefine.capability import CapabilityId
 from intentrefine.errors import (
     DocumentSyntaxError,
+    NoDerivableRequirement,
     NothingToEnforce,
     Unenforceable,
     UnsupportedAction,
@@ -114,8 +115,193 @@ def test_bind_skip_lines_are_debug(scenario1_topology, scenario1_intent, caplog,
     with caplog.at_level(level, logger="intentrefine"):
         assert len(bind_intent(scenario1_topology, scenario1_intent, k)) == 1
     skipped = [r for r in caplog.records if r.message.endswith("; skipped")]
-    assert len(skipped) == (2 if shown else 0)
+    assert [r.message for r in skipped] == (
+        ["intent hspl1: 2 of 3 facts match no endpoint; skipped"] if shown else [])
     assert all(r.levelname == "DEBUG" for r in skipped)
+
+
+def full_scan_bind(t, intent, k):
+    """bind_intent as every fact was once checked against every intent:
+    the reference the indexed lookup must equal."""
+    subject = topology.resolve_endpoint(t, intent.subject)
+    obj = topology.resolve_endpoint(t, intent.object)
+    results = []
+    for fact in k.facts:
+        try:
+            required_sets = capability.derive_required(fact)
+        except NoDerivableRequirement:
+            continue
+        for rset in required_sets:
+            if rset.layer == capability.LAYER_NETWORK:
+                ips = {v for name, v in fact.bindings if name.endswith("ip-address")}
+                if not (ips & ({subject.ip, obj.ip} - {None})):
+                    continue
+                for e in (subject, obj):
+                    if e.ip is None:
+                        raise ValidationError(
+                            f"intent {intent.id!r}: endpoint {e.id!r} has no ip address"
+                        )
+                bindings = [
+                    refiner.ConditionBinding("forward", subject.ip, obj.ip),
+                    refiner.ConditionBinding("reverse", obj.ip, subject.ip),
+                ]
+            else:
+                host = fact.get("url")
+                if host is None or host.lower() not in obj.domains:
+                    continue
+                bindings = [refiner.ConditionBinding(host=host.lower())]
+            results.append((fact, rset, bindings))
+    if not results:
+        raise NothingToEnforce(
+            f"intent {intent.id!r}: no knowledge fact is relevant to "
+            f"{intent.subject!r}/{intent.object!r}"
+        )
+    return results
+
+
+BIND_IPS = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+BIND_HOSTS = ["a.example.com", "b.example.com"]
+# Slot values: addresses and hosts in any slot, hosts also upper-cased.
+BIND_VALUES = st.sampled_from(
+    BIND_IPS + BIND_HOSTS + ["A.Example.COM", "B.EXAMPLE.com", "9.9.9.9"])
+BIND_SLOTS = st.sampled_from(
+    ["source-ip-address", "destination-ip-address", "url", "comment"])
+BIND_FACTS = st.lists(
+    st.lists(st.tuples(BIND_SLOTS, BIND_VALUES), min_size=1, max_size=3).map(
+        lambda bindings: factbase.Fact("entity", tuple(bindings))),
+    max_size=8,
+)
+# Four endpoints on one subnet, each with or without an address and domains.
+BIND_ENDPOINTS = st.lists(
+    st.tuples(st.one_of(st.none(), st.sampled_from(BIND_IPS)),
+              st.lists(st.sampled_from(BIND_HOSTS), unique=True, max_size=2)),
+    min_size=4, max_size=4,
+)
+
+
+def _bind_topology(endpoints):
+    nodes = ["  - {id: S, kind: subnet}"]
+    for i, (ip, domains) in enumerate(endpoints):
+        fields = [f"id: E{i}", "kind: endpoint"]
+        if ip is not None:
+            fields.append(f"ip: {ip}")
+        if domains:
+            fields.append(f"domains: [{', '.join(domains)}]")
+        nodes.append(f"  - {{{', '.join(fields)}}}")
+    links = [f"  - [E{i}, S]" for i in range(len(endpoints))]
+    return topology.parse_topology("\n".join(["nodes:", *nodes, "links:", *links]))
+
+
+def _outcome(bind, t, intent, k):
+    try:
+        return bind(t, intent, k)
+    except (ValidationError, NothingToEnforce) as exc:
+        return type(exc), str(exc)
+
+
+@given(BIND_FACTS, BIND_ENDPOINTS, st.integers(0, 3), st.integers(0, 3))
+def test_bind_intent_equals_a_scan_of_every_fact(facts, endpoints, subject, obj):
+    t = _bind_topology(endpoints)
+    intent = refiner.HsplPolicy("h", f"E{subject}", "deny-access", f"E{obj}")
+    k = factbase.Knowledge(facts=tuple(facts))
+    assert _outcome(bind_intent, t, intent, k) == _outcome(full_scan_bind, t, intent, k)
+
+
+def _shared_subnet_topology(attackers):
+    """`attackers` endpoints on one subnet, FW1 and FW2 in parallel, then a
+    WAF, in front of a server with an address and two served domains. One
+    more endpoint, Z, reaches the WAF through FW3 alone."""
+    route = [("SA", "FW1"), ("SA", "FW2"), ("FW1", "SM"), ("FW2", "SM"),
+             ("SM", "WAF"), ("WAF", "SB"), ("Server", "SB"),
+             ("Z", "SZ"), ("SZ", "FW3"), ("FW3", "SM")]
+    return topology.parse_topology("\n".join([
+        "nodes:",
+        "  - {id: Server, kind: endpoint, ip: 10.1.0.1, "
+        "domains: [a.example.com, b.example.com]}",
+        "  - {id: Z, kind: endpoint, ip: 10.2.0.1}",
+        *(f"  - {{id: A{i}, kind: endpoint, ip: 10.0.0.{i + 1}}}"
+          for i in range(attackers)),
+        *(f"  - {{id: {s}, kind: subnet}}" for s in ("SA", "SM", "SB", "SZ")),
+        *(f"  - {{id: {d}, kind: device, controls: [IpTables]}}"
+          for d in ("FW1", "FW2", "FW3")),
+        "  - {id: WAF, kind: device, controls: [ModSecurity]}",
+        "links:",
+        *(f"  - [A{i}, SA]" for i in range(attackers)),
+        *(f"  - [{a}, {b}]" for a, b in route),
+    ]))
+
+
+def _attacker_knowledge(attackers, *extra):
+    return factbase.Knowledge(facts=(
+        *extra,
+        *(factbase.Fact("entity", (("source-ip-address", f"10.0.0.{i + 1}"),))
+          for i in range(attackers)),
+        factbase.Fact("entity", (("source-ip-address", "10.2.0.1"),)),
+        factbase.Fact("entity", (("url", "a.example.com"),)),
+        factbase.Fact("entity", (("url", "B.example.com"),)),
+    ))
+
+
+def _attacker_intents(attackers):
+    return [refiner.HsplPolicy(f"h{i}", f"A{i}", "deny-access", "Server")
+            for i in range(attackers)]
+
+
+def test_a_fact_with_no_derivable_requirement_warns_once_per_refine(catalog, caplog):
+    k = _attacker_knowledge(3, factbase.Fact("entity", (("comment", "10.0.0.1"),)))
+    with caplog.at_level("INFO", logger="intentrefine"):
+        refiner.refine(_shared_subnet_topology(3), _attacker_intents(3), k, catalog)
+    warnings = [r.message for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        "skipping fact with no derivable requirement: "
+        "Fact(template='entity', bindings=(('comment', '10.0.0.1'),))"
+    ]
+
+
+def test_intents_on_one_subnet_pair_enumerate_and_place_once(catalog, monkeypatch,
+                                                              caplog):
+    attackers = 6
+    t = _shared_subnet_topology(attackers)
+    k = _attacker_knowledge(attackers)
+    intents = _attacker_intents(attackers)
+    intents.insert(3, refiner.HsplPolicy("hz", "Z", "deny-access", "Server"))
+    intents.insert(5, refiner.HsplPolicy("ha", "A0", "deny-access", "Z"))
+
+    # refining each intent alone, on the KB the previous one left
+    alone, kb = [], None
+    for intent in intents:
+        artifacts, _report, kb = refiner.refine(t, [intent], k, catalog, kb)
+        alone += artifacts
+
+    calls = {"enumerate_paths": 0, "select_enforcement_set": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(topology, "enumerate_paths")
+    counted(refiner, "select_enforcement_set")
+    with caplog.at_level("INFO", logger="intentrefine"):
+        artifacts, report, together = refiner.refine(t, intents, k, catalog)
+    # path families SA-SB, SZ-SB and SA-SZ; the last binds no url fact
+    assert calls == {"enumerate_paths": 3, "select_enforcement_set": 5}
+    assert artifacts == alone
+    assert refiner.kb_to_json(together) == refiner.kb_to_json(kb)
+    assert report.misses == [i.id for i in intents]
+    selections = [r.message for r in caplog.records if "event=selection" in r.message]
+    placed = {"hz": [("network", "FW3"), ("application", "WAF")],
+              "ha": [("network", "FW3")]}
+    assert selections == [
+        f"stage=refiner event=selection intent={i.id} layer={layer} devices={devices}"
+        for i in intents
+        for layer, devices in placed.get(
+            i.id, [("network", "FW1,FW2"), ("application", "WAF")])
+    ]
 
 
 # --- select_enforcement_set -------------------------------------------------
