@@ -115,6 +115,14 @@ def _remove_outputs(out_dir: str, names: list[str]) -> None:
         logger.info("stage=cli event=removed file=%s", name)
 
 
+def _unwritten(out_dir: str, suffix: str, outputs: dict[str, str]) -> list[str]:
+    """The files in `out_dir` named `*<suffix>` that are not among `outputs`."""
+    return sorted(
+        name for name in os.listdir(out_dir)
+        if name.endswith(suffix) and name not in outputs
+    )
+
+
 def _manifest(outputs: dict[str, str]) -> str:
     digests = {
         name: hashlib.sha256(content.encode()).hexdigest()
@@ -220,6 +228,7 @@ def cmd_convert(args) -> int:
         for device in sorted(policies)
     }
     _write_outputs(args.out, outputs)
+    _remove_outputs(args.out, _unwritten(args.out, ".mspl.xml", outputs))
     return 0
 
 
@@ -235,6 +244,7 @@ def cmd_translate(args) -> int:
         rules = translator.translate_policy(policy)
         outputs[f"{device}.rules"] = translator.rules_file_content(rules)
     _write_outputs(args.out, outputs)
+    _remove_outputs(args.out, _unwritten(args.out, ".rules", outputs))
     return 0
 
 
@@ -248,8 +258,9 @@ def cmd_verify(args) -> int:
     blocked, report = verifier.verify_deployment(
         t, artifacts, catalog, flow, args.subject, args.object
     )
+    write = sys.stdout.write
     for line in report:
-        print(line)
+        write(f"{line}\n")
     return 0 if blocked else EXIT_BYPASS
 
 

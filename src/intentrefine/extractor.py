@@ -7,9 +7,13 @@ model-backed extractor would fill).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import ipaddress
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import factbase
 from .factbase import Fact, Knowledge, Template
@@ -22,11 +26,14 @@ KIND_URL = "url"
 
 IPV4_RE = re.compile(r"\b(\d{1,3}(?:\.\d{1,3}){3})\b")
 FQDN_RE = re.compile(r"\b((?:[a-z0-9-]+\.)+[a-z]{2,})\b", re.IGNORECASE)
+# the tokens str.split() separates: re's \s is the same set of characters
+TOKEN_RE = re.compile(r"\S+")
 
 # An IPv4 hit preceded by one of these within the last 8 tokens is treated as
 # the attacker's own (source) address; bare IoC listings default to destination.
 SOURCE_CUES = ("from the address", "sends requests from", "originating from")
 CUE_WINDOW_TOKENS = 8
+LONGEST_CUE = max(map(len, SOURCE_CUES))
 
 
 @dataclass(frozen=True)
@@ -44,25 +51,49 @@ def _is_valid_ipv4(value: str) -> bool:
         return False
 
 
-def _cue_window(text: str, start: int) -> str:
+def _token_spans(text: str) -> list[tuple[int, int]]:
+    """Where each token of `text.split()` begins and ends."""
+    return [m.span() for m in TOKEN_RE.finditer(text)]
+
+
+def _cue_window(
+    text: str,
+    start: int,
+    spans: Callable[[], list[tuple[int, int]]] | None = None,
+    keep: int | None = None,
+) -> str:
     """The last CUE_WINDOW_TOKENS whitespace-separated tokens of
     `text[:start]`, joined by single spaces and lower-cased.
 
-    Reads back from `start` only as far as those tokens reach: a stretch
-    holding more tokens than the window has its first, possibly cut, token
-    outside the window.
+    The 128 characters before `start` hold the window when they hold more
+    tokens than it (their first, possibly cut, token is outside it) or begin
+    the text. Otherwise the window's tokens are looked up in the text's
+    _token_spans, which `spans` returns when given. With `keep` set, a token
+    longer than twice `keep` is shown there as its first and last `keep`
+    characters joined by a NUL, so no window reads a long token whole.
     """
-    reach = 128
-    while True:
-        begin = max(0, start - reach)
-        tokens = text[begin:start].split()
-        if begin == 0 or len(tokens) > CUE_WINDOW_TOKENS:
-            return " ".join(tokens[-CUE_WINDOW_TOKENS:]).lower()
-        reach *= 16
+    begin = max(0, start - 128)
+    tokens = text[begin:start].split()
+    if begin > 0 and len(tokens) <= CUE_WINDOW_TOKENS:
+        token_spans = spans() if spans else _token_spans(text)
+        last = bisect.bisect_left(token_spans, start, key=itemgetter(0))
+        tokens = []
+        for begin, end in token_spans[max(0, last - CUE_WINDOW_TOKENS):last]:
+            end = min(end, start)
+            if keep is not None and end - begin > 2 * keep:
+                tokens.append(f"{text[begin:begin + keep]}\0{text[end - keep:end]}")
+            else:
+                tokens.append(text[begin:end])
+    return " ".join(tokens[-CUE_WINDOW_TOKENS:]).lower()
 
 
-def _has_source_cue(text: str, start: int) -> bool:
-    window = _cue_window(text, start)
+def _has_source_cue(
+    text: str, start: int, spans: Callable[[], list[tuple[int, int]]] | None = None
+) -> bool:
+    # Every cue holds a space, so a cue found in the window takes fewer than
+    # LONGEST_CUE characters of any one token, from its start or its end:
+    # the middle of a longer token is never part of one.
+    window = _cue_window(text, start, spans, LONGEST_CUE - 1)
     return any(cue in window for cue in SOURCE_CUES)
 
 
@@ -77,11 +108,13 @@ def _is_fqdn(value: str) -> bool:
 def extract_indicators(text: str) -> list[Indicator]:
     """All distinct indicators in the text, in order of first occurrence."""
     hits: list[Indicator] = []
+    spans = functools.cache(functools.partial(_token_spans, text))
     for m in IPV4_RE.finditer(text):
         value = m.group(1)
         if not _is_valid_ipv4(value):
             continue
-        kind = KIND_SOURCE_IP if _has_source_cue(text, m.start()) else KIND_DESTINATION_IP
+        cued = _has_source_cue(text, m.start(), spans)
+        kind = KIND_SOURCE_IP if cued else KIND_DESTINATION_IP
         hits.append(Indicator(kind=kind, value=value, span=m.span(1)))
     for m in FQDN_RE.finditer(text):
         value = m.group(1).lower()

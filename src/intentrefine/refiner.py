@@ -3,7 +3,8 @@ emit rule artifacts, and maintain the reuse knowledge base.
 
 Enforcement placement picks the fewest devices that hit every path between
 an intent's endpoints: a minimum subject-object vertex cut in which only
-capable devices may be cut, found by max-flow (see select_enforcement_set).
+capable devices may be cut, found by max-flow on the topology's links among
+the nodes of those paths (see select_enforcement_set).
 The knowledge base is the record of the last deployment: each intent's
 placement under a digest of the topology and catalog. A run reports, per
 intent, whether that record was absent, equal to the new placement, or stale.
@@ -245,6 +246,28 @@ def _residual_tree(residual, start):
     return parent
 
 
+def _flow_tree(residual, start):
+    """Breadth-first tree of the vertices from which flow reaches `start`,
+    following flow-carrying arcs backwards, as a child -> parent map.
+
+    An arc u -> v carries flow when the reverse entry residual[v][u] is
+    positive. Real arcs join an out-vertex to another node's in-vertex, and
+    a node's in-vertex to its own out-vertex; so the reverse entries are
+    those from an in-vertex to another node, or from an out-vertex to its
+    own node.
+    """
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        node, side = u
+        for v, capacity in residual[u].items():
+            if capacity and v not in parent and (v[0] != node) == (side == _IN):
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
 def _push_unit(residual, parent, end):
     """Send one unit of flow along the tree path from its root to `end`."""
     v = end
@@ -263,12 +286,15 @@ def select_enforcement_set(
     """Minimum set of devices covering every path with a satisfying control.
 
     `paths` must be every simple path between two endpoints (as from
-    `enumerate_paths`). Capability belongs to the device, not the path, so
-    the simple source-sink paths of the graph the paths form are exactly
-    `paths`, and a minimum cover is a minimum vertex cut of that graph in
-    which only capable devices may be cut (Menger). The cut is found by
-    max-flow: every node is split into an in- and an out-vertex, joined by an
-    arc of capacity 1 for a capable device and unbounded otherwise.
+    `enumerate_paths`). Capability belongs to the device, not the path, so a
+    minimum cover is a minimum vertex cut between the endpoints in which
+    only capable devices may be cut (Menger). The cut is found by max-flow
+    on the graph of the topology's links among the nodes on `paths`, taken
+    in both orientations, with the source on each path's first node and the
+    sink on its last: any route of that graph holds one of `paths`, so both
+    have the same vertex cuts. Every node is split into an in- and an
+    out-vertex, joined by an arc of capacity 1 for a capable device and
+    unbounded otherwise.
 
     Ties break lexicographically on the sorted device-id tuple: candidates
     are taken in sorted order, and each is kept only if removing it, together
@@ -279,24 +305,21 @@ def select_enforcement_set(
     if not paths:
         raise ValidationError("select_enforcement_set requires at least one path")
 
-    nodes = set().union(*(p.intermediate for p in paths))
+    routes = [p.intermediate for p in paths]
+    nodes = set().union(*routes)
     controls = {
         n: _satisfying_controls(t, n, catalog, r)
         for n in nodes
         if t.nodes[n].kind == topo.DEVICE
     }
     capable = {n for n, names in controls.items() if names}
-
-    steps: set[tuple[str, str]] = set()
-    for path in paths:
-        if capable.isdisjoint(path.intermediate):
-            raise Unenforceable(
-                f"path {list(path.intermediate)} has no device with a "
-                f"satisfying {r.layer}-layer control",
-                path=path,
-            )
-        seq = (_ENDS, *path.intermediate, _ENDS)
-        steps.update(zip(seq, seq[1:]))
+    if any(map(capable.isdisjoint, routes)):
+        path = next(p for p in paths if capable.isdisjoint(p.intermediate))
+        raise Unenforceable(
+            f"path {list(path.intermediate)} has no device with a "
+            f"satisfying {r.layer}-layer control",
+            path=path,
+        )
 
     # Arc (n, _IN) -> (n, _OUT) is node n; _ENDS is the subject on the out
     # side (the source) and the object on the in side (the sink).
@@ -306,12 +329,19 @@ def select_enforcement_set(
         residual.setdefault(u, {})[v] = capacity
         residual.setdefault(v, {}).setdefault(u, 0)
 
-    for a, b in steps:
-        arc((a, _OUT), (b, _IN), math.inf)
-    for n in nodes:
-        arc((n, _IN), (n, _OUT), 1 if n in capable else math.inf)
-
+    # Arcs go in in sorted order, so the flow found, and the searches made,
+    # do not depend on string hashing.
     source, sink = (_ENDS, _OUT), (_ENDS, _IN)
+    for n in sorted(nodes):
+        arc((n, _IN), (n, _OUT), 1 if n in capable else math.inf)
+        for m in t.neighbors(n):
+            if m in nodes:
+                arc((n, _OUT), (m, _IN), math.inf)
+    for first in sorted({seq[0] for seq in routes}):
+        arc(source, (first, _IN), math.inf)
+    for last in sorted({seq[-1] for seq in routes}):
+        arc((last, _OUT), sink, math.inf)
+
     while sink in (tree := _residual_tree(residual, source)):
         _push_unit(residual, tree, sink)
 
@@ -325,10 +355,12 @@ def select_enforcement_set(
             continue
         selected.add(d)
         # Remove d along with the unit of flow through it; what is left is a
-        # maximum flow of the graph without d, one unit smaller.
+        # maximum flow of the graph without d, one unit smaller. The unit is
+        # traced along flow-carrying arcs only: a residual path could reroute
+        # it and leave circulations that saturate later candidates.
         residual[w][u] = 0
-        _push_unit(residual, _residual_tree(residual, u), source)
-        _push_unit(residual, _residual_tree(residual, sink), w)
+        _push_unit(residual, _flow_tree(residual, u), source)
+        _push_unit(residual, _flow_tree(residual, sink), w)
 
     control_per_device = {d: controls[d][0] for d in selected}
     return selected, control_per_device

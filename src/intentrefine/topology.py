@@ -3,6 +3,11 @@
 The input format is a flat YAML document with `nodes` and `links` lists (see
 tests/fixtures for full scenarios). Topologies are immutable after parsing and
 all operations here are pure.
+
+Paths are enumerated segment by segment: the nodes every route between two
+endpoints passes through (found by lowpoints) cut the routes into segments,
+each segment is walked only through the parts of the graph that join its two
+ends, and the segments' routes are joined.
 """
 
 from __future__ import annotations
@@ -235,29 +240,22 @@ def resolve_endpoint(topo: Topology, name: str) -> Node:
     return node
 
 
-def enumerate_paths(topo: Topology, subject: str, obj: str) -> list[Path]:
-    """All simple paths between two endpoints, endpoints excluded.
-
-    Result is sorted lexicographically by node-id sequence; empty when the
-    endpoints are disconnected.
-    """
-    resolve_endpoint(topo, subject)
-    resolve_endpoint(topo, obj)
-
+def _walk(topo: Topology, start: str, end: str, region) -> list[tuple[str, ...]]:
+    """The node sequences strictly between `start` and `end` of every simple
+    route from one to the other whose inner nodes lie in `region`."""
     found: list[tuple[str, ...]] = []
     route: list[str] = []
-    visited = {subject}
-    walkable = {n for n, node in topo.nodes.items() if node.kind != ENDPOINT}
+    visited = {start}
     # Depth-first with an explicit stack of neighbor iterators, one per node
-    # of the current route plus the subject, so a long route cannot exceed
-    # the interpreter's recursion limit. A `for` over the top iterator
-    # resumes where that node's scan stopped.
-    pending = [iter(topo.neighbors(subject))]
+    # of the current route plus `start`, so a long route cannot exceed the
+    # interpreter's recursion limit. A `for` over the top iterator resumes
+    # where that node's scan stopped.
+    pending = [iter(topo.neighbors(start))]
     while pending:
         for nxt in pending[-1]:
-            if nxt == obj:
+            if nxt == end:
                 found.append(tuple(route))
-            elif nxt not in visited and nxt in walkable:
+            elif nxt not in visited and nxt in region:
                 visited.add(nxt)
                 route.append(nxt)
                 pending.append(iter(topo.neighbors(nxt)))
@@ -266,4 +264,120 @@ def enumerate_paths(topo: Topology, subject: str, obj: str) -> list[Path]:
             pending.pop()
             if route:
                 visited.remove(route.pop())
-    return [Path(intermediate=seq) for seq in sorted(found)]
+    return found
+
+
+def _separators(topo: Topology, subject: str, obj: str, walkable) -> list[str] | None:
+    """The nodes every route from `subject` to `obj` passes through, in
+    route order, or None when no route exists.
+
+    One depth-first search from `subject` computes lowpoints (Hopcroft &
+    Tarjan 1973): a node v on the tree path to `obj` separates the two iff
+    no back arc leaves the subtree of v's child on that path for a node
+    discovered before v.
+    """
+    order = {subject: 0}
+    low = {subject: 0}
+    parent = {subject: None}
+    pending = [(subject, iter(topo.neighbors(subject)))]
+    while pending:
+        u, scan = pending[-1]
+        for v in scan:
+            if v not in order:
+                if v in walkable or v == obj:
+                    order[v] = low[v] = len(order)
+                    parent[v] = u
+                    pending.append((v, iter(topo.neighbors(v))))
+                    break
+            elif order[v] < low[u]:
+                low[u] = order[v]
+        else:
+            pending.pop()
+            if pending:
+                p = pending[-1][0]
+                low[p] = min(low[p], low[u])
+    if obj not in parent:
+        return None
+    route = []
+    child, v = obj, parent[obj]
+    while v != subject:
+        if low[child] >= order[v]:
+            route.append(v)
+        child, v = v, parent[v]
+    route.reverse()
+    return route
+
+
+def _regions(topo: Topology, ends: list[str], walkable) -> list[set[str]]:
+    """For each two consecutive `ends`, the nodes of the connected regions of
+    the walkable graph minus `ends` that touch both. A region touches two
+    ends at most, and then consecutive ones, as the inner ends are
+    separators."""
+    position = {n: i for i, n in enumerate(ends)}
+    regions: list[set[str]] = [set() for _ in ends[1:]]
+    seen: set[str] = set()
+    for end in ends:
+        for first in topo.neighbors(end):
+            if first in seen or first in position or first not in walkable:
+                continue
+            seen.add(first)
+            region = [first]
+            touched = set()
+            for n in region:
+                for m in topo.neighbors(n):
+                    if m in position:
+                        touched.add(position[m])
+                    elif m not in seen and m in walkable:
+                        seen.add(m)
+                        region.append(m)
+            if len(touched) == 2:
+                regions[min(touched)].update(region)
+    return regions
+
+
+def _joined(parts: list[list[tuple]]) -> list[tuple]:
+    """Every concatenation of one sequence from each of `parts`, in order.
+
+    The halves of `parts` are joined first, so each result is built by one
+    concatenation, and no list of shorter prefixes as long as the result
+    is held beside it.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    heads, tails = _joined(parts[:half]), _joined(parts[half:])
+    return [head + tail for head in heads for tail in tails]
+
+
+def enumerate_paths(topo: Topology, subject: str, obj: str) -> list[Path]:
+    """All simple paths between two endpoints, endpoints excluded.
+
+    Result is sorted lexicographically by node-id sequence; empty when the
+    endpoints are disconnected.
+
+    Every path passes the endpoints' separators (_separators) in the same
+    order, so the paths are the products of the routes of each segment
+    between consecutive separators or an endpoint. A segment's routes stay
+    in the regions that touch both of its ends (_regions); a region touching
+    one end only, as a dead end hanging off a separator, lies on no path
+    and is never walked.
+    """
+    resolve_endpoint(topo, subject)
+    resolve_endpoint(topo, obj)
+    walkable = {n for n, node in topo.nodes.items() if node.kind != ENDPOINT}
+    if subject == obj:
+        found = _walk(topo, subject, obj, walkable)
+    elif (separators := _separators(topo, subject, obj, walkable)) is None:
+        found = []
+    else:
+        ends = [subject, *separators, obj]
+        regions = _regions(topo, ends, walkable)
+        parts = [_walk(topo, subject, ends[1], regions[0])]
+        for i, separator in enumerate(separators, 1):
+            parts.append([
+                (separator, *seq)
+                for seq in _walk(topo, separator, ends[i + 1], regions[i])
+            ])
+        found = _joined(parts)
+    found.sort()
+    return list(map(Path, found))

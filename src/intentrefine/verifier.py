@@ -131,10 +131,14 @@ def verify_deployment(
     if not verdicts:
         logger.warning("no paths between %s and %s; vacuously blocked", subject, obj)
         return True, [f"warning: no paths between {subject} and {obj}"]
-    report = [
-        f"ALLOWED (bypass) path {list(p.intermediate)}"
-        if device is None
-        else f"BLOCKED path {list(p.intermediate)} at {device}"
-        for p, device in verdicts
-    ]
+    # each path as `repr(list(p.intermediate))` shows it, from node reprs
+    # computed once
+    shown = {n: repr(n) for n in t.nodes}
+    report = []
+    for p, device in verdicts:
+        route = f"[{', '.join(map(shown.__getitem__, p.intermediate))}]"
+        report.append(
+            f"ALLOWED (bypass) path {route}" if device is None
+            else f"BLOCKED path {route} at {device}"
+        )
     return all(device is not None for _, device in verdicts), report

@@ -43,6 +43,76 @@ def random_topology(rng: random.Random, max_devices: int = 8):
     return topology.parse_topology(yaml.safe_dump(doc))
 
 
+def series_parallel_topology(rng: random.Random, max_stages: int = 5):
+    """Endpoints A and B joined by a series of stages, each of one to three
+    parallel branches of up to two nodes, with dangling meshes and chords.
+
+    A mesh hangs off one node by one link, so it lies on no route unless a
+    chord or B reaches it; a chord links two random non-endpoint nodes and
+    may merge stages or add routes. An endpoint C on a random subnet is never
+    walked through. B sometimes attaches to another random subnet (A's, a
+    stage's or a mesh's), and one link is sometimes dropped, which may cut
+    B off.
+    """
+    kinds: dict[str, str] = {"SA": "subnet", "SB": "subnet"}
+    links: set[tuple[str, str]] = set()
+    ids = itertools.count()
+
+    def add(kind=None):
+        kind = kind or rng.choice(("subnet", "device", "device"))
+        node = f"{kind[0].upper()}{next(ids)}"
+        kinds[node] = kind
+        return node
+
+    def link(a, b):
+        if a != b:
+            links.add((min(a, b), max(a, b)))
+
+    joint = "SA"
+    stages = rng.randint(1, max_stages)
+    for stage in range(stages):
+        nxt = "SB" if stage == stages - 1 else add()
+        for _ in range(rng.randint(1, 3)):
+            prev = joint
+            for _ in range(rng.randint(0, 2)):
+                node = add()
+                link(prev, node)
+                prev = node
+            link(prev, nxt)
+        joint = nxt
+    if rng.random() < 0.1:
+        links.discard(min(links))
+    for _ in range(rng.randint(0, 2)):
+        anchor = rng.choice(sorted(kinds))
+        mesh = [add() for _ in range(rng.randint(1, 4))]
+        link(anchor, mesh[0])
+        for a, b in itertools.combinations(mesh, 2):
+            if rng.random() < 0.5:
+                link(a, b)
+    interior = sorted(kinds)
+    for _ in range(rng.randint(0, 2)):
+        link(*rng.sample(interior, 2))
+
+    subnets = [n for n in interior if kinds[n] == "subnet"]
+    b_subnet = rng.choice(subnets) if rng.random() < 0.15 else "SB"
+    nodes = [
+        {"id": "A", "kind": "endpoint", "ip": "10.0.0.1"},
+        {"id": "B", "kind": "endpoint", "ip": "10.0.0.9"},
+        {"id": "C", "kind": "endpoint", "ip": "10.0.0.5"},
+    ]
+    for n in interior:
+        entry = {"id": n, "kind": kinds[n]}
+        if kinds[n] == "device":
+            entry["controls"] = ["IpTables"] if rng.random() < 0.8 else []
+        nodes.append(entry)
+    links |= {("A", "SA"), ("B", b_subnet), ("C", rng.choice(subnets))}
+    doc = {"name": f"series-parallel-{rng.random()}", "nodes": nodes,
+           "links": [list(l) for l in sorted(links)]}
+    import yaml
+
+    return topology.parse_topology(yaml.safe_dump(doc))
+
+
 def oracle_simple_paths(topo, subject, obj):
     """Exhaustive DFS over the raw link set; endpoints never intermediate."""
     adjacency = {}

@@ -1,9 +1,10 @@
+import contextlib
 import json
 import pathlib
 
 import pytest
 
-from intentrefine import cli, converter, factbase
+from intentrefine import cli, converter, factbase, topology
 from intentrefine.capability import CapabilityId
 from intentrefine.converter import MsplPolicy, MsplRule
 from intentrefine.refiner import CapabilityInstance
@@ -268,6 +269,39 @@ def verify_eve_to_bob(artifacts_path, src_ip="80.71.158.96"):
         "--subject", "Eve", "--object", "Bob",
         "--src-ip", src_ip, "--dst-ip", "172.19.0.3",
     )
+
+
+class WriteOnly:
+    """A text stream with `write` and `flush` alone, as a caller capturing
+    the output in process may pass."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_verify_writes_one_line_per_path_through_write_alone(tmp_path):
+    flags = ["--topology", FIXTURES / "scenario1" / "topology.yaml",
+             "--catalog", FIXTURES / "catalog.json"]
+    flow = ["--subject", "Eve", "--object", "Bob",
+            "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3"]
+    run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False))
+    artifacts = tmp_path / "out" / "artifacts.json"
+    sink = WriteOnly()
+    with contextlib.redirect_stdout(sink):
+        code = run_cli("verify", *flags, "--artifacts", artifacts, *flow)
+    assert code == 0
+    t = topology.parse_topology((FIXTURES / "scenario1" / "topology.yaml").read_text())
+    paths = topology.enumerate_paths(t, "Eve", "Bob")
+    blockers = ["FW1", "FW1", "FW3"]
+    assert "".join(sink.parts) == "".join(
+        f"BLOCKED path {list(p.intermediate)} at {d}\n" for p, d in zip(paths, blockers))
 
 
 def test_verify_honours_range_and_union_rules(tmp_path, capsys):
@@ -1063,3 +1097,36 @@ def test_run_ignores_what_it_cannot_read_in_a_manifest(tmp_path, caplog, case):
     for kept in (out / "sub" / "kept", out / "kept", tmp_path / "victim"):
         assert kept.read_text() == "kept"
     assert not any("event=removed" in r.message for r in caplog.records)
+
+
+def test_convert_and_translate_remove_the_files_of_earlier_policies(tmp_path, caplog):
+    artifacts = {}
+    for scenario in ("scenario1", "scenario2"):
+        assert run_cli("run", *scenario_flags(scenario, tmp_path / scenario, kb=False)) == 0
+        artifacts[scenario] = tmp_path / scenario / "out" / "artifacts.json"
+    staged = tmp_path / "staged"
+    assert run_cli("convert", "--artifacts", artifacts["scenario1"], "--out", staged) == 0
+    assert run_cli("translate", "--out", staged) == 0
+    with caplog.at_level("INFO"):
+        assert run_cli("convert", "--artifacts", artifacts["scenario2"], "--out", staged) == 0
+        assert run_cli("translate", "--out", staged) == 0
+    alone = read_tree(tmp_path / "scenario2" / "out")
+    assert read_tree(staged) == {
+        name: text for name, text in alone.items()
+        if name.endswith((".mspl.xml", ".rules"))
+    }
+    removed = [r.message for r in caplog.records if "event=removed" in r.message]
+    assert removed == [f"stage=cli event=removed file={name}" for name in
+                       ("FW1.mspl.xml", "FW3.mspl.xml", "FW1.rules", "FW3.rules")]
+
+
+@pytest.mark.parametrize("command,name", [
+    ("convert", "FW9.mspl.xml"), ("translate", "FW9.rules")])
+def test_a_failed_removal_of_an_earlier_file_exits_persist(tmp_path, capsys,
+                                                           command, name):
+    assert run_cli("run", *scenario_flags("scenario2", tmp_path, kb=False)) == 0
+    out = tmp_path / "out"
+    (out / name).mkdir()
+    assert run_cli(command, "--out", out) == cli.EXIT_CODES_BY_NAME["PersistError"]
+    assert capsys.readouterr().err.startswith(
+        f"error: PersistError: cannot remove earlier output {name}: ")

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given, strategies as st
 
 from intentrefine import extractor, factbase
@@ -132,3 +133,49 @@ def test_cue_window_is_the_last_eight_tokens_before_the_hit(case):
     text, start = case
     for at in (start, min(start, 3)):
         assert extractor._cue_window(text, at) == reference_window(text, at)
+
+
+# Long whitespace-free runs, cues and their pieces in mixed case, so that a
+# cue can begin inside a run far longer than any cue.
+LONG_RUNS = st.lists(
+    st.one_of(st.text(WHITESPACE, min_size=1, max_size=3),
+              st.builds(lambda chars, n: chars * n,
+                        st.text(TOKEN_CHARS + ",", min_size=1, max_size=3),
+                        st.integers(1, 1500)),
+              st.sampled_from(["from", "FROM the", "the address", "sends",
+                               "requests from", "Originating", "originating from",
+                               "from the address", "1.2.3.4", ",5.6.7.8"])),
+    max_size=30,
+).map("".join)
+
+
+@given(LONG_RUNS.flatmap(lambda text: st.tuples(st.just(text), st.integers(0, len(text)))))
+@example(("x" * 3000 + "from the address 1.2.3.4", 3017))
+@example(("," * 3000 + "Originating from 1.2.3.4", 3017))
+@example(("sends requests from" + "x" * 3000 + " 1.2.3.4", 3020))
+def test_source_cue_agrees_with_the_full_window_on_long_runs(case):
+    text, start = case
+    for at in (start, len(text)):
+        window = reference_window(text, at)
+        assert extractor._has_source_cue(text, at) == any(
+            cue in window for cue in extractor.SOURCE_CUES)
+
+
+class CountingText(str):
+    """Text that counts the characters its slices read."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        part = super().__getitem__(key)
+        CountingText.read += len(part)
+        return part
+
+
+@pytest.mark.parametrize("addresses", [1000, 4000])
+def test_cue_search_reads_each_address_back_a_bounded_stretch(addresses):
+    # one whitespace-free run: every address's window starts in that run
+    text = CountingText(",".join(f"10.{i // 250}.{i % 250}.1" for i in range(addresses)))
+    CountingText.read = 0
+    assert len(extract_indicators(text)) == addresses
+    assert CountingText.read <= 32 * len(text)

@@ -25,7 +25,7 @@ from intentrefine.refiner import (
 )
 
 from conftest import FIXTURES, read_fixture
-from randomtopo import oracle_min_cover, random_topology
+from randomtopo import oracle_min_cover, random_topology, series_parallel_topology
 
 
 # --- parse_hspl -------------------------------------------------------------
@@ -441,6 +441,44 @@ def test_selection_equals_lexicographic_oracle(catalog, required):
             enforceable += 1
         checked += 1
     assert enforceable >= 30
+
+
+@pytest.mark.parametrize(
+    "required", [capability.NETWORK_REQUIRED, capability.APPLICATION_REQUIRED],
+    ids=["network", "application"],
+)
+def test_selection_equals_lexicographic_oracle_on_series_parallel_topologies(
+        catalog, required):
+    rng = random.Random(11)
+    control = SATISFYING[required.layer]
+    checked = enforceable = 0
+    while checked < 200:
+        t = series_parallel_topology(rng)
+        t = dataclasses.replace(t, nodes={
+            n.id: (dataclasses.replace(n, controls=rng.choice(CONTROL_CHOICES))
+                   if n.kind == topology.DEVICE else n)
+            for n in t.nodes.values()
+        })
+        for subject, obj in (("A", "B"), ("B", "A")):
+            paths = topology.enumerate_paths(t, subject, obj)
+            if not paths:
+                continue
+            capable_per_path = [
+                frozenset(d for d in p.devices(t) if control in t.nodes[d].controls)
+                for p in paths
+            ]
+            expected = oracle_min_cover(capable_per_path)
+            if expected is None:
+                with pytest.raises(Unenforceable) as exc:
+                    select_enforcement_set(paths, t, catalog, required)
+                assert exc.value.path == paths[capable_per_path.index(frozenset())]
+            else:
+                devices, controls = select_enforcement_set(paths, t, catalog, required)
+                assert devices == expected
+                assert controls == {d: control for d in expected}
+                enforceable += 1
+            checked += 1
+    assert enforceable >= 50
 
 
 def test_many_disjoint_chains_pick_first_device_of_each(catalog):

@@ -9,7 +9,7 @@ from intentrefine.errors import (
     DocumentSyntaxError, PipelineError, UnknownEndpoint, ValidationError)
 
 from conftest import read_fixture
-from randomtopo import oracle_simple_paths, random_topology
+from randomtopo import oracle_simple_paths, random_topology, series_parallel_topology
 
 
 def test_scenario2_parse_counts(scenario2_topology):
@@ -147,6 +147,82 @@ def test_enumeration_matches_dfs_oracle_on_random_topologies():
         t = random_topology(rng)
         got = [p.intermediate for p in topology.enumerate_paths(t, "A", "B")]
         assert got == oracle_simple_paths(t, "A", "B")
+
+
+def test_the_route_from_an_endpoint_to_itself_is_its_subnet(scenario1_topology):
+    # reachable through `verify --subject X --object X`
+    paths = topology.enumerate_paths(scenario1_topology, "Eve", "Eve")
+    assert [p.intermediate for p in paths] == [
+        tuple(scenario1_topology.neighbors("Eve"))]
+
+
+def test_enumeration_matches_dfs_oracle_on_series_parallel_topologies():
+    rng = random.Random(2024)
+    for _ in range(150):
+        t = series_parallel_topology(rng)
+        for subject, obj in (("A", "B"), ("B", "A")):
+            got = [p.intermediate for p in topology.enumerate_paths(t, subject, obj)]
+            assert got == oracle_simple_paths(t, subject, obj)
+
+
+def _ladder(first, last, stages, prefix):
+    """Node kinds and links of `stages` stages of two devices in parallel
+    between subnets, from the existing node `first` to the subnet `last`."""
+    subnets = [first, *(f"{prefix}M{i}" for i in range(1, stages)), last]
+    kinds = {s: "subnet" for s in subnets[1:]}
+    links = []
+    for i in range(stages):
+        for side in "ab":
+            device = f"{prefix}L{i}{side}"
+            kinds[device] = "device"
+            links += [(subnets[i], device), (device, subnets[i + 1])]
+    return kinds, links
+
+
+def _counting_neighbors(monkeypatch):
+    calls = []
+    neighbors = topology.Topology.neighbors
+
+    def counted(self, node_id):
+        calls.append(node_id)
+        return neighbors(self, node_id)
+
+    monkeypatch.setattr(topology.Topology, "neighbors", counted)
+    return calls
+
+
+def _topology(kinds, links):
+    return topology.parse_topology("\n".join([
+        "nodes:", *(f"  - {{id: {n}, kind: {kind}}}" for n, kind in kinds.items()),
+        "links:", *(f"  - [{a}, {b}]" for a, b in links),
+    ]))
+
+
+def test_a_ladder_hanging_off_the_subjects_subnet_is_never_walked(monkeypatch):
+    # 2**12 simple routes lead into the ladder from SA, and none reaches B
+    kinds, links = _ladder("SA", "End", 12, "X")
+    kinds.update({"A": "endpoint", "B": "endpoint", "SA": "subnet", "SB": "subnet",
+                  "FW": "device"})
+    links += [("A", "SA"), ("SA", "FW"), ("FW", "SB"), ("SB", "B")]
+    t = _topology(kinds, links)
+    calls = _counting_neighbors(monkeypatch)
+    paths = topology.enumerate_paths(t, "A", "B")
+    assert [p.intermediate for p in paths] == [("SA", "FW", "SB")]
+    # each node is looked at a bounded number of times, not once per route
+    assert len(calls) <= 3 * len(t.nodes)
+
+
+def test_each_stage_of_a_ladder_is_walked_on_its_own(monkeypatch):
+    kinds, links = _ladder("SA", "SB", 12, "")
+    kinds.update({"A": "endpoint", "B": "endpoint", "SA": "subnet"})
+    links += [("A", "SA"), ("SB", "B")]
+    t = _topology(kinds, links)
+    calls = _counting_neighbors(monkeypatch)
+    paths = topology.enumerate_paths(t, "A", "B")
+    assert len(paths) == 2 ** 12
+    assert len(calls) <= 4 * len(t.nodes)
+    monkeypatch.undo()
+    assert [p.intermediate for p in paths] == oracle_simple_paths(t, "A", "B")
 
 
 def _scenario2_with_domain(domain):

@@ -213,3 +213,37 @@ def test_verifier_agrees_with_rendered_iptables_rules(catalog, artifacts, flow):
     rules = translator.rules_file_content(translator.translate_policy(policy))
     [(_, device)] = evaluate_flow(t, artifacts, catalog, f, "A", "B")
     assert (device is not None) == _oracle_drops(rules, f)
+
+
+def test_report_shows_each_path_as_the_repr_of_its_node_list(catalog):
+    # a trailing newline passes the node-id pattern and needs escaping
+    t = topology.parse_topology("""
+nodes:
+  - {id: A, kind: endpoint, ip: 10.0.0.1}
+  - {id: B, kind: endpoint, ip: 10.0.0.9}
+  - {id: "S\\n", kind: subnet}
+  - {id: SB, kind: subnet}
+  - {id: "FW\\n", kind: device, controls: [IpTables]}
+  - {id: FW.b-2_, kind: device, controls: [IpTables]}
+links:
+  - [A, "S\\n"]
+  - ["S\\n", "FW\\n"]
+  - ["S\\n", FW.b-2_]
+  - ["FW\\n", SB]
+  - [FW.b-2_, SB]
+  - [B, SB]
+""")
+    rule = refiner.RuleArtifact("h", "FW\n", "IpTables", (
+        refiner.CapabilityInstance(CapabilityId.IP_SOURCE, "10.0.0.1"),
+        refiner.CapabilityInstance(CapabilityId.IP_DESTINATION, "10.0.0.9"),
+        refiner.CapabilityInstance(CapabilityId.DROP, "drop"),
+    ))
+    flow = FlowSpec(src_ip="10.0.0.1", dst_ip="10.0.0.9")
+    blocked, report = verify_deployment(t, [rule], catalog, flow, "A", "B")
+    first, second = topology.enumerate_paths(t, "A", "B")
+    assert first.intermediate == ("S\n", "FW\n", "SB")
+    assert not blocked
+    assert report == [
+        f"BLOCKED path {repr(list(first.intermediate))} at FW\n",
+        f"ALLOWED (bypass) path {repr(list(second.intermediate))}",
+    ]
