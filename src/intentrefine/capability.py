@@ -7,13 +7,13 @@ and its capability set covers everything the requirement needs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from enum import Enum
+from collections import namedtuple
 
 from .errors import (
     DocumentSyntaxError,
     NoDerivableRequirement,
     ValidationError,
+    require_id,
     require_list,
 )
 from .factbase import Fact
@@ -23,7 +23,9 @@ LAYER_APPLICATION = "application"
 LAYERS = (LAYER_NETWORK, LAYER_APPLICATION)
 
 
-class CapabilityId(str, Enum):
+class CapabilityId:
+    """The capability ids: plain strings, as documents carry them."""
+
     IP_SOURCE = "IpSourceAddressConditionCapability"
     IP_DESTINATION = "IpDestinationAddressConditionCapability"
     STATE = "StateConditionCapability"
@@ -32,32 +34,29 @@ class CapabilityId(str, Enum):
     DENY = "DenyActionCapability"
 
 
+# A tuple: membership of any value, hashable or not, is a plain comparison.
+CAPABILITY_IDS = tuple(v for k, v in vars(CapabilityId).items() if k.isupper())
 ACTION_CAPABILITIES = frozenset({CapabilityId.DROP, CapabilityId.DENY})
 
-
-@dataclass(frozen=True)
-class ControlSpec:
-    name: str
-    layer: str
-    stateful: bool
-    capabilities: frozenset[CapabilityId]
-
+# capabilities: a frozenset of capability ids
+ControlSpec = namedtuple("ControlSpec", "name layer stateful capabilities")
 
 # Control name -> its spec, as load_catalog returns it.
 Catalog = dict[str, ControlSpec]
 
 
-@dataclass(frozen=True)
-class RequiredSet:
-    layer: str
-    capabilities: frozenset[CapabilityId]
+class RequiredSet(namedtuple("RequiredSet", "layer capabilities")):
+    """The capabilities (a frozenset of ids) a control at `layer` needs;
+    exactly one of them is an action."""
 
-    def __post_init__(self):
-        actions = self.capabilities & ACTION_CAPABILITIES
-        if not self.capabilities or len(actions) != 1:
+    __slots__ = ()
+
+    def __new__(cls, layer, capabilities):
+        if not capabilities or len(capabilities & ACTION_CAPABILITIES) != 1:
             raise ValidationError(
                 "a required set must contain exactly one action capability"
             )
+        return super().__new__(cls, layer, capabilities)
 
 
 NETWORK_REQUIRED = RequiredSet(
@@ -85,6 +84,7 @@ def load_catalog(document: str) -> Catalog:
 
     controls: dict[str, ControlSpec] = {}
     for name, spec in raw.items():
+        require_id(name, "control name")
         if not isinstance(spec, dict):
             raise DocumentSyntaxError(f"control {name!r}: spec must be an object")
         layer = spec.get("layer")
@@ -94,12 +94,11 @@ def load_catalog(document: str) -> Catalog:
         for cap_name in require_list(
             spec.get("capabilities"), f"control {name!r}: capabilities"
         ):
-            try:
-                caps.add(CapabilityId(cap_name))
-            except ValueError:
+            if cap_name not in CAPABILITY_IDS:
                 raise ValidationError(
                     f"control {name!r}: unknown capability {cap_name!r}"
                 )
+            caps.add(cap_name)
         if layer == LAYER_NETWORK and CapabilityId.HTTP_HOST in caps:
             raise ValidationError(
                 f"control {name!r}: network-layer control cannot inspect HTTP host"
@@ -122,7 +121,7 @@ def serialize_catalog(c: Catalog) -> str:
         name: {
             "layer": spec.layer,
             "stateful": spec.stateful,
-            "capabilities": sorted(cap.value for cap in spec.capabilities),
+            "capabilities": sorted(spec.capabilities),
         }
         for name, spec in sorted(c.items())
     }

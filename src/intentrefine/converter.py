@@ -11,8 +11,7 @@ each capability at most once and exactly one action (check_capabilities).
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
-from enum import Enum
+from collections import namedtuple
 from xml.etree import ElementTree as ET
 
 from .capability import ACTION_CAPABILITIES, CapabilityId
@@ -39,30 +38,24 @@ ACTION_KEYWORDS = {CapabilityId.DROP: "drop", CapabilityId.DENY: "deny"}
 CAPABILITY_BY_ACTION = {k: c for c, k in ACTION_KEYWORDS.items()}
 
 
-class MatchOperator(str, Enum):
+class MatchOperator:
+    """The MSPL match operators: plain strings, as documents carry them."""
+
     EXACT = "exactMatch"
     RANGE = "range"
     UNION = "union"
 
 
-@dataclass(frozen=True)
-class MsplCondition:
-    capability: CapabilityId
-    operator: MatchOperator
-    values: tuple[str, ...]
+MATCH_OPERATORS = (MatchOperator.EXACT, MatchOperator.RANGE, MatchOperator.UNION)
 
+# capability: a capability id; operator: a MatchOperator; values: a tuple of str
+MsplCondition = namedtuple("MsplCondition", "capability operator values")
 
-@dataclass(frozen=True)
-class MsplRule:
-    id: str
-    conditions: tuple[MsplCondition, ...]
-    action: str
+# conditions: a tuple of MsplCondition, in canonical order; action: a keyword
+MsplRule = namedtuple("MsplRule", "id conditions action")
 
-
-@dataclass(frozen=True)
-class MsplPolicy:
-    nsf_name: str
-    rules: tuple[MsplRule, ...]
+# rules: a tuple of MsplRule
+MsplPolicy = namedtuple("MsplPolicy", "nsf_name rules")
 
 
 # --- normalization ----------------------------------------------------------
@@ -136,7 +129,7 @@ def check_capabilities(rule_id: str, carried: list[CapabilityId]) -> None:
     if len(set(carried)) < len(carried) or len(actions) != 1:
         raise NormalizationError(
             f"rule {rule_id!r} must carry each capability at most once and "
-            f"exactly one action, got {[c.value for c in carried]}"
+            f"exactly one action, got {list(carried)}"
         )
 
 
@@ -184,7 +177,7 @@ def _escape(value: str) -> str:
 
 def _serialize_condition(cond: MsplCondition, indent: str) -> list[str]:
     name, container = CONDITION_ELEMENTS[cond.capability]
-    lines = [f'{indent}<{name} operator="{cond.operator.value}">']
+    lines = [f'{indent}<{name} operator="{cond.operator}">']
     lines.append(f"{indent}  <{container}>")
     if cond.capability == CapabilityId.STATE:
         for value in cond.values:
@@ -225,7 +218,7 @@ def _checked(cond: MsplCondition) -> MsplCondition:
     if condition_of(detail) != cond:
         raise NormalizationError(
             f"non-canonical <{CONDITION_ELEMENTS[cond.capability][0]}> "
-            f"{cond.operator.value} condition {list(cond.values)}"
+            f"{cond.operator} condition {list(cond.values)}"
         )
     return cond
 
@@ -249,9 +242,8 @@ def parse_mspl(document: str) -> MsplPolicy:
             capability = CAPABILITY_BY_ELEMENT.get(el.tag)
             if capability is None:
                 raise DocumentSyntaxError(f"unknown condition element <{el.tag}>")
-            try:
-                operator = MatchOperator(el.get("operator", ""))
-            except ValueError:
+            operator = el.get("operator", "")
+            if operator not in MATCH_OPERATORS:
                 raise DocumentSyntaxError(
                     f"unknown operator on <{el.tag}>: {el.get('operator')!r}"
                 )

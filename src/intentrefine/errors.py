@@ -4,6 +4,7 @@ that input documents run through at their boundaries.
 Every error maps to a distinct CLI exit code (see cli.EXIT_CODES).
 """
 
+import re
 import reprlib
 
 # At most 4 items of a collection, 2 levels deep, and 30 characters of a
@@ -13,6 +14,10 @@ _SHORT.maxlevel = 2
 _SHORT.maxlist = _SHORT.maxtuple = _SHORT.maxdict = _SHORT.maxset = 4
 _SHORT.maxfrozenset = _SHORT.maxdeque = _SHORT.maxarray = 4
 _SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 30
+
+# Node, device, control and intent ids: safe in a file name and as a value
+# of a `key=value` log line.
+ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class PipelineError(Exception):
@@ -106,4 +111,12 @@ def require_list(value, place, error=DocumentSyntaxError) -> list:
         return []
     if not isinstance(value, list):
         raise error(f"{place} must be a list, got {shown(value)}")
+    return value
+
+
+def require_id(value: str, what: str) -> str:
+    """`value`, which must be an id (ID_RE); otherwise raises
+    ValidationError naming `what`."""
+    if not ID_RE.fullmatch(value):
+        raise ValidationError(f"invalid {what} {value!r}")
     return value

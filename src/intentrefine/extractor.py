@@ -11,8 +11,8 @@ import bisect
 import functools
 import ipaddress
 import re
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from operator import itemgetter
 
 from . import factbase
@@ -36,11 +36,8 @@ CUE_WINDOW_TOKENS = 8
 LONGEST_CUE = max(map(len, SOURCE_CUES))
 
 
-@dataclass(frozen=True)
-class Indicator:
-    kind: str
-    value: str
-    span: tuple[int, int]
+# span: the (start, end) of `value` in the text
+Indicator = namedtuple("Indicator", "kind value span")
 
 
 def _is_valid_ipv4(value: str) -> bool:

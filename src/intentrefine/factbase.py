@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import (
     DocumentSyntaxError,
@@ -30,17 +30,13 @@ logger = logging.getLogger(__name__)
 
 SLOT_TYPE_STRING = "STRING"
 
-
-@dataclass(frozen=True)
-class Template:
-    name: str
-    slots: tuple[str, ...] = ()
+Template = namedtuple("Template", "name slots", defaults=((),))
 
 
-@dataclass(frozen=True)
-class Fact:
-    template: str
-    bindings: tuple[tuple[str, str], ...]
+class Fact(namedtuple("Fact", "template bindings")):
+    """`bindings`: (slot, value) pairs, in declaration order."""
+
+    __slots__ = ()
 
     def get(self, slot: str) -> str | None:
         for name, value in self.bindings:
@@ -49,21 +45,14 @@ class Fact:
         return None
 
 
-@dataclass(frozen=True)
-class Knowledge:
-    templates: dict[str, Template] = field(default_factory=dict)
-    facts: tuple[Fact, ...] = ()
-
-    @cached_property
-    def value_index(self) -> dict[str, list[int]]:
-        """Each lower-cased binding value -> the ascending positions in
-        `facts` of the facts that bind it. Built on first use; a Knowledge
-        never changes, so it cannot go stale."""
-        index: dict[str, list[int]] = {}
-        for position, fact in enumerate(self.facts):
-            for value in {v.lower() for _, v in fact.bindings}:
-                index.setdefault(value, []).append(position)
-        return index
+class Knowledge(
+    namedtuple("Knowledge", "templates facts", defaults=(MappingProxyType({}), ()))
+):
+    """`templates`: name -> Template, never changed in place (the default is
+    a read-only empty mapping); `facts`: a tuple of Fact. Not slotted: the
+    instance dict keeps what a stage derives from it once (see
+    refiner._fact_index). A Knowledge never changes, so that cannot go
+    stale."""
 
 
 # --- s-expression layer -----------------------------------------------------
@@ -222,7 +211,7 @@ def parse_knowledge(document: str) -> Knowledge:
         fact = parse_fact(str(text))
         validate_fact(k, fact)
         facts.append(fact)
-    return replace(k, facts=tuple(facts))
+    return k._replace(facts=tuple(facts))
 
 
 def serialize_knowledge(k: Knowledge) -> str:

@@ -18,15 +18,16 @@ import logging
 import math
 import os
 import re
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from xml.etree import ElementTree as ET
 
 from . import capability as cap
 from . import topology as topo
-from .capability import Catalog, CapabilityId, RequiredSet, control_satisfies
+from .capability import (
+    CAPABILITY_IDS, Catalog, CapabilityId, RequiredSet, control_satisfies)
 from .errors import (
+    ID_RE,
     CorruptKnowledgeBase,
     DocumentSyntaxError,
     NoDerivableRequirement,
@@ -35,6 +36,7 @@ from .errors import (
     Unenforceable,
     UnsupportedAction,
     ValidationError,
+    require_id,
 )
 from .factbase import Fact, Knowledge
 from .topology import Path, Topology
@@ -51,64 +53,34 @@ DIRECTION_FORWARD = "forward"
 DIRECTION_REVERSE = "reverse"
 
 
-@dataclass(frozen=True)
-class HsplPolicy:
-    id: str
-    subject: str
-    action: str
-    object: str
+HsplPolicy = namedtuple("HsplPolicy", "id subject action object")
 
+# capability: one of capability.CAPABILITY_IDS
+CapabilityInstance = namedtuple("CapabilityInstance", "capability detail")
 
-@dataclass(frozen=True)
-class CapabilityInstance:
-    capability: CapabilityId
-    detail: str
+# capabilities: a tuple of CapabilityInstance
+RuleArtifact = namedtuple("RuleArtifact", "hsplid device nsf capabilities")
 
-
-@dataclass(frozen=True)
-class RuleArtifact:
-    hsplid: str
-    device: str
-    nsf: str
-    capabilities: tuple[CapabilityInstance, ...]
-
-
-@dataclass(frozen=True)
-class ConditionBinding:
-    """Concrete values for one rule of a requirement."""
-
-    direction: str | None = None
-    src_ip: str | None = None
-    dst_ip: str | None = None
-    host: str | None = None
-
+# Concrete values for one rule of a requirement; each may be None.
+ConditionBinding = namedtuple(
+    "ConditionBinding", "direction src_ip dst_ip host", defaults=(None,) * 4
+)
 
 # An intent's placement: for each layer, the selected devices and the
 # control each enforces with.
 Placement = dict[str, dict[str, str]]
 
+# Placements of earlier runs, valid for the topology and catalog whose
+# kb_digest is `digest`: `intents` maps an intent id to its HsplPolicy and
+# `placements` to its Placement. The two dicts are filled in place.
+KnowledgeBase = namedtuple("KnowledgeBase", "digest intents placements")
 
-@dataclass
-class KnowledgeBase:
-    """Placements of earlier runs, valid for the topology and catalog whose
-    kb_digest is `digest`."""
-
-    digest: str
-    intents: dict[str, HsplPolicy] = field(default_factory=dict)
-    placements: dict[str, Placement] = field(default_factory=dict)
-
-
-@dataclass
-class ReuseReport:
-    """How each intent's knowledge-base record compares with this run's
-    placement: a hit equals it; a miss has no record of the unchanged intent,
-    or a stale one that differs."""
-
-    hits: list[str] = field(default_factory=list)
-    misses: list[str] = field(default_factory=list)
-    # stale intent -> the `layer:device:control` entries its placement added
-    # to and removed from its record, each sorted
-    stale: dict[str, tuple[list[str], list[str]]] = field(default_factory=dict)
+# How each intent's knowledge-base record compares with this run's placement:
+# a hit equals it; a miss has no record of the unchanged intent, or a stale
+# one that differs. `hits` and `misses` are lists of intent ids; `stale` maps
+# a stale intent to the `layer:device:control` entries its placement added
+# to and removed from its record, each sorted. All three are filled in place.
+ReuseReport = namedtuple("ReuseReport", "hits misses stale")
 
 
 # --- HSPL parsing -----------------------------------------------------------
@@ -136,6 +108,7 @@ def parse_hspl(document: str) -> list[HsplPolicy]:
         obj = (el.findtext("object") or "").strip()
         if not hspl_id or not subject or not obj:
             raise DocumentSyntaxError("hspl element missing id, subject, or object")
+        require_id(hspl_id, "hspl id")
         if hspl_id in seen_ids:
             raise ValidationError(f"duplicate hspl id {hspl_id!r}")
         seen_ids.add(hspl_id)
@@ -151,6 +124,26 @@ def parse_hspl(document: str) -> list[HsplPolicy]:
 
 # --- intent binding ---------------------------------------------------------
 
+def _fact_index(k: Knowledge) -> tuple[dict[str, list[int]], list]:
+    """Each lower-cased binding value -> the ascending positions in `k.facts`
+    of the facts that bind it; and, per position, the fact's required sets,
+    or None for a fact without any. Built on first use and kept in `k`'s
+    instance dict, so refine and each of its bind_intent calls share it."""
+    derived = vars(k)
+    if "fact_index" not in derived:
+        index: dict[str, list[int]] = {}
+        required = []
+        for position, fact in enumerate(k.facts):
+            for value in {v.lower() for _, v in fact.bindings}:
+                index.setdefault(value, []).append(position)
+            try:
+                required.append(cap.derive_required(fact))
+            except NoDerivableRequirement:
+                required.append(None)
+        derived["fact_index"] = (index, required)
+    return derived["fact_index"]
+
+
 def bind_intent(
     t: Topology, intent: HsplPolicy, k: Knowledge
 ) -> list[tuple[Fact, RequiredSet, list[ConditionBinding]]]:
@@ -160,23 +153,21 @@ def bind_intent(
     A fact is relevant when one of its IP values equals the subject's or
     object's address, or a url value is among the object's served domains.
     Only the facts that bind one of those values (looked up lower-cased in
-    `k.value_index`) are checked, in fact order. A fact with no derivable
+    the _fact_index) are checked, in fact order. A fact with no derivable
     requirement is skipped here; refine warns of it once.
     """
     subject = topo.resolve_endpoint(t, intent.subject)
     obj = topo.resolve_endpoint(t, intent.object)
 
-    index = k.value_index
+    index, required = _fact_index(k)
     values = {subject.ip, obj.ip, *obj.domains} - {None}
     candidates = sorted(set().union(*(index.get(v.lower(), ()) for v in values)))
 
     results: list[tuple[Fact, RequiredSet, list[ConditionBinding]]] = []
     relevant = 0
     for position in candidates:
-        fact = k.facts[position]
-        try:
-            required_sets = cap.derive_required(fact)
-        except NoDerivableRequirement:
+        fact, required_sets = k.facts[position], required[position]
+        if required_sets is None:
             continue
         bound = len(results)
         for rset in required_sets:
@@ -430,7 +421,7 @@ def artifacts_to_json(artifacts: list[RuleArtifact]) -> str:
     for a in artifacts:
         capabilities = ",\n".join(
             "      {\n"
-            f'        "capability": {_quote(inst.capability.value)},\n'
+            f'        "capability": {_quote(inst.capability)},\n'
             f'        "detail": {_quote(inst.detail)}\n'
             "      }"
             for inst in a.capabilities
@@ -455,13 +446,11 @@ def artifacts_from_json(document: str) -> list[RuleArtifact]:
     try:
         return [
             RuleArtifact(
-                hsplid=_string(entry["hsplid"]),
-                device=_string(entry["device"]),
-                nsf=_string(entry["nsf"]),
-                capabilities=tuple(
-                    CapabilityInstance(
-                        CapabilityId(c["capability"]), _string(c["detail"])
-                    )
+                _string(entry["hsplid"]),
+                require_id(_string(entry["device"]), "device id"),
+                _string(entry["nsf"]),
+                tuple(
+                    CapabilityInstance(_capability(c["capability"]), _string(c["detail"]))
                     for c in entry["capabilities"]
                 ),
             )
@@ -474,6 +463,19 @@ def artifacts_from_json(document: str) -> list[RuleArtifact]:
 def _string(value: object) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _capability(value: object) -> str:
+    if value not in CAPABILITY_IDS:
+        raise ValueError(f"{value!r} is not a valid CapabilityId")
+    return value
+
+
+def _kb_id(value: object) -> str:
+    """A recorded layer, device or control: a string that is an id."""
+    if not ID_RE.fullmatch(_string(value)):
+        raise ValueError(f"not an id: {value!r}")
     return value
 
 
@@ -504,7 +506,7 @@ def kb_to_json(kb: KnowledgeBase) -> str:
 def kb_from_json(document: str) -> KnowledgeBase:
     try:
         raw = json.loads(document)
-        kb = KnowledgeBase(digest=_string(raw["digest"]))
+        kb = KnowledgeBase(_string(raw["digest"]), {}, {})
         for hid, entry in raw["intents"].items():
             kb.intents[hid] = HsplPolicy(
                 id=hid,
@@ -513,10 +515,10 @@ def kb_from_json(document: str) -> KnowledgeBase:
                 object=_string(entry["object"]),
             )
             kb.placements[hid] = {
-                layer: {d: _string(c) for d, c in controls.items()}
+                _kb_id(layer): {_kb_id(d): _kb_id(c) for d, c in controls.items()}
                 for layer, controls in entry["placement"].items()
             }
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError,
+    except (ValueError, RecursionError, KeyError, TypeError,
             AttributeError) as exc:
         raise CorruptKnowledgeBase(f"unreadable knowledge base: {exc!r}")
     if not re.fullmatch(r"[0-9a-f]{64}", kb.digest):
@@ -567,9 +569,9 @@ def kb_reconcile(
     """
     digest = kb_digest(t, catalog)
     if kb is None or kb.digest != digest:
-        kb = KnowledgeBase(digest=digest)
+        kb = KnowledgeBase(digest, {}, {})
 
-    report = ReuseReport()
+    report = ReuseReport([], [], {})
     paths: dict[str, list[Path]] = {}
     families: dict[tuple, list[Path]] = {}
     for intent in intents:
@@ -623,10 +625,8 @@ def refine(
     moves to the report's misses, and `report.stale` holds what changed.
     """
     base, paths, report = kb_reconcile(kb, t, catalog, intents)
-    for fact in k.facts:
-        try:
-            cap.derive_required(fact)
-        except NoDerivableRequirement:
+    for fact, required in zip(k.facts, _fact_index(k)[1]):
+        if required is None:
             logger.warning("skipping fact with no derivable requirement: %s", fact)
     family_controls: dict[tuple, dict[str, str]] = {}
     placements: dict[str, Placement] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import yaml
 
@@ -23,11 +23,11 @@ from .errors import (
     DocumentSyntaxError,
     UnknownEndpoint,
     ValidationError,
+    require_id,
     require_list,
     shown,
 )
 
-NODE_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _HOST_LABEL = r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?"
 HOST_NAME_RE = re.compile(rf"{_HOST_LABEL}(\.{_HOST_LABEL})*")
 
@@ -56,35 +56,30 @@ DEVICE = "device"
 NODE_KINDS = (ENDPOINT, SUBNET, DEVICE)
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: str
-    ip: str | None = None
-    domains: frozenset[str] = frozenset()
-    controls: tuple[str, ...] = ()
+# ip: str or None; domains: frozenset of host names; controls: tuple of names
+Node = namedtuple(
+    "Node", "id kind ip domains controls", defaults=(None, frozenset(), ())
+)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", "intermediate")):
     """Intermediate nodes of a simple route, endpoints excluded."""
 
-    intermediate: tuple[str, ...]
+    __slots__ = ()
 
     def devices(self, topo: Topology) -> tuple[str, ...]:
         """Project the path onto its device nodes only."""
         return tuple(n for n in self.intermediate if topo.nodes[n].kind == DEVICE)
 
 
-@dataclass(frozen=True)
-class Topology:
-    name: str
-    nodes: dict[str, Node]
-    links: frozenset[frozenset[str]]
-    _adjacency: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+class Topology(namedtuple("Topology", "name nodes links adjacency")):
+    """`nodes`: id -> Node; `links`: frozenset of two-id frozensets;
+    `adjacency`: id -> the sorted ids of its neighbors."""
+
+    __slots__ = ()
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return self._adjacency.get(node_id, ())
+        return self.adjacency.get(node_id, ())
 
     def canonical(self) -> str:
         """Deterministic serialization, independent of declaration order."""
@@ -132,9 +127,7 @@ def _parse_node(raw: object) -> Node:
         raise DocumentSyntaxError(
             f"node entry must be a mapping with an 'id': {shown(raw)}"
         )
-    node_id = _text(raw["id"], "node id")
-    if not NODE_ID_RE.match(node_id):
-        raise ValidationError(f"invalid node id {node_id!r}")
+    node_id = require_id(_text(raw["id"], "node id"), "node id")
     kind = raw.get("kind")
     if kind not in NODE_KINDS:
         raise ValidationError(f"node {node_id}: missing or unknown kind {shown(kind)}")
@@ -229,7 +222,7 @@ def parse_topology(document: str) -> Topology:
         name=_text(raw.get("name", ""), "topology name"),
         nodes=nodes,
         links=frozenset(links),
-        _adjacency={n: tuple(sorted(v)) for n, v in adjacency.items()},
+        adjacency={n: tuple(sorted(v)) for n, v in adjacency.items()},
     )
 
 

@@ -101,7 +101,7 @@ def check_renderer_totality(catalog: Catalog) -> None:
         if missing:
             raise UnsupportedCapability(
                 f"control {name!r} declares capabilities its renderer cannot "
-                f"map: {sorted(c.value for c in missing)}"
+                f"map: {sorted(missing)}"
             )
 
 
@@ -118,7 +118,7 @@ def check_rule(
     if not required <= carried or carried - required - optional:
         raise UnsupportedCapability(
             f"{nsf_name} renderer cannot map rule {rule_id!r}: conditions "
-            f"{[c.capability.value for c in conditions]}, action {action!r}"
+            f"{[c.capability for c in conditions]}, action {action!r}"
         )
 
 

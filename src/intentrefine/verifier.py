@@ -10,7 +10,7 @@ state. Each path is blocked at its first blocking device.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import topology as topo
 from .capability import (
@@ -26,17 +26,17 @@ from .translator import RENDERERS, check_rule
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class FlowSpec:
-    src_ip: str
-    dst_ip: str
-    l7_host: str | None = None
+class FlowSpec(namedtuple("FlowSpec", "src_ip dst_ip l7_host")):
+    """Two distinct IPv4 addresses, and an optional HTTP host."""
 
-    def __post_init__(self):
-        topo.require_ipv4(self.src_ip, "flow source")
-        topo.require_ipv4(self.dst_ip, "flow destination")
-        if self.src_ip == self.dst_ip:
+    __slots__ = ()
+
+    def __new__(cls, src_ip, dst_ip, l7_host=None):
+        topo.require_ipv4(src_ip, "flow source")
+        topo.require_ipv4(dst_ip, "flow destination")
+        if src_ip == dst_ip:
             raise ValidationError("flow source and destination must differ")
+        return super().__new__(cls, src_ip, dst_ip, l7_host)
 
 
 def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec) -> bool:

@@ -41,6 +41,13 @@ def test_unknown_capability_name_rejected():
         load_catalog(doc)
 
 
+@pytest.mark.parametrize("name", ["Ip Tables", "IpTables\n", "a=b", ""])
+def test_control_name_must_be_an_id(name):
+    doc = json.dumps({name: {"layer": "network", "capabilities": ["DropActionCapability"]}})
+    with pytest.raises(ValidationError, match="invalid control name"):
+        load_catalog(doc)
+
+
 def test_layer_capability_mismatch_rejected():
     doc = json.dumps(
         {"X": {"layer": "network", "capabilities": ["HttpHostHeaderConditionCapability"]}}

@@ -1,11 +1,11 @@
 import contextlib
 import json
 import pathlib
+import re
 
 import pytest
 
 from intentrefine import cli, converter, factbase, topology
-from intentrefine.capability import CapabilityId
 from intentrefine.converter import MsplPolicy, MsplRule
 from intentrefine.refiner import CapabilityInstance
 
@@ -352,7 +352,7 @@ REPEATED_CAPABILITIES = {
 def _mspl_of(capabilities):
     """The MSPL document of one FW1 rule carrying `capabilities`, with each
     element written as serialize_mspl writes it."""
-    instances = [CapabilityInstance(CapabilityId(c), d) for c, d in capabilities]
+    instances = [CapabilityInstance(c, d) for c, d in capabilities]
     conditions = [converter.condition_of(i) for i in instances]
     actions = [i.detail for i, c in zip(instances, conditions) if c is None]
     rule = MsplRule("h", tuple(c for c in conditions if c), actions[0])
@@ -502,6 +502,9 @@ def test_extracted_fact_values_read_back_unchanged(tmp_path):
 
 # Values the sweep puts in place of each value of an input document in turn.
 SWEEP_VALUES = [None, 5, "x", [], {"a": 1}, "no"]
+# And in place of each string value: characters that would split or forge a
+# `key=value` log line, or a file name, if a value reached one unchecked.
+SWEEP_STRINGS = ["x\n", "x\ry", "x y=z"]
 
 # Scenario 2's input documents, and the subcommands that read each one.
 SWEPT_DOCUMENTS = {
@@ -510,7 +513,11 @@ SWEPT_DOCUMENTS = {
     "knowledge": ["run"],
     "artifacts": ["convert", "verify"],
     "kb": ["run"],
+    "hspl": ["run"],
 }
+
+# The one form of every INFO line: one line per event.
+INFO_LINE = re.compile(r"stage=\w+ event=\w+( [\w.]+=\S*)*")
 
 
 def _positions(document, path=()):
@@ -520,6 +527,28 @@ def _positions(document, path=()):
         items = document.items() if isinstance(document, dict) else enumerate(document)
         for key, value in items:
             yield from _positions(value, path + (key,))
+
+
+def _at(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+def _hspl_text(document):
+    """An HSPL document of `document`'s id, subject, action and object; one
+    that is None is left out. Any other value is written as JSON."""
+    from xml.etree import ElementTree as ET
+
+    if not isinstance(document, dict):
+        return json.dumps(document)
+    hspl = ET.Element("hspl")
+    if document.get("id") is not None:
+        hspl.set("id", str(document["id"]))
+    for tag in ("subject", "action", "object"):
+        if document.get(tag) is not None:
+            ET.SubElement(hspl, tag).text = str(document[tag])
+    return ET.tostring(hspl, encoding="unicode")
 
 
 def _replaced(document, path, value):
@@ -543,22 +572,24 @@ def scenario2_documents(tmp_path_factory):
         "artifacts": json.loads((base / "out" / "artifacts.json").read_text()),
         "kb": json.loads((base / "kb.json").read_text()),
         "mspl": (base / "out" / "WAF.mspl.xml").read_text(),
+        "hspl": {"id": "hspl2", "subject": "Alice",
+                 "action": "is not authorized to access", "object": "WebServer"},
     }
 
 
 @pytest.mark.parametrize("swept", sorted(SWEPT_DOCUMENTS))
 def test_every_replaced_input_value_exits_with_a_documented_code(
-    tmp_path, capsys, scenario2_documents, swept
+    tmp_path, capsys, caplog, scenario2_documents, swept
 ):
-    """Each value of each document, replaced by each of SWEEP_VALUES: every
-    subcommand reading the document exits with a documented code and prints
-    no traceback. Every position is visited; a sampled one would seldom be
-    the one key a regression breaks."""
+    """Each value of each document, replaced by each of SWEEP_VALUES, and a
+    string value also by each of SWEEP_STRINGS: every subcommand reading the
+    document exits with a documented code, prints no traceback, and logs
+    every INFO line in INFO_LINE's form. Every position is visited; a
+    sampled one would seldom be the one key a regression breaks."""
     files = {name: tmp_path / f"{name}.json" for name in SWEPT_DOCUMENTS}
     mspl_dir = tmp_path / "mspl"
     argvs = {
-        "run": ["run", "--topology", files["topology"],
-                "--hspl", FIXTURES / "scenario2" / "hspl.xml",
+        "run": ["run", "--topology", files["topology"], "--hspl", files["hspl"],
                 "--knowledge", files["knowledge"], "--catalog", files["catalog"],
                 "--kb", files["kb"], "--out", tmp_path / "out"],
         "convert": ["convert", "--artifacts", files["artifacts"], "--out", tmp_path / "out"],
@@ -572,13 +603,19 @@ def test_every_replaced_input_value_exits_with_a_documented_code(
     (mspl_dir / "WAF.mspl.xml").write_text(scenario2_documents["mspl"])
     documented = {0, cli.EXIT_BYPASS, cli.EXIT_USAGE, *cli.EXIT_CODES.values()}
     failures = []
-    for path in _positions(scenario2_documents[swept]):
-        for value in SWEEP_VALUES:
+    caplog.set_level("INFO")
+    swept_document = scenario2_documents[swept]
+    for path in _positions(swept_document):
+        strings = SWEEP_STRINGS if isinstance(_at(swept_document, path), str) else []
+        for value in SWEEP_VALUES + strings:
             for name, file in files.items():
                 document = scenario2_documents[name]
-                file.write_text(json.dumps(
-                    _replaced(document, path, value) if name == swept else document))
+                if name == swept:
+                    document = _replaced(document, path, value)
+                file.write_text(_hspl_text(document) if name == "hspl"
+                                else json.dumps(document))
             for command in SWEPT_DOCUMENTS[swept]:
+                caplog.clear()
                 try:
                     code = run_cli(*argvs[command])
                 except Exception as exc:  # an uncaught error is a traceback
@@ -587,6 +624,9 @@ def test_every_replaced_input_value_exits_with_a_documented_code(
                 err = capsys.readouterr().err
                 if code not in documented or "Traceback" in err:
                     failures.append((command, path, value, code))
+                failures.extend(
+                    (command, path, value, r.getMessage()) for r in caplog.records
+                    if r.levelname == "INFO" and not INFO_LINE.fullmatch(r.getMessage()))
     assert failures == []
 
 
@@ -694,14 +734,18 @@ def test_cached_intent_gaining_a_layer_matches_a_cold_run(tmp_path, caplog):
 
 
 def test_markup_in_intent_id_gives_well_formed_mspl(tmp_path):
+    """An HSPL id holds only id characters, but an artifact's intent id may
+    hold any: `convert` escapes it."""
     from intentrefine import translator
 
-    hspl = tmp_path / "hspl.xml"
-    base = (FIXTURES / "scenario1" / "hspl.xml").read_text()
-    hspl.write_text(base.replace('id="hspl1"', 'id="a&amp;b&quot;&lt;c&gt;"'))
-    flags = scenario_flags("scenario1", tmp_path)
-    flags[3] = hspl
-    assert run_cli("run", *flags) == 0
+    assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
+    artifacts = tmp_path / "out" / "artifacts.json"
+    doc = json.loads(artifacts.read_text())
+    for artifact in doc:
+        artifact["hsplid"] = 'a&b"<c>'
+    artifacts.write_text(json.dumps(doc))
+    assert run_cli("convert", "--out", tmp_path / "out") == 0
+    assert run_cli("translate", "--out", tmp_path / "out") == 0
 
     tree = read_tree(tmp_path / "out")
     for name in [n for n in tree if n.endswith(".mspl.xml")]:
@@ -714,6 +758,36 @@ def test_markup_in_intent_id_gives_well_formed_mspl(tmp_path):
     assert run_cli("translate", "--out", tmp_path / "out") == 0
     assert read_tree(tmp_path / "out") == tree
 
+
+def test_node_id_with_a_trailing_newline_exits_validation(tmp_path, capsys):
+    """`FW1\\n` would name the file `FW1\\n.rules` and split the log lines
+    that name the device."""
+    topology = tmp_path / "topology.yaml"
+    topology.write_text((FIXTURES / "scenario1" / "topology.yaml").read_text().replace(
+        "{id: FW1,", '{id: "FW1\\n",').replace("[Subnet1, FW1]", '[Subnet1, "FW1\\n"]'))
+    flags = scenario_flags("scenario1", tmp_path)
+    flags[1] = topology
+    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    err = capsys.readouterr().err
+    assert "invalid node id 'FW1\\n'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "kb.json").exists()
+
+
+def test_hspl_id_outside_the_id_characters_exits_validation(tmp_path, caplog, capsys):
+    """An id holding a newline would forge a structured log line."""
+    hspl = tmp_path / "hspl.xml"
+    hspl.write_text((FIXTURES / "scenario1" / "hspl.xml").read_text().replace(
+        'id="hspl1"', 'id="hspl1&#10;stage=refiner event=selection intent=forged"'))
+    flags = scenario_flags("scenario1", tmp_path)
+    flags[3] = hspl
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    assert not any("forged" in r.getMessage() for r in caplog.records)
+    err = capsys.readouterr().err
+    assert "invalid hspl id 'hspl1\\nstage=refiner" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "kb.json").exists()
 
 
 def test_quote_in_served_domain_exits_validation(tmp_path, capsys):

