@@ -105,7 +105,13 @@ def _listed_earlier(out_dir: str) -> list[str]:
 
 
 def _remove_outputs(out_dir: str, names: list[str]) -> None:
+    """Remove the files `names` of `out_dir`, earlier outputs this run did
+    not write. A name that is not an id (errors.ID_RE) no stage writes: it is
+    kept, with a warning."""
     for name in names:
+        if not errors.ID_RE.fullmatch(name):
+            logger.warning("ignoring %r in %s: no stage writes that name", name, out_dir)
+            continue
         try:
             os.unlink(os.path.join(out_dir, name))
         except FileNotFoundError:

@@ -111,14 +111,18 @@ def condition_of(inst: CapabilityInstance) -> MsplCondition | None:
     return _normalize_address(inst.capability, inst.detail)
 
 
-class Conditions(dict):
-    """CapabilityInstance -> its condition_of, computed once per distinct
-    instance on first lookup. A detail that fails to normalize raises on
-    every lookup, as condition_of does."""
+class Memo(dict):
+    """key -> compute(key), computed once per distinct key on first lookup:
+    a per-call cache of a pure function. A key whose computation raises is
+    not kept, so every lookup of it raises."""
 
-    def __missing__(self, inst: CapabilityInstance) -> MsplCondition | None:
-        cond = self[inst] = condition_of(inst)
-        return cond
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def check_capabilities(rule_id: str, carried: list[CapabilityId]) -> None:
@@ -143,20 +147,44 @@ def check_nsf(nsf_per_device: dict[str, str], artifact: RuleArtifact) -> None:
         )
 
 
+class Shapes(dict):
+    """A rule's tuple of capability instances -> its shape (carried,
+    conditions, action): the capability ids it carries, in its order; its
+    normalized conditions, in canonical order; and its action keyword. This
+    is the one reading of a rule that build_mspl and the verifier share.
+
+    `of` computes the shape of each distinct tuple once, and keeps it only
+    after check_capabilities has passed and every detail has normalized; so
+    an invalid tuple raises at the first rule carrying it, naming that rule.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.conditions = Memo(condition_of)
+
+    def of(self, rule_id: str, capabilities: tuple[CapabilityInstance, ...]) -> tuple:
+        shape = self.get(capabilities)
+        if shape is None:
+            carried = tuple(i.capability for i in capabilities)
+            check_capabilities(rule_id, carried)
+            conditions = {i.capability: self.conditions[i] for i in capabilities}
+            [action] = ACTION_CAPABILITIES.intersection(carried)
+            ordered = tuple(conditions[c] for c in CONDITION_ELEMENTS if c in conditions)
+            shape = self[capabilities] = carried, ordered, ACTION_KEYWORDS[action]
+        return shape
+
+
 def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
     """One policy per device, artifact order preserved within each policy,
     each rule's conditions in canonical order."""
     nsf_per_device: dict[str, str] = {}
     rules_per_device: dict[str, list[MsplRule]] = {}
-    normalized = Conditions()
+    shapes = Shapes()
     for artifact in artifacts:
         check_nsf(nsf_per_device, artifact)
-        check_capabilities(artifact.hsplid, [i.capability for i in artifact.capabilities])
-        conditions = {i.capability: normalized[i] for i in artifact.capabilities}
-        [action] = ACTION_CAPABILITIES.intersection(conditions)
-        ordered = tuple(conditions[c] for c in CONDITION_ELEMENTS if c in conditions)
+        _, conditions, action = shapes.of(artifact.hsplid, artifact.capabilities)
         rules_per_device.setdefault(artifact.device, []).append(
-            MsplRule(artifact.hsplid, ordered, ACTION_KEYWORDS[action])
+            MsplRule(artifact.hsplid, conditions, action)
         )
     return {
         device: MsplPolicy(nsf_name=nsf_per_device[device], rules=tuple(rules))
@@ -175,37 +203,41 @@ def _escape(value: str) -> str:
     return value.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
 
 
-def _serialize_condition(cond: MsplCondition, indent: str) -> list[str]:
+def _condition_element(cond: MsplCondition) -> str:
+    """`cond`'s element as a rule holds it: indented, without a final newline."""
     name, container = CONDITION_ELEMENTS[cond.capability]
-    lines = [f'{indent}<{name} operator="{cond.operator}">']
-    lines.append(f"{indent}  <{container}>")
+    lines = [f'    <{name} operator="{cond.operator}">', f"      <{container}>"]
     if cond.capability == CapabilityId.STATE:
         for value in cond.values:
-            lines.append(f"{indent}    <state>{_escape(value)}</state>")
+            lines.append(f"        <state>{_escape(value)}</state>")
     elif cond.operator == MatchOperator.RANGE:
-        lines.append(f"{indent}    <range>")
-        lines.append(f"{indent}      <begin>{_escape(cond.values[0])}</begin>")
-        lines.append(f"{indent}      <end>{_escape(cond.values[1])}</end>")
-        lines.append(f"{indent}    </range>")
+        lines.append("        <range>")
+        lines.append(f"          <begin>{_escape(cond.values[0])}</begin>")
+        lines.append(f"          <end>{_escape(cond.values[1])}</end>")
+        lines.append("        </range>")
     else:
         for value in cond.values:
-            lines.append(f"{indent}    <exactMatch>{_escape(value)}</exactMatch>")
-    lines.append(f"{indent}  </{container}>")
-    lines.append(f"{indent}</{name}>")
-    return lines
+            lines.append(f"        <exactMatch>{_escape(value)}</exactMatch>")
+    lines.append(f"      </{container}>")
+    lines.append(f"    </{name}>")
+    return "\n".join(lines)
 
 
 def serialize_mspl(p: MsplPolicy) -> str:
     nsf_name = _escape(p.nsf_name)
     if not p.rules:
         return f'{XML_HEADER}\n<policy nsfName="{nsf_name}"/>\n'
+    # Each distinct rule id, condition and action is written out once.
+    opening = Memo(lambda rule_id: f'  <rule id="{_escape(rule_id)}">')
+    elements = Memo(_condition_element)
+    closing = Memo(
+        lambda action: f"    <actionCapability>{_escape(action)}</actionCapability>\n  </rule>"
+    )
     lines = [XML_HEADER, f'<policy nsfName="{nsf_name}">']
     for rule in p.rules:
-        lines.append(f'  <rule id="{_escape(rule.id)}">')
-        for cond in rule.conditions:
-            lines.extend(_serialize_condition(cond, "    "))
-        lines.append(f"    <actionCapability>{_escape(rule.action)}</actionCapability>")
-        lines.append("  </rule>")
+        lines.append(opening[rule.id])
+        lines.extend(map(elements.__getitem__, rule.conditions))
+        lines.append(closing[rule.action])
     lines.append("</policy>")
     return "\n".join(lines) + "\n"
 

@@ -12,6 +12,7 @@ intent, whether that record was absent, equal to the new placement, or stale.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -359,6 +360,32 @@ def select_enforcement_set(
 
 # --- artifact construction --------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
+def _capabilities(
+    layer: str, binding: ConditionBinding, stateful: bool
+) -> tuple[CapabilityInstance, ...]:
+    """The capability instances of the rule for `binding` at `layer`, at a
+    control that tracks connection state or not. Rules with equal arguments
+    share one tuple, which later stages find by identity when they look it
+    up once per distinct rule shape."""
+    if layer != cap.LAYER_NETWORK:
+        return (
+            CapabilityInstance(CapabilityId.HTTP_HOST, binding.host),
+            CapabilityInstance(CapabilityId.DENY, "deny"),
+        )
+    instances = [
+        CapabilityInstance(CapabilityId.IP_SOURCE, binding.src_ip),
+        CapabilityInstance(CapabilityId.IP_DESTINATION, binding.dst_ip),
+    ]
+    if stateful:
+        states = (
+            STATES_FORWARD if binding.direction == DIRECTION_FORWARD else STATES_REVERSE
+        )
+        instances.append(CapabilityInstance(CapabilityId.STATE, states))
+    instances.append(CapabilityInstance(CapabilityId.DROP, "drop"))
+    return tuple(instances)
+
+
 def build_artifacts(
     intent: HsplPolicy,
     rset: RequiredSet,
@@ -374,38 +401,26 @@ def build_artifacts(
     artifacts: list[RuleArtifact] = []
     for device in sorted(control_per_device):
         control_name = control_per_device[device]
-        control = catalog[control_name]
+        stateful = catalog[control_name].stateful
         for binding in bindings:
-            instances: list[CapabilityInstance] = []
-            if rset.layer == cap.LAYER_NETWORK:
-                instances.append(
-                    CapabilityInstance(CapabilityId.IP_SOURCE, binding.src_ip)
-                )
-                instances.append(
-                    CapabilityInstance(CapabilityId.IP_DESTINATION, binding.dst_ip)
-                )
-                if control.stateful:
-                    states = (
-                        STATES_FORWARD
-                        if binding.direction == DIRECTION_FORWARD
-                        else STATES_REVERSE
-                    )
-                    instances.append(CapabilityInstance(CapabilityId.STATE, states))
-                instances.append(CapabilityInstance(CapabilityId.DROP, "drop"))
-            else:
-                instances.append(
-                    CapabilityInstance(CapabilityId.HTTP_HOST, binding.host)
-                )
-                instances.append(CapabilityInstance(CapabilityId.DENY, "deny"))
-            artifacts.append(
-                RuleArtifact(
-                    hsplid=intent.id,
-                    device=device,
-                    nsf=control_name,
-                    capabilities=tuple(instances),
-                )
-            )
+            artifacts.append(RuleArtifact(
+                intent.id, device, control_name,
+                _capabilities(rset.layer, binding, stateful),
+            ))
     return artifacts
+
+
+def _capabilities_json(capabilities: tuple[CapabilityInstance, ...]) -> str:
+    if not capabilities:
+        return "[]"
+    entries = ",\n".join(
+        "      {\n"
+        f'        "capability": {_quote(inst.capability)},\n'
+        f'        "detail": {_quote(inst.detail)}\n'
+        "      }"
+        for inst in capabilities
+    )
+    return f"[\n{entries}\n    ]"
 
 
 def artifacts_to_json(artifacts: list[RuleArtifact]) -> str:
@@ -413,20 +428,17 @@ def artifacts_to_json(artifacts: list[RuleArtifact]) -> str:
 
     The fixed two-level layout is written directly: with `indent` set,
     json's encoder runs in Python, while its string escaping
-    (`encode_basestring_ascii`) is in C.
+    (`encode_basestring_ascii`) is in C. Each distinct capabilities tuple
+    is written once.
     """
     if not artifacts:
         return "[]\n"
+    written: dict[tuple, str] = {}
     entries = []
     for a in artifacts:
-        capabilities = ",\n".join(
-            "      {\n"
-            f'        "capability": {_quote(inst.capability)},\n'
-            f'        "detail": {_quote(inst.detail)}\n'
-            "      }"
-            for inst in a.capabilities
-        )
-        capabilities = f"[\n{capabilities}\n    ]" if capabilities else "[]"
+        capabilities = written.get(a.capabilities)
+        if capabilities is None:
+            capabilities = written[a.capabilities] = _capabilities_json(a.capabilities)
         entries.append(
             "  {\n"
             f'    "hsplid": {_quote(a.hsplid)},\n'
@@ -439,25 +451,35 @@ def artifacts_to_json(artifacts: list[RuleArtifact]) -> str:
 
 
 def artifacts_from_json(document: str) -> list[RuleArtifact]:
+    """The artifacts of `document`, checked field by field in document
+    order. Each distinct device is checked as an id once, and artifacts with
+    equal capabilities share one tuple of instances, built once from the
+    checked (capability, detail) pairs."""
     try:
         raw = json.loads(document)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentSyntaxError(f"malformed artifact document: {exc}")
+    devices: set[str] = set()
+    shared: dict[tuple, tuple[CapabilityInstance, ...]] = {}
+    artifacts = []
     try:
-        return [
-            RuleArtifact(
-                _string(entry["hsplid"]),
-                require_id(_string(entry["device"]), "device id"),
-                _string(entry["nsf"]),
-                tuple(
-                    CapabilityInstance(_capability(c["capability"]), _string(c["detail"]))
-                    for c in entry["capabilities"]
-                ),
-            )
-            for entry in raw
-        ]
+        for entry in raw:
+            hsplid = _string(entry["hsplid"])
+            device = _string(entry["device"])
+            if device not in devices:
+                devices.add(require_id(device, "device id"))
+            nsf = _string(entry["nsf"])
+            pairs = tuple([
+                (_capability(c["capability"]), _string(c["detail"]))
+                for c in entry["capabilities"]
+            ])
+            capabilities = shared.get(pairs)
+            if capabilities is None:
+                capabilities = shared[pairs] = tuple(map(CapabilityInstance._make, pairs))
+            artifacts.append(RuleArtifact(hsplid, device, nsf, capabilities))
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentSyntaxError(f"malformed artifact document: {exc!r}")
+    return artifacts
 
 
 def _string(value: object) -> str:

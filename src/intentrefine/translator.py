@@ -19,8 +19,11 @@ from .errors import UnknownControl, UnsupportedCapability
 MODSEC_ESCAPE_RE = re.compile(r"[.\\+*?()\[\]{}|^$]")
 
 
-def _expand_unions(rule: MsplRule) -> list[MsplRule]:
-    """One rule per member combination of the union conditions."""
+def _expand_unions(rule: MsplRule) -> tuple[MsplRule, ...]:
+    """One rule per member combination of the union conditions; the rule
+    itself when it has none."""
+    if all(cond.operator != MatchOperator.UNION for cond in rule.conditions):
+        return (rule,)
     alternatives = []
     for cond in rule.conditions:
         if cond.operator == MatchOperator.UNION:
@@ -32,10 +35,10 @@ def _expand_unions(rule: MsplRule) -> list[MsplRule]:
             )
         else:
             alternatives.append([cond])
-    return [
+    return tuple(
         MsplRule(id=rule.id, conditions=tuple(combo), action=rule.action)
         for combo in itertools.product(*alternatives)
-    ]
+    )
 
 
 def _address_flags(cond: MsplCondition, exact_flag: str, range_flag: str) -> list[str]:
@@ -44,19 +47,18 @@ def _address_flags(cond: MsplCondition, exact_flag: str, range_flag: str) -> lis
     return [exact_flag, cond.values[0]]
 
 
-def render_iptables(r: MsplRule, rule_number: int = 1) -> str:
+def _iptables_text(conditions: Sequence[MsplCondition]) -> str:
     """Single iptables command on the FORWARD chain, fixed flag order:
-    conntrack state, source, destination, jump target. iptables rules carry
-    no id, so `rule_number` is unused."""
-    conditions = {c.capability: c for c in r.conditions}
+    conntrack state, source, destination, jump target."""
+    by_capability = {c.capability: c for c in conditions}
     parts = ["iptables", "-A", "FORWARD"]
-    state = conditions.get(CapabilityId.STATE)
+    state = by_capability.get(CapabilityId.STATE)
     if state is not None:
         parts += ["-m", "conntrack", "--ctstate", ",".join(state.values)]
-    src = conditions.get(CapabilityId.IP_SOURCE)
+    src = by_capability.get(CapabilityId.IP_SOURCE)
     if src is not None:
         parts += _address_flags(src, "-s", "--src-range")
-    dst = conditions.get(CapabilityId.IP_DESTINATION)
+    dst = by_capability.get(CapabilityId.IP_DESTINATION)
     if dst is not None:
         parts += _address_flags(dst, "-d", "--dst-range")
     parts += ["-j", "DROP"]
@@ -67,24 +69,40 @@ def escape_modsecurity_regex(host: str) -> str:
     return MODSEC_ESCAPE_RE.sub(lambda m: "\\" + m.group(0), host)
 
 
-def render_modsecurity(r: MsplRule, rule_number: int) -> str:
-    """Anchored host-header SecRule; ids are assigned per policy file."""
-    escaped = escape_modsecurity_regex(r.conditions[0].values[0])
-    return (
-        f'SecRule REQUEST_HEADERS:Host "@rx ^{escaped}$" \\\n'
-        f'  "deny, id:{rule_number}"'
-    )
+def _modsecurity_text(conditions: Sequence[MsplCondition]) -> str:
+    """Anchored host-header SecRule, up to its id."""
+    escaped = escape_modsecurity_regex(conditions[0].values[0])
+    return f'SecRule REQUEST_HEADERS:Host "@rx ^{escaped}$" \\\n  "deny, id:'
 
 
 # Per control: the capabilities every rule must carry (its action included),
-# those a rule may carry besides, and the renderer, called with the rule and
-# its 1-based number in the policy.
+# those a rule may carry besides, the rule's text as far as its conditions
+# decide it, and the format of the text that follows, given the rule's 1-based
+# number in the policy. iptables rules carry no id; ModSecurity ids are
+# numbered per policy file.
 RENDERERS = {
     "IpTables": ({CapabilityId.DROP},
                  {CapabilityId.IP_SOURCE, CapabilityId.IP_DESTINATION, CapabilityId.STATE},
-                 render_iptables),
-    "ModSecurity": ({CapabilityId.HTTP_HOST, CapabilityId.DENY}, set(), render_modsecurity),
+                 _iptables_text, ""),
+    "ModSecurity": ({CapabilityId.HTTP_HOST, CapabilityId.DENY}, set(),
+                    _modsecurity_text, '{}"'),
 }
+
+
+def _render(nsf_name: str, r: MsplRule, rule_number: int) -> str:
+    _, _, text, number = RENDERERS[nsf_name]
+    return text(r.conditions) + number.format(rule_number)
+
+
+def render_iptables(r: MsplRule, rule_number: int = 1) -> str:
+    """One rule as translate_policy renders it for IpTables."""
+    return _render("IpTables", r, rule_number)
+
+
+def render_modsecurity(r: MsplRule, rule_number: int) -> str:
+    """One rule, the `rule_number`-th of its policy, as translate_policy
+    renders it for ModSecurity."""
+    return _render("ModSecurity", r, rule_number)
 
 
 def check_renderer_totality(catalog: Catalog) -> None:
@@ -96,7 +114,7 @@ def check_renderer_totality(catalog: Catalog) -> None:
     for name, spec in catalog.items():
         if name not in RENDERERS:
             continue
-        required, optional, _ = RENDERERS[name]
+        required, optional = RENDERERS[name][:2]
         missing = spec.capabilities - required - optional
         if missing:
             raise UnsupportedCapability(
@@ -112,7 +130,7 @@ def check_rule(
     rule with `conditions` and action keyword `action`: the rule carries every
     capability the renderer requires and none it cannot render. `nsf_name`
     must have a renderer."""
-    required, optional, _ = RENDERERS[nsf_name]
+    required, optional = RENDERERS[nsf_name][:2]
     carried = {c.capability for c in conditions}
     carried.add(CAPABILITY_BY_ACTION.get(action))
     if not required <= carried or carried - required - optional:
@@ -126,14 +144,24 @@ def translate_policy(p: MsplPolicy) -> list[str]:
     """Deterministically render a policy, one rule per expanded combination.
 
     Raises UnsupportedCapability for a rule outside its control's renderer
-    table (see check_rule)."""
+    table (see check_rule). Each distinct (conditions, action) of the policy
+    is checked, expanded and rendered once."""
     if p.nsf_name not in RENDERERS:
         raise UnknownControl(f"no renderer registered for control {p.nsf_name!r}")
+    _, _, text, number = RENDERERS[p.nsf_name]
+    shapes: dict[tuple, MsplRule] = {}
     for rule in p.rules:
-        check_rule(p.nsf_name, rule.id, rule.conditions, rule.action)
-    render = RENDERERS[p.nsf_name][2]
-    expanded = [e for rule in p.rules for e in _expand_unions(rule)]
-    return [render(rule, n) for n, rule in enumerate(expanded, start=1)]
+        shape = rule.conditions, rule.action
+        if shape not in shapes:
+            check_rule(p.nsf_name, rule.id, rule.conditions, rule.action)
+            shapes[shape] = rule
+    # each shape's expanded rules, as far as their conditions decide them
+    texts = {
+        shape: [text(e.conditions) for e in _expand_unions(rule)]
+        for shape, rule in shapes.items()
+    }
+    unnumbered = (t for rule in p.rules for t in texts[rule.conditions, rule.action])
+    return [t + number.format(n) for n, t in enumerate(unnumbered, start=1)]
 
 
 def rules_file_content(rules: list[str]) -> str:

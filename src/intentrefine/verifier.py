@@ -13,11 +13,8 @@ import logging
 from collections import namedtuple
 
 from . import topology as topo
-from .capability import (
-    ACTION_CAPABILITIES, Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION)
-from .converter import (
-    ACTION_KEYWORDS, Conditions, MatchOperator, MsplCondition, check_capabilities,
-    check_nsf, ip_key)
+from .capability import Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION
+from .converter import MatchOperator, MsplCondition, Shapes, check_nsf, ip_key
 from .errors import UnknownControl, ValidationError
 from .refiner import RuleArtifact
 from .topology import Path, Topology
@@ -56,19 +53,22 @@ def _check_deployable(
     catalog: Catalog,
     nsf_per_device: dict[str, str],
     a: RuleArtifact,
-    conds: list[MsplCondition],
-    carried: tuple[CapabilityId, ...],
+    shape: tuple,
 ) -> None:
-    """What `convert` and `translate` check of a well-formed artifact, and
-    that its device is a topology device listing its control."""
+    """What `convert` and `translate` check of an artifact of `shape` (as
+    converter.Shapes reads it), and that its device is a topology device
+    listing its control."""
     check_nsf(nsf_per_device, a)
     if a.nsf not in catalog or a.nsf not in RENDERERS:
         raise UnknownControl(
             f"rule {a.hsplid!r} on {a.device!r}: control {a.nsf!r} is not in "
             f"the catalog or has no renderer"
         )
-    [action] = ACTION_CAPABILITIES.intersection(carried)
-    check_rule(a.nsf, a.hsplid, conds, ACTION_KEYWORDS[action])
+    carried, conditions, action = shape
+    # named in the error in the artifact's order
+    by_capability = {c.capability: c for c in conditions}
+    check_rule(a.nsf, a.hsplid, [by_capability[c] for c in carried if c in by_capability],
+               action)
     node = t.nodes.get(a.device)
     if node is None or a.nsf not in node.controls:
         raise ValidationError(
@@ -91,28 +91,33 @@ def evaluate_flow(
     Every artifact passes the checks `convert` and `translate` make of it
     before any device is decided, and its device must be a topology device
     listing its control; so a deployment that no stage could render raises
-    whatever the flow.
+    whatever the flow. Each distinct (device, control, capabilities) is
+    checked and decided once.
     """
     paths = topo.enumerate_paths(t, subject, obj)
     nsf_per_device: dict[str, str] = {}
-    # (device, control, capabilities) of each artifact _check_deployable
-    # passed, which decide its outcome for any later artifact
+    # (device, control, carried capability ids) of each artifact
+    # _check_deployable passed, which decide its outcome for any later one
     deployable: set[tuple] = set()
-    normalized = Conditions()
-    conditions = []
+    shapes = Shapes()
+    # (device, control, capabilities) of each artifact that passed every
+    # check -> its conditions; in artifact order
+    rules: dict[tuple, tuple[MsplCondition, ...]] = {}
     for a in artifacts:
-        carried = tuple(i.capability for i in a.capabilities)
-        check_capabilities(a.hsplid, carried)
-        conds = [c for i in a.capabilities if (c := normalized[i]) is not None]
+        rule = a.device, a.nsf, a.capabilities
+        if rule in rules:
+            continue
+        shape = shapes.of(a.hsplid, a.capabilities)
+        carried, conditions, _ = shape
         if (a.device, a.nsf, carried) not in deployable:
-            _check_deployable(t, catalog, nsf_per_device, a, conds, carried)
+            _check_deployable(t, catalog, nsf_per_device, a, shape)
             deployable.add((a.device, a.nsf, carried))
-        conditions.append(conds)
+        rules[rule] = conditions
     blocking: set[str] = set()
-    for a, conds in zip(artifacts, conditions):
-        control = catalog[a.nsf]
-        if a.device not in blocking and all(_admits(c, f, control) for c in conds):
-            blocking.add(a.device)
+    for (device, nsf, _), conditions in rules.items():
+        control = catalog[nsf]
+        if device not in blocking and all(_admits(c, f, control) for c in conditions):
+            blocking.add(device)
     return [
         (p, next((n for n in p.intermediate if n in blocking), None)) for p in paths
     ]

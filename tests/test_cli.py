@@ -350,13 +350,14 @@ REPEATED_CAPABILITIES = {
 
 
 def _mspl_of(capabilities):
-    """The MSPL document of one FW1 rule carrying `capabilities`, with each
-    element written as serialize_mspl writes it."""
+    """The MSPL document of two FW1 rules, "h" and "later", each carrying
+    `capabilities`, with each element written as serialize_mspl writes it."""
     instances = [CapabilityInstance(c, d) for c, d in capabilities]
     conditions = [converter.condition_of(i) for i in instances]
     actions = [i.detail for i, c in zip(instances, conditions) if c is None]
     rule = MsplRule("h", tuple(c for c in conditions if c), actions[0])
-    document = converter.serialize_mspl(MsplPolicy("IpTables", (rule,)))
+    document = converter.serialize_mspl(
+        MsplPolicy("IpTables", (rule, rule._replace(id="later"))))
     extra = "".join(f"    <actionCapability>{a}</actionCapability>\n" for a in actions[1:])
     return document.replace("  </rule>", extra + "  </rule>")
 
@@ -365,13 +366,14 @@ def _mspl_of(capabilities):
 @pytest.mark.parametrize("command", ["convert", "translate", "verify"])
 def test_a_rule_repeating_a_capability_exits_normalization(tmp_path, capsys, command, case):
     """convert, translate and verify read a rule the same way, so none of
-    them keeps one of two values of a capability."""
+    them keeps one of two values of a capability. The error names the first
+    rule that carries it, though a later rule repeats it."""
     capabilities = REPEATED_CAPABILITIES[case]
     artifacts = tmp_path / "artifacts.json"
     artifacts.write_text(json.dumps([{
-        "hsplid": "h", "device": "FW1", "nsf": "IpTables",
+        "hsplid": hsplid, "device": "FW1", "nsf": "IpTables",
         "capabilities": [{"capability": c, "detail": d} for c, d in capabilities],
-    }]))
+    } for hsplid in ("h", "later")]))
     out = tmp_path / "out"
     if command == "convert":
         code = run_cli("convert", "--artifacts", artifacts, "--out", out)
@@ -993,6 +995,14 @@ UNDEPLOYABLE = {
         lambda a: [a, _address_rule("FW2", "80.71.158.96", "172.19.0.3")],
         "ValidationError", False),
     "device-not-in-topology": (_on("FW3", device="Ghost"), "ValidationError", False),
+    # FW1's rules also on a device outside the topology: one shape, shared
+    "shared-shape-on-a-device-not-in-topology": (
+        lambda a: [a, {**a, "device": "Ghost"}] if a["device"] == "FW1" else [a],
+        "ValidationError", False),
+    # FW3's rules, which FW1's share, again on FW3 with another control
+    "shared-shape-with-two-controls-on-one-device": (
+        lambda a: [a, {**a, "nsf": "ModSecurity"}] if a["device"] == "FW3" else [a],
+        "InconsistentNsf", True),
 }
 
 
@@ -1204,3 +1214,31 @@ def test_a_failed_removal_of_an_earlier_file_exits_persist(tmp_path, capsys,
     assert run_cli(command, "--out", out) == cli.EXIT_CODES_BY_NAME["PersistError"]
     assert capsys.readouterr().err.startswith(
         f"error: PersistError: cannot remove earlier output {name}: ")
+
+
+# A file name that, logged raw, would end one INFO line and forge another.
+FORGING_NAME = "a b=c\nstage=forged event=x"
+
+
+@pytest.mark.parametrize("command,suffix", [
+    ("convert", ".mspl.xml"), ("translate", ".rules"), ("run", ".rules")])
+def test_a_stray_file_cannot_forge_an_info_line(tmp_path, caplog, command, suffix):
+    """A file in --out (or, for run, listed by the earlier manifest) whose
+    name no stage writes is kept, with one warning that shows it quoted."""
+    flags = scenario_flags("scenario1", tmp_path, kb=False)
+    assert run_cli("run", *flags) == 0
+    out = tmp_path / "out"
+    stray = out / (FORGING_NAME + suffix)
+    stray.write_text("kept")
+    if command == "run":
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"][stray.name] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+    caplog.clear()
+    with caplog.at_level("INFO"):
+        assert run_cli(command, *(flags if command == "run" else ["--out", out])) == 0
+    assert stray.read_text() == "kept"
+    assert all(INFO_LINE.fullmatch(r.getMessage())
+               for r in caplog.records if r.levelname == "INFO")
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"ignoring {stray.name!r} in {out}: no stage writes that name"]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from intentrefine import converter
+from intentrefine import converter, translator, verifier
 from intentrefine.capability import CapabilityId
 from intentrefine.converter import (
     MatchOperator,
@@ -113,6 +113,54 @@ def test_each_distinct_detail_is_normalized_once(monkeypatch):
     assert policies["FW1"].rules == policies["FW2"].rules
     assert [r.conditions[2].values for r in policies["FW1"].rules] == [
         ("NEW", "ESTABLISHED"), ("ESTABLISHED", "RELATED"), ("NEW",)]
+
+
+def _bulk_like_artifacts(intents=50, hosts=10):
+    """Each intent's forward and reverse rules on FW1 and FW2, and its rule
+    for each of `hosts` hosts on the WAF; every tuple a fresh object."""
+    artifacts = []
+    for i in range(intents):
+        src = f"10.1.0.{i}"
+        for device in ("FW1", "FW2"):
+            artifacts.append(_artifact(device, src=src, dst="172.20.0.3")._replace(hsplid=f"i{i}"))
+            artifacts.append(_artifact(device, src="172.20.0.3", dst=src,
+                                       states="ESTABLISHED,RELATED")._replace(hsplid=f"i{i}"))
+        for h in range(hosts):
+            artifacts.append(WAF_ARTIFACT._replace(hsplid=f"i{i}", capabilities=(
+                CapabilityInstance(CapabilityId.HTTP_HOST, f"h{h}.example.com"),
+                CapabilityInstance(CapabilityId.DENY, "deny"),
+            )))
+    return artifacts
+
+
+def test_each_distinct_shape_is_checked_and_rendered_once(
+        monkeypatch, scenario2_topology, catalog):
+    """build_mspl and evaluate_flow check each distinct capability tuple
+    once, and translate_policy checks each distinct rule shape and escapes
+    each distinct host once, per call."""
+    calls = {}
+    for module, name in ((converter, "check_capabilities"), (translator, "check_rule"),
+                         (translator, "escape_modsecurity_regex")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    artifacts = _bulk_like_artifacts()
+    policies = build_mspl(artifacts)
+    # 100 address shapes, shared by FW1 and FW2, and 10 host shapes
+    assert calls == {"check_capabilities": 110}
+    for device, expected in (("FW1", {"check_rule": 100}), ("FW2", {"check_rule": 100}),
+                             ("WAF", {"check_rule": 10, "escape_modsecurity_regex": 10})):
+        calls.clear()
+        assert len(translator.translate_policy(policies[device])) == len(policies[device].rules)
+        assert calls == expected
+    calls.clear()
+    flow = verifier.FlowSpec("10.1.0.7", "172.20.0.3")
+    verdicts = verifier.evaluate_flow(scenario2_topology, artifacts, catalog, flow,
+                                      "Alice", "WebServer")
+    assert {device for _, device in verdicts} == {"FW1", "FW2"}
+    assert calls == {"check_capabilities": 110}
 
 
 def test_the_first_bad_detail_in_artifact_order_is_reported():

@@ -633,23 +633,41 @@ def _reference_artifacts_json(artifacts):
 # Quotes, backslashes, control, non-ASCII and non-BMP characters drawn often,
 # the characters json escapes.
 json_text = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\U0001F600'))
+capability_tuples = st.lists(
+    st.builds(refiner.CapabilityInstance, st.sampled_from(capability.CAPABILITY_IDS), json_text),
+    max_size=5,
+).map(tuple)
 rule_artifacts = st.builds(
     refiner.RuleArtifact,
     hsplid=json_text,
     device=json_text,
     nsf=json_text,
-    capabilities=st.lists(
-        st.builds(refiner.CapabilityInstance, st.sampled_from(capability.CAPABILITY_IDS), json_text),
-        max_size=5,
-    ).map(tuple),
+    capabilities=capability_tuples,
 )
 
 
-@given(artifacts=st.lists(rule_artifacts, max_size=4))
+@st.composite
+def pooled_rule_artifacts(draw, devices=json_text):
+    """Artifacts whose capabilities come from a pool of at most three tuples,
+    so that they repeat: as the pool's object, or as an equal copy."""
+    pool = draw(st.lists(capability_tuples, min_size=1, max_size=3))
+    capabilities = st.sampled_from(pool) | st.sampled_from(pool).map(
+        lambda c: tuple(refiner.CapabilityInstance(*i) for i in c))
+    artifact = st.builds(refiner.RuleArtifact, hsplid=json_text, device=devices,
+                         nsf=json_text, capabilities=capabilities)
+    return draw(st.lists(artifact, max_size=8))
+
+
+@given(artifacts=st.lists(rule_artifacts, max_size=4) | pooled_rule_artifacts())
 @example(artifacts=[])
 @example(artifacts=[refiner.RuleArtifact("h", "FW1", "IpTables", ())])
 def test_artifacts_to_json_writes_what_json_dumps_writes(artifacts):
     assert refiner.artifacts_to_json(artifacts) == _reference_artifacts_json(artifacts)
+
+
+@given(artifacts=pooled_rule_artifacts(devices=st.text("Az09_.-", min_size=1)))
+def test_artifacts_read_back_as_written(artifacts):
+    assert refiner.artifacts_from_json(refiner.artifacts_to_json(artifacts)) == artifacts
 
 
 # --- knowledge base ---------------------------------------------------------

@@ -1,5 +1,8 @@
 
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from intentrefine import translator
 from intentrefine.capability import CapabilityId
@@ -8,7 +11,11 @@ from intentrefine.converter import (
     MsplCondition,
     MsplPolicy,
     MsplRule,
+    build_mspl,
+    parse_mspl,
+    serialize_mspl,
 )
+from intentrefine.refiner import CapabilityInstance, RuleArtifact
 from intentrefine.errors import UnknownControl, UnsupportedCapability
 from intentrefine.translator import (
     check_renderer_totality,
@@ -112,6 +119,12 @@ def test_rule_outside_its_renderer_table_is_rejected(nsf_name, rule):
         translate_policy(MsplPolicy(nsf_name=nsf_name, rules=(rule,)))
 
 
+def test_each_rule_shape_is_checked_with_its_action():
+    rules = (_ip_rule(), _ip_rule()._replace(id="later", action="deny"))
+    with pytest.raises(UnsupportedCapability, match="rule 'later'"):
+        translate_policy(MsplPolicy(nsf_name="IpTables", rules=rules))
+
+
 def test_translate_policy_empty():
     assert translate_policy(MsplPolicy(nsf_name="IpTables", rules=())) == []
 
@@ -173,3 +186,67 @@ def test_totality_check_flags_unrenderable_capability():
     )
     with pytest.raises(UnsupportedCapability):
         check_renderer_totality(bad)
+
+
+# --- repeated rule shapes ---------------------------------------------------
+
+addresses = st.integers(0, 5).map(lambda i: f"10.0.0.{i}")
+address_details = st.one_of(
+    addresses,
+    st.lists(st.integers(0, 5), min_size=2, max_size=2).map(
+        lambda ends: "10.0.0.{}-10.0.0.{}".format(*sorted(ends))),
+    st.lists(addresses, min_size=2, max_size=3, unique=True).map(",".join),
+)
+
+
+@st.composite
+def address_capabilities(draw):
+    instances = [CapabilityInstance(c, draw(address_details))
+                 for c in (CapabilityId.IP_SOURCE, CapabilityId.IP_DESTINATION)
+                 if draw(st.booleans())]
+    if draw(st.booleans()):
+        instances.append(CapabilityInstance(CapabilityId.STATE, "NEW,ESTABLISHED"))
+    return tuple(instances) + (CapabilityInstance(CapabilityId.DROP, "drop"),)
+
+
+host_capabilities = st.sampled_from(["a.example.com", "b-c.example.org", "x.y"]).map(
+    lambda host: (CapabilityInstance(CapabilityId.HTTP_HOST, host),
+                  CapabilityInstance(CapabilityId.DENY, "deny")))
+
+
+@st.composite
+def repeated_shape_policies(draw):
+    """The policies of an IpTables and a ModSecurity device whose rules draw
+    their ids and capabilities from small pools, so that both repeat."""
+    ids = draw(st.lists(st.sampled_from(["h1", "h2", "h3"]), min_size=1, max_size=3))
+    artifacts = []
+    for device, nsf, capabilities in (("FW", "IpTables", address_capabilities()),
+                                      ("WAF", "ModSecurity", host_capabilities)):
+        pool = draw(st.lists(capabilities, min_size=1, max_size=3))
+        artifacts += [RuleArtifact(draw(st.sampled_from(ids)), device, nsf,
+                                   draw(st.sampled_from(pool)))
+                      for _ in range(draw(st.integers(1, 8)))]
+    return list(build_mspl(draw(st.permutations(artifacts))).values())
+
+
+def _expanded(rules):
+    """One rule per member combination of each rule's union conditions."""
+    for rule in rules:
+        alternatives = [
+            [c._replace(operator=MatchOperator.EXACT, values=(v,)) for v in c.values]
+            if c.operator == MatchOperator.UNION else [c]
+            for c in rule.conditions
+        ]
+        for combo in itertools.product(*alternatives):
+            yield rule._replace(conditions=combo)
+
+
+@given(policies=repeated_shape_policies())
+def test_translation_equals_the_per_rule_renderers(policies):
+    render = {"IpTables": render_iptables, "ModSecurity": render_modsecurity}
+    for policy in policies:
+        assert translate_policy(policy) == [
+            render[policy.nsf_name](rule, n)
+            for n, rule in enumerate(_expanded(policy.rules), start=1)
+        ]
+        assert parse_mspl(serialize_mspl(policy)) == policy
