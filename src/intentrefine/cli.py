@@ -1,8 +1,9 @@
 """Command-line pipeline: extract, refine, convert, translate, verify, run.
 
 Outputs are computed fully in memory and written atomically (temp file plus
-rename), so a failing stage never leaves partial rule files behind. Every
-error class maps to its own exit code; `--help` lists them.
+rename), so a failing stage never leaves partial rule files behind; then the
+files in `--out` of the command's own kinds that it did not write are
+removed. Every error class maps to its own exit code; `--help` lists them.
 """
 
 from __future__ import annotations
@@ -64,8 +65,28 @@ def _read(path: str) -> str:
         raise errors.DocumentSyntaxError(f"{path} is not UTF-8 text: {exc}")
 
 
-def _write_outputs(out_dir: str, outputs: dict[str, str]) -> None:
-    """Write every file via temp + atomic rename, only after all are computed."""
+def _stage_files(out_dir: str, kinds: tuple[str, ...]) -> list[str]:
+    """The files in `out_dir` of one of `kinds` (file name endings) that a
+    stage could have written, named `<id><kind>` (errors.ID_RE), in sorted
+    order. No stage writes any other name ending in a kind: it is skipped,
+    with a warning that shows it quoted."""
+    names = []
+    for name in sorted(os.listdir(out_dir)):
+        kind = next((k for k in kinds if name.endswith(k)), None)
+        if kind is None:
+            continue
+        if errors.ID_RE.fullmatch(name[: -len(kind)]):
+            names.append(name)
+        else:
+            logger.warning("ignoring %r in %s: no stage writes that name", name, out_dir)
+    return names
+
+
+def _write_outputs(out_dir: str, outputs: dict[str, str], kinds: tuple[str, ...] = ()) -> None:
+    """Write every file via temp + atomic rename, only after all are computed.
+    Then remove each file of `out_dir` of one of `kinds` that a stage could
+    have written and this command did not: an earlier output, no longer
+    current."""
     os.makedirs(out_dir, exist_ok=True)
     for name, content in outputs.items():
         fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
@@ -77,40 +98,8 @@ def _write_outputs(out_dir: str, outputs: dict[str, str]) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise errors.PersistError(f"cannot write {name}: {exc}")
-
-
-def _listed_earlier(out_dir: str) -> list[str]:
-    """The file names the manifest of an earlier run in `out_dir` lists.
-    A manifest that is not a JSON object of `files`, and a name that is not
-    a plain file name, are ignored with a warning."""
-    path = os.path.join(out_dir, MANIFEST_NAME)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            files = json.load(fh)["files"]
-        if not isinstance(files, dict):
-            raise TypeError(f"files is a {type(files).__name__}")
-    except FileNotFoundError:
-        return []
-    except (OSError, ValueError, RecursionError, LookupError, TypeError) as exc:
-        logger.warning("ignoring unreadable manifest %s: %r", path, exc)
-        return []
-    separators = [c for c in (os.sep, os.altsep, "\0") if c]
-    names = []
-    for name in files:
-        if name in ("", ".", "..") or any(c in name for c in separators):
-            logger.warning("ignoring %r in manifest %s: not a plain file name", name, path)
-        else:
-            names.append(name)
-    return names
-
-
-def _remove_outputs(out_dir: str, names: list[str]) -> None:
-    """Remove the files `names` of `out_dir`, earlier outputs this run did
-    not write. A name that is not an id (errors.ID_RE) no stage writes: it is
-    kept, with a warning."""
-    for name in names:
-        if not errors.ID_RE.fullmatch(name):
-            logger.warning("ignoring %r in %s: no stage writes that name", name, out_dir)
+    for name in _stage_files(out_dir, kinds):
+        if name in outputs:
             continue
         try:
             os.unlink(os.path.join(out_dir, name))
@@ -119,14 +108,6 @@ def _remove_outputs(out_dir: str, names: list[str]) -> None:
         except OSError as exc:
             raise errors.PersistError(f"cannot remove earlier output {name}: {exc}")
         logger.info("stage=cli event=removed file=%s", name)
-
-
-def _unwritten(out_dir: str, suffix: str, outputs: dict[str, str]) -> list[str]:
-    """The files in `out_dir` named `*<suffix>` that are not among `outputs`."""
-    return sorted(
-        name for name in os.listdir(out_dir)
-        if name.endswith(suffix) and name not in outputs
-    )
 
 
 def _manifest(outputs: dict[str, str]) -> str:
@@ -233,8 +214,7 @@ def cmd_convert(args) -> int:
         f"{device}.mspl.xml": converter.serialize_mspl(policies[device])
         for device in sorted(policies)
     }
-    _write_outputs(args.out, outputs)
-    _remove_outputs(args.out, _unwritten(args.out, ".mspl.xml", outputs))
+    _write_outputs(args.out, outputs, (".mspl.xml",))
     return 0
 
 
@@ -242,15 +222,12 @@ def cmd_translate(args) -> int:
     if args.catalog:
         translator.check_renderer_totality(cap.load_catalog(_read(args.catalog)))
     outputs = {}
-    for name in sorted(os.listdir(args.out)):
-        if not name.endswith(".mspl.xml"):
-            continue
+    for name in _stage_files(args.out, (".mspl.xml",)):
         device = name[: -len(".mspl.xml")]
         policy = converter.parse_mspl(_read(os.path.join(args.out, name)))
         rules = translator.translate_policy(policy)
         outputs[f"{device}.rules"] = translator.rules_file_content(rules)
-    _write_outputs(args.out, outputs)
-    _remove_outputs(args.out, _unwritten(args.out, ".rules", outputs))
+    _write_outputs(args.out, outputs, (".rules",))
     return 0
 
 
@@ -279,9 +256,7 @@ def cmd_run(args) -> int:
     }
     outputs.update(_render_all(artifacts))
     outputs[MANIFEST_NAME] = _manifest(outputs)
-    earlier = _listed_earlier(args.out)
-    _write_outputs(args.out, outputs)
-    _remove_outputs(args.out, [name for name in earlier if name not in outputs])
+    _write_outputs(args.out, outputs, (".mspl.xml", ".rules"))
     logger.info("stage=cli event=done files=%d", len(outputs))
     return 0
 

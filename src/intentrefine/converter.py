@@ -264,6 +264,7 @@ def parse_mspl(document: str) -> MsplPolicy:
         raise DocumentSyntaxError("MSPL root must be <policy nsfName=...>")
 
     rules = []
+    checked = Memo(_checked)  # each distinct condition is checked once
     for rule_el in root.findall("rule"):
         conditions = []
         actions = []
@@ -298,7 +299,7 @@ def parse_mspl(document: str) -> MsplPolicy:
                 values = tuple(
                     (m.text or "").strip() for m in container.findall("exactMatch")
                 )
-            conditions.append(_checked(MsplCondition(capability, operator, values)))
+            conditions.append(checked[MsplCondition(capability, operator, values)])
         rule_id = rule_el.get("id", "")
         if not actions or not set(actions) <= CAPABILITY_BY_ACTION.keys():
             raise DocumentSyntaxError(f"rule {rule_id!r}: bad action {actions}")

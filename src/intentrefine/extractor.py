@@ -15,7 +15,6 @@ from collections import namedtuple
 from collections.abc import Callable
 from operator import itemgetter
 
-from . import factbase
 from .factbase import Fact, Knowledge, Template
 
 ENTITY_TEMPLATE = "entity"
@@ -132,19 +131,20 @@ def extract_indicators(text: str) -> list[Indicator]:
 def indicators_to_knowledge(indicators: list[Indicator], base: Knowledge) -> Knowledge:
     """Assert one fact per indicator, growing the entity template as needed.
 
-    Kinds without a matching slot extend the template first (monotone append),
-    so a new indicator class never invalidates earlier facts.
+    Kinds without a matching slot extend the template first (monotone append,
+    in order of first occurrence), so a new indicator class never invalidates
+    earlier facts. The result is that of factbase.extend_template and
+    factbase.assert_fact applied indicator by indicator, built in one pass.
     """
-    k = base
-    if indicators and ENTITY_TEMPLATE not in k.templates:
-        k = Knowledge(
-            templates={**k.templates, ENTITY_TEMPLATE: Template(name=ENTITY_TEMPLATE)},
-            facts=k.facts,
-        )
-    for ind in indicators:
-        if ind.kind not in k.templates[ENTITY_TEMPLATE].slots:
-            k = factbase.extend_template(k, ENTITY_TEMPLATE, ind.kind)
-        k = factbase.assert_fact(
-            k, Fact(template=ENTITY_TEMPLATE, bindings=((ind.kind, ind.value),))
-        )
-    return k
+    if not indicators:
+        return base
+    entity = base.templates.get(ENTITY_TEMPLATE, Template(name=ENTITY_TEMPLATE))
+    slots = tuple(dict.fromkeys([*entity.slots, *(ind.kind for ind in indicators)]))
+    facts = tuple(
+        Fact(template=ENTITY_TEMPLATE, bindings=((ind.kind, ind.value),))
+        for ind in indicators
+    )
+    return Knowledge(
+        templates={**base.templates, ENTITY_TEMPLATE: entity._replace(slots=slots)},
+        facts=base.facts + facts,
+    )

@@ -1155,7 +1155,7 @@ def test_run_removes_the_files_of_an_earlier_run_it_does_not_write(tmp_path, cap
     assert read_tree(out) == read_tree(alone / "out")
 
 
-# manifest -> what run must ignore in it
+# case -> a manifest.json in --out, which run never reads
 UNREADABLE_MANIFESTS = {
     "not-json": "{",
     "a-list": "[]",
@@ -1168,6 +1168,8 @@ UNREADABLE_MANIFESTS = {
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE_MANIFESTS))
 def test_run_ignores_what_it_cannot_read_in_a_manifest(tmp_path, caplog, case):
+    """manifest.json is output only: whatever an earlier one holds, run
+    removes nothing but its own kinds of file, and warns of nothing."""
     out = tmp_path / "out"
     (out / "sub").mkdir(parents=True)
     (out / "sub" / "kept").write_text("kept")
@@ -1176,11 +1178,10 @@ def test_run_ignores_what_it_cannot_read_in_a_manifest(tmp_path, caplog, case):
     (out / "manifest.json").write_text(UNREADABLE_MANIFESTS[case])
     with caplog.at_level("INFO"):
         assert run_cli("run", *scenario_flags("scenario2", tmp_path, kb=False)) == 0
-    warnings = [r.message for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings and all(m.startswith("ignoring ") for m in warnings)
     for kept in (out / "sub" / "kept", out / "kept", tmp_path / "victim"):
         assert kept.read_text() == "kept"
     assert not any("event=removed" in r.message for r in caplog.records)
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 def test_convert_and_translate_remove_the_files_of_earlier_policies(tmp_path, caplog):
@@ -1204,6 +1205,72 @@ def test_convert_and_translate_remove_the_files_of_earlier_policies(tmp_path, ca
                        ("FW1.mspl.xml", "FW3.mspl.xml", "FW1.rules", "FW3.rules")]
 
 
+def _out_tree(out_dir):
+    """Every file of `out_dir` as bytes, hidden ones included."""
+    return {p.name: p.read_bytes() for p in sorted(pathlib.Path(out_dir).iterdir())}
+
+
+def test_run_removes_the_files_convert_and_translate_wrote(tmp_path, caplog):
+    """run prunes --out by the same rule as convert and translate: each file
+    of its kinds that it did not write, whoever wrote it."""
+    earlier = tmp_path / "scenario1"
+    assert run_cli("run", *scenario_flags("scenario1", earlier, kb=False)) == 0
+    out = tmp_path / "out"
+    assert run_cli("convert", "--artifacts", earlier / "out" / "artifacts.json",
+                   "--out", out) == 0
+    assert run_cli("translate", "--out", out) == 0
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *scenario_flags("scenario2", tmp_path, kb=False)) == 0
+    alone = tmp_path / "alone"
+    assert run_cli("run", *scenario_flags("scenario2", alone, kb=False)) == 0
+    assert read_tree(out) == read_tree(alone / "out")
+    removed = [r.message for r in caplog.records if "event=removed" in r.message]
+    assert removed == [f"stage=cli event=removed file={name}" for name in
+                       ("FW1.mspl.xml", "FW1.rules", "FW3.mspl.xml", "FW3.rules")]
+
+
+@pytest.mark.parametrize("name", ["a b=c.mspl.xml", ".mspl.xml"])
+def test_translate_renders_only_policies_a_stage_writes(tmp_path, caplog, name):
+    """A valid policy under a name that is not `<id>.mspl.xml` is kept, and
+    no rules file is made of it."""
+    assert run_cli("run", *scenario_flags("scenario2", tmp_path, kb=False)) == 0
+    out = tmp_path / "out"
+    stray = out / name
+    stray.write_text((out / "WAF.mspl.xml").read_text())
+    before = _out_tree(out)
+    with caplog.at_level("INFO"):
+        assert run_cli("translate", "--out", out) == 0
+    assert _out_tree(out) == before
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"ignoring {stray.name!r} in {out}: no stage writes that name"]
+
+
+@pytest.mark.parametrize("command", ["extract", "refine", "convert", "translate", "run"])
+def test_every_writing_command_is_idempotent(tmp_path, caplog, command):
+    """Run twice into one --out, a command writes the same bytes and its
+    second run removes nothing."""
+    flags = scenario_flags("scenario1", tmp_path)
+    out = tmp_path / "out"
+    argv = {
+        "extract": ["extract", "--cti", FIXTURES / "scenario1" / "cti.txt", "--out", out],
+        "refine": ["refine", *flags],
+        "convert": ["convert", "--out", out],
+        "translate": ["translate", "--out", out],
+        "run": ["run", *flags],
+    }[command]
+    if command in ("convert", "translate"):
+        assert run_cli("refine", *flags) == 0
+    if command == "translate":
+        assert run_cli("convert", "--out", out) == 0
+    assert run_cli(*argv) == 0
+    first = _out_tree(out)
+    caplog.clear()
+    with caplog.at_level("INFO"):
+        assert run_cli(*argv) == 0
+    assert _out_tree(out) == first
+    assert not any("event=removed" in r.message for r in caplog.records)
+
+
 @pytest.mark.parametrize("command,name", [
     ("convert", "FW9.mspl.xml"), ("translate", "FW9.rules")])
 def test_a_failed_removal_of_an_earlier_file_exits_persist(tmp_path, capsys,
@@ -1223,17 +1290,13 @@ FORGING_NAME = "a b=c\nstage=forged event=x"
 @pytest.mark.parametrize("command,suffix", [
     ("convert", ".mspl.xml"), ("translate", ".rules"), ("run", ".rules")])
 def test_a_stray_file_cannot_forge_an_info_line(tmp_path, caplog, command, suffix):
-    """A file in --out (or, for run, listed by the earlier manifest) whose
-    name no stage writes is kept, with one warning that shows it quoted."""
+    """A file in --out of the command's kinds whose name no stage writes is
+    kept, with one warning that shows it quoted."""
     flags = scenario_flags("scenario1", tmp_path, kb=False)
     assert run_cli("run", *flags) == 0
     out = tmp_path / "out"
     stray = out / (FORGING_NAME + suffix)
     stray.write_text("kept")
-    if command == "run":
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["files"][stray.name] = "0" * 64
-        (out / "manifest.json").write_text(json.dumps(manifest))
     caplog.clear()
     with caplog.at_level("INFO"):
         assert run_cli(command, *(flags if command == "run" else ["--out", out])) == 0

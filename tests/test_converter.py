@@ -163,6 +163,27 @@ def test_each_distinct_shape_is_checked_and_rendered_once(
     assert calls == {"check_capabilities": 110}
 
 
+def test_parse_mspl_checks_each_distinct_condition_once(monkeypatch):
+    """parse_mspl normalizes each distinct condition of a document once, and
+    still reads back the policy serialize_mspl wrote."""
+    normalized = []
+    condition_of = converter.condition_of
+
+    def counted(inst):
+        normalized.append(inst)
+        return condition_of(inst)
+
+    monkeypatch.setattr(converter, "condition_of", counted)
+    policies = build_mspl(_bulk_like_artifacts())
+    normalized.clear()
+    # FW1's 100 rules: 51 source and 51 destination addresses (50 intents'
+    # and the server's) and two state sets; the WAF's 500 rules: 10 hosts
+    for device, distinct in (("FW1", 104), ("WAF", 10)):
+        assert parse_mspl(serialize_mspl(policies[device])) == policies[device]
+        assert len(normalized) == len(set(normalized)) == distinct
+        normalized.clear()
+
+
 def test_the_first_bad_detail_in_artifact_order_is_reported():
     artifacts = [_artifact(), _artifact(dst="9.9.9"), _artifact(), _artifact(src="8.8.8")]
     with pytest.raises(NormalizationError, match="'9.9.9'"):

@@ -107,6 +107,50 @@ def test_extraction_from_empty_base():
     assert len(k.facts) == 1
 
 
+def reference_knowledge(indicators, base):
+    """indicators_to_knowledge as a fold of the public factbase operations."""
+    k = base
+    if indicators and "entity" not in k.templates:
+        k = factbase.Knowledge({**k.templates, "entity": factbase.Template("entity")},
+                               k.facts)
+    for ind in indicators:
+        if ind.kind not in k.templates["entity"].slots:
+            k = factbase.extend_template(k, "entity", ind.kind)
+        k = factbase.assert_fact(k, factbase.Fact("entity", ((ind.kind, ind.value),)))
+    return k
+
+
+SLOTS = [KIND_SOURCE_IP, KIND_DESTINATION_IP, KIND_URL, "port", "hash"]
+
+
+@st.composite
+def knowledge_bases(draw):
+    """Templates drawn from "entity" and two others, each with distinct
+    slots, and a few facts of each."""
+    names = draw(st.lists(st.sampled_from(["entity", "host", "user"]), unique=True))
+    templates, facts = {}, []
+    for name in names:
+        slots = draw(st.lists(st.sampled_from(SLOTS), min_size=1, unique=True))
+        templates[name] = factbase.Template(name, tuple(slots))
+        for slot in draw(st.lists(st.sampled_from(slots), max_size=3)):
+            facts.append(factbase.Fact(name, ((slot, draw(st.text("ab.1", max_size=3))),)))
+    return factbase.Knowledge(templates, tuple(draw(st.permutations(facts))))
+
+
+indicator_lists = st.lists(st.builds(
+    extractor.Indicator, kind=st.sampled_from(SLOTS), value=st.text("ab.1", max_size=3),
+    span=st.just((0, 0))), max_size=8)
+
+
+@given(indicator_lists, knowledge_bases())
+def test_indicators_to_knowledge_is_the_fold_of_extend_and_assert(indicators, base):
+    k = indicators_to_knowledge(indicators, base)
+    expected = reference_knowledge(indicators, base)
+    assert k == expected
+    assert list(k.templates.items()) == list(expected.templates.items())
+    assert factbase.serialize_knowledge(k) == factbase.serialize_knowledge(expected)
+
+
 # Runs of mixed whitespace, str.split's included (vertical tab, form feed,
 # the information separators, NEL, no-break and ideographic space), and of
 # token characters, upper case and a character lower() lengthens among them.
