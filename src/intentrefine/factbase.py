@@ -1,7 +1,7 @@
 """CLIPS-syntax knowledge store: templates, facts, and monotone schema growth.
 
 Wire format is a JSON envelope with `templates` and `facts` arrays of
-s-expression strings, e.g.
+strings in two flat CLIPS forms, e.g.
 
     {"templates": ["(deftemplate entity (slot url (type STRING)))"],
      "facts": ["(entity (url \"a.example.com\"))"]}
@@ -24,6 +24,7 @@ from .errors import (
     UnknownTemplate,
     ValidationError,
     require_list,
+    shown,
 )
 
 logger = logging.getLogger(__name__)
@@ -55,7 +56,11 @@ class Knowledge(
     stale."""
 
 
-# --- s-expression layer -----------------------------------------------------
+# --- the two forms ----------------------------------------------------------
+#
+# A string token keeps its opening quote, so it never equals a symbol. Each
+# form builds the token sequence its own names imply and compares it with the
+# text's tokens: nothing nests, so no input can exhaust the stack.
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
@@ -76,7 +81,7 @@ def _tokenize(text: str) -> list[str]:
                 buf.append(text[j])
                 j += 1
             if j >= len(text):
-                raise DocumentSyntaxError(f"unterminated string in {text!r}")
+                raise DocumentSyntaxError(f"unterminated string in {shown(text)}")
             tokens.append('"' + "".join(buf))
             i = j + 1
         else:
@@ -88,75 +93,64 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _read_sexpr(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise DocumentSyntaxError("unexpected end of expression")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_sexpr(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise DocumentSyntaxError("unbalanced parentheses")
-        return items, pos + 1
-    if tok == ")":
-        raise DocumentSyntaxError("unexpected ')'")
-    return tok, pos + 1
+def _symbol(token: str) -> str | None:
+    """`token` if it is a symbol, else None, which equals no token."""
+    return None if token[0] in '()"' else token
 
 
-def _parse_one(text: str):
-    tokens = _tokenize(text)
-    expr, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise DocumentSyntaxError(f"trailing tokens after expression: {text!r}")
-    if not isinstance(expr, list):
-        raise DocumentSyntaxError(f"expected a list expression: {text!r}")
-    return expr
+def _balanced(tokens: list[str]) -> bool:
+    """Whether `tokens` are one parenthesised expression and nothing more."""
+    depth = 0
+    for i, token in enumerate(tokens):
+        depth += (token == "(") - (token == ")")
+        if depth <= 0:
+            return depth == 0 and 0 < i == len(tokens) - 1
+    return False
 
 
 def parse_template(text: str) -> Template:
-    expr = _parse_one(text)
-    if len(expr) < 2 or expr[0] != "deftemplate" or not isinstance(expr[1], str):
-        raise DocumentSyntaxError(f"not a deftemplate: {text!r}")
-    name = expr[1]
-    slots = []
+    """`( deftemplate NAME ( slot SLOT ( type STRING ) )… )`. A slot repeated
+    before the first token that departs from the form, in one balanced
+    expression, is a ValidationError; any other departure is a
+    DocumentSyntaxError."""
+    tokens = _tokenize(text)
+    name = _symbol(tokens[2]) if len(tokens) > 2 else None
+    slots = [_symbol(token) for token in tokens[5::8]]
+    expected = ["(", "deftemplate", name]
+    for slot in slots:
+        expected += "(", "slot", slot, "(", "type", SLOT_TYPE_STRING, ")", ")"
+    expected.append(")")
+    departure = next(
+        (i for i, pair in enumerate(zip(tokens, expected)) if pair[0] != pair[1]),
+        min(len(tokens), len(expected)),
+    )
     seen = set()
-    for item in expr[2:]:
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or item[0] != "slot"
-            or not isinstance(item[1], str)
-            or item[2] != ["type", SLOT_TYPE_STRING]
-        ):
-            raise DocumentSyntaxError(f"bad slot declaration in {text!r}: {item!r}")
-        if item[1] in seen:
-            raise ValidationError(f"duplicate slot {item[1]!r} in template {name!r}")
-        seen.add(item[1])
-        slots.append(item[1])
+    repeated = next(
+        (s for s in slots[: max(0, departure - 3) // 8] if s in seen or seen.add(s)), None
+    )
+    if repeated is not None and _balanced(tokens):
+        raise ValidationError(f"duplicate slot {repeated!r} in template {name!r}")
+    if tokens != expected:
+        raise DocumentSyntaxError(f"not a deftemplate: {shown(text)}")
     return Template(name=name, slots=tuple(slots))
 
 
 def parse_fact(text: str) -> Fact:
-    expr = _parse_one(text)
-    if not expr or not isinstance(expr[0], str):
-        raise DocumentSyntaxError(f"not a fact: {text!r}")
-    bindings = []
-    for item in expr[1:]:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not isinstance(item[0], str)
-            or not isinstance(item[1], str)
-            or not item[1].startswith('"')
-        ):
-            raise DocumentSyntaxError(f"bad binding in fact {text!r}: {item!r}")
-        bindings.append((item[0], item[1][1:]))
-    if not bindings:
-        raise ValidationError(f"fact binds no slots: {text!r}")
-    return Fact(template=expr[0], bindings=tuple(bindings))
+    """`( TEMPLATE ( SLOT "value" )… )`, binding at least one slot."""
+    tokens = _tokenize(text)
+    template = _symbol(tokens[1]) if len(tokens) > 1 else None
+    names = [_symbol(token) for token in tokens[3::4]]
+    values = [token if token[0] == '"' else None for token in tokens[4::4]]
+    expected = ["(", template]
+    for name, value in zip(names, values):
+        expected += "(", name, value, ")"
+    expected.append(")")
+    if tokens != expected:
+        raise DocumentSyntaxError(f"not a fact: {shown(text)}")
+    if not names:
+        raise ValidationError(f"fact binds no slots: {shown(text)}")
+    bindings = tuple((name, value[1:]) for name, value in zip(names, values))
+    return Fact(template=template, bindings=bindings)
 
 
 def serialize_template(t: Template) -> str:

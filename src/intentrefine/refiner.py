@@ -667,9 +667,12 @@ def refine(
             if controls is None:
                 controls = family_controls.get((family, rset))
                 if controls is None:
-                    _devices, controls = select_enforcement_set(
-                        intent_paths, t, catalog, rset
-                    )
+                    try:
+                        _devices, controls = select_enforcement_set(
+                            intent_paths, t, catalog, rset
+                        )
+                    except Unenforceable as exc:
+                        raise Unenforceable(f"intent {intent.id!r}: {exc}", path=exc.path)
                     family_controls[family, rset] = controls
                 placement[rset.layer] = controls
                 logger.info(

@@ -481,6 +481,18 @@ def test_catalog_stateful_must_be_a_boolean(tmp_path, capsys, stateful):
     assert not (tmp_path / "kb.json").exists()
 
 
+def test_extract_rejects_a_name_it_could_not_read_back(tmp_path, capsys):
+    """A slot name written as a string would be written back as a string
+    that never ends: extract exits 2 instead, and writes nothing."""
+    knowledge = tmp_path / "knowledge.json"
+    knowledge.write_text(json.dumps({
+        "templates": ['(deftemplate entity (slot "url" (type STRING)))'], "facts": []}))
+    code = run_cli("extract", "--knowledge", knowledge, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"] == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_extracted_fact_values_read_back_unchanged(tmp_path):
     """A value holding a quote or a backslash survives extract, and refine
     reads the extracted knowledge as it reads the original."""
@@ -505,8 +517,9 @@ def test_extracted_fact_values_read_back_unchanged(tmp_path):
 # Values the sweep puts in place of each value of an input document in turn.
 SWEEP_VALUES = [None, 5, "x", [], {"a": 1}, "no"]
 # And in place of each string value: characters that would split or forge a
-# `key=value` log line, or a file name, if a value reached one unchecked.
-SWEEP_STRINGS = ["x\n", "x\ry", "x y=z"]
+# `key=value` log line, or a file name, if a value reached one unchecked; and
+# nesting deeper than any recursive reader of a value could follow.
+SWEEP_STRINGS = ["x\n", "x\ry", "x y=z", "(" * 100_000 + ")" * 100_000]
 
 # Scenario 2's input documents, and the subcommands that read each one.
 SWEPT_DOCUMENTS = {

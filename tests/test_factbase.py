@@ -7,10 +7,14 @@ from intentrefine import factbase
 from intentrefine.errors import (
     DocumentSyntaxError,
     DuplicateSlot,
+    PipelineError,
     UnknownSlot,
     UnknownTemplate,
+    ValidationError,
 )
-from intentrefine.factbase import Fact
+from intentrefine.factbase import Fact, Template
+
+from test_extractor import WHITESPACE
 
 LISTING_EXAMPLE = json.dumps(
     {
@@ -154,10 +158,121 @@ fact_values = st.text(
 )
 
 
-@given(template=st.from_regex(r"[a-z][a-z-]{0,10}", fullmatch=True),
+def _quoted(value):
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _template_tokens(name, slots):
+    tokens = ["(", "deftemplate", name]
+    for slot in slots:
+        tokens += "(", "slot", slot, "(", "type", "STRING", ")", ")"
+    return tokens + [")"]
+
+
+def _fact_tokens(template, bindings):
+    """`bindings`: (name, value token) pairs."""
+    tokens = ["(", template]
+    for name, value in bindings:
+        tokens += "(", name, value, ")"
+    return tokens + [")"]
+
+
+@st.composite
+def spaced(draw, tokens):
+    """`tokens` joined by random white space, with none where the tokenizer
+    needs none: anywhere but between two symbols, as in `(url"a")`."""
+    text, previous = "", "("
+    for token in tokens:
+        between_symbols = previous[0] not in '()"' and token[0] not in '()"'
+        text += draw(st.text(WHITESPACE, min_size=between_symbols, max_size=3)) + token
+        previous = token
+    return text + draw(st.text(WHITESPACE, max_size=3))
+
+
+@given(data=st.data(), template=st.from_regex(r"[a-z][a-z-]{0,10}", fullmatch=True),
        bindings=st.lists(
            st.tuples(st.from_regex(r"[a-z][a-z-]{0,10}", fullmatch=True), fact_values),
            min_size=1, max_size=3))
-def test_fact_serialization_roundtrips(template, bindings):
+def test_fact_serialization_roundtrips(data, template, bindings):
+    """A fact, and a template of its slots, read back from their serialized
+    text and from their tokens spaced at random."""
     fact = Fact(template=template, bindings=tuple(bindings))
     assert factbase.parse_fact(factbase.serialize_fact(fact)) == fact
+    tokens = _fact_tokens(template, [(name, _quoted(value)) for name, value in bindings])
+    assert factbase.parse_fact(data.draw(spaced(tokens))) == fact
+
+    slots = tuple(dict.fromkeys(name for name, _ in bindings))
+    declared = Template(name=template, slots=slots)
+    assert factbase.parse_template(factbase.serialize_template(declared)) == declared
+    tokens = _template_tokens(template, slots)
+    assert factbase.parse_template(data.draw(spaced(tokens))) == declared
+
+
+# Names of the knowledge forms: symbols, and strings that may hold
+# parentheses, quotes and backslashes, written as they are.
+knowledge_names = st.one_of(
+    st.text("ab-\\", min_size=1, max_size=3),
+    st.text('ab()\\"', max_size=3).map('"{}"'.format),
+)
+
+
+@st.composite
+def knowledge_documents(draw):
+    """An envelope of one template and facts of it, its names drawn from
+    knowledge_names, its values from fact_values, spaced at random."""
+    name = draw(knowledge_names)
+    slots = draw(st.lists(knowledge_names, max_size=3))
+    facts = draw(st.lists(st.lists(
+        st.tuples(st.sampled_from(slots) if slots else knowledge_names,
+                  fact_values.map(_quoted)), max_size=2), max_size=2))
+    return json.dumps({
+        "templates": [draw(spaced(_template_tokens(name, slots)))],
+        "facts": [draw(spaced(_fact_tokens(name, bindings))) for bindings in facts],
+    })
+
+
+@given(knowledge_documents())
+def test_accepted_knowledge_serializes_to_text_that_reads_back_equal(document):
+    try:
+        k = factbase.parse_knowledge(document)
+    except PipelineError:
+        return
+    assert factbase.parse_knowledge(factbase.serialize_knowledge(k)) == k
+
+
+@pytest.mark.parametrize("parse", [factbase.parse_template, factbase.parse_fact])
+def test_deep_nesting_is_a_short_syntax_error(parse):
+    text = "(" * 100_000 + ")" * 100_000
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse(text)
+    assert len(str(exc.value)) < 300
+
+
+@pytest.mark.parametrize("text, error", [
+    # A repeated slot, then a balanced expression that is no slot: the slots
+    # are checked in turn, so the repetition is found first.
+    ("(deftemplate e (slot a (type STRING)) (slot a (type STRING)) (x))", ValidationError),
+    ("(deftemplate e (slot a (type STRING)) (slot a (type STRING)) x)", ValidationError),
+    # The same, but unbalanced: no expression, so no slots to check.
+    ("(deftemplate e (slot a (type STRING)) (slot a (type STRING)) (x)", DocumentSyntaxError),
+    ("(deftemplate e (slot a (type STRING)) (slot a (type STRING))) x", DocumentSyntaxError),
+    # A malformed slot, or no name, before the repetition.
+    ("(deftemplate e (slot a (type STRING)) (x) (slot a (type STRING)))", DocumentSyntaxError),
+    ("(deftemplate (slot a (type STRING)) (slot a (type STRING)))", DocumentSyntaxError),
+    # A fact that binds nothing, and one whose value is no string.
+    ("(entity)", ValidationError),
+    ("(entity (a b))", DocumentSyntaxError),
+    # A name written as a string: it would be written back unterminated.
+    ('(deftemplate "entity" (slot url (type STRING)))', DocumentSyntaxError),
+    ('(deftemplate entity (slot "url" (type STRING)))', DocumentSyntaxError),
+    ('(deftemplate entity (slot "a" (type STRING)) (slot "a" (type STRING)))',
+     DocumentSyntaxError),
+    ('(entity ("url" "a"))', DocumentSyntaxError),
+    ('("entity" (url "a"))', DocumentSyntaxError),
+    ('("entity")', DocumentSyntaxError),
+])
+def test_each_malformed_form_raises_its_error(text, error):
+    parse = factbase.parse_template if "deftemplate" in text else factbase.parse_fact
+    with pytest.raises(PipelineError) as exc:
+        parse(text)
+    assert type(exc.value) is error

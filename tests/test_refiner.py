@@ -898,5 +898,20 @@ def test_kb_record_for_disconnected_endpoints_discards_the_kb(
     assert messages == ["intent 'hspl1': no path between 'Eve' and 'Bob'"] * 2
 
 
+def test_path_without_a_capable_device_names_the_intent(
+    scenario1_intent, scenario1_knowledge, catalog
+):
+    """As the no-path failure does, the error names the intent, and it keeps
+    the path that select_enforcement_set found uncovered."""
+    bare = topology.parse_topology(
+        read_fixture("scenario1", "topology.yaml").replace("[IpTables]", "[]")
+    )
+    with pytest.raises(Unenforceable) as exc:
+        refiner.refine(bare, [scenario1_intent], scenario1_knowledge, catalog)
+    assert str(exc.value).startswith("intent 'hspl1': path [")
+    assert str(exc.value).endswith("has no device with a satisfying network-layer control")
+    assert exc.value.path in topology.enumerate_paths(bare, "Eve", "Bob")
+
+
 def test_missing_kb_file():
     assert refiner.load_kb("/nonexistent/kb.json") is None
