@@ -127,8 +127,8 @@ class Memo(dict):
 
 def check_capabilities(rule_id: str, carried: list[CapabilityId]) -> None:
     """NormalizationError unless a rule carries each capability at most once
-    and exactly one action: the one reading of a rule that build_mspl,
-    parse_mspl and the verifier share."""
+    and exactly one action: the one reading of a rule that build_mspl and
+    parse_mspl share."""
     actions = ACTION_CAPABILITIES.intersection(carried)
     if len(set(carried)) < len(carried) or len(actions) != 1:
         raise NormalizationError(
@@ -137,54 +137,39 @@ def check_capabilities(rule_id: str, carried: list[CapabilityId]) -> None:
         )
 
 
-def check_nsf(nsf_per_device: dict[str, str], artifact: RuleArtifact) -> None:
-    """Record `artifact`'s control as its device's in `nsf_per_device`;
-    InconsistentNsf when the device already has another."""
-    known = nsf_per_device.setdefault(artifact.device, artifact.nsf)
-    if known != artifact.nsf:
-        raise InconsistentNsf(
-            f"device {artifact.device!r} assigned both {known!r} and {artifact.nsf!r}"
-        )
-
-
-class Shapes(dict):
-    """A rule's tuple of capability instances -> its shape (carried,
-    conditions, action): the capability ids it carries, in its order; its
-    normalized conditions, in canonical order; and its action keyword. This
-    is the one reading of a rule that build_mspl and the verifier share.
-
-    `of` computes the shape of each distinct tuple once, and keeps it only
-    after check_capabilities has passed and every detail has normalized; so
-    an invalid tuple raises at the first rule carrying it, naming that rule.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.conditions = Memo(condition_of)
-
-    def of(self, rule_id: str, capabilities: tuple[CapabilityInstance, ...]) -> tuple:
-        shape = self.get(capabilities)
-        if shape is None:
-            carried = tuple(i.capability for i in capabilities)
-            check_capabilities(rule_id, carried)
-            conditions = {i.capability: self.conditions[i] for i in capabilities}
-            [action] = ACTION_CAPABILITIES.intersection(carried)
-            ordered = tuple(conditions[c] for c in CONDITION_ELEMENTS if c in conditions)
-            shape = self[capabilities] = carried, ordered, ACTION_KEYWORDS[action]
-        return shape
-
-
 def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
     """One policy per device, artifact order preserved within each policy,
-    each rule's conditions in canonical order."""
+    each rule's conditions in canonical order.
+
+    Raises InconsistentNsf at the first artifact whose device already has
+    another control. Each distinct capabilities tuple is read once, and kept
+    only after check_capabilities has passed and every detail has
+    normalized; so an invalid tuple raises at the first artifact carrying
+    it, naming that artifact's rule.
+    """
     nsf_per_device: dict[str, str] = {}
     rules_per_device: dict[str, list[MsplRule]] = {}
-    shapes = Shapes()
+    # capabilities tuple -> (conditions, action keyword)
+    shapes: dict[tuple, tuple] = {}
+    normalized = Memo(condition_of)
     for artifact in artifacts:
-        check_nsf(nsf_per_device, artifact)
-        _, conditions, action = shapes.of(artifact.hsplid, artifact.capabilities)
+        known = nsf_per_device.setdefault(artifact.device, artifact.nsf)
+        if known != artifact.nsf:
+            raise InconsistentNsf(
+                f"device {artifact.device!r} assigned both {known!r} and {artifact.nsf!r}"
+            )
+        shape = shapes.get(artifact.capabilities)
+        if shape is None:
+            carried = tuple(i.capability for i in artifact.capabilities)
+            check_capabilities(artifact.hsplid, carried)
+            conditions = {i.capability: normalized[i] for i in artifact.capabilities}
+            [action] = ACTION_CAPABILITIES.intersection(carried)
+            shape = shapes[artifact.capabilities] = (
+                tuple(conditions[c] for c in CONDITION_ELEMENTS if c in conditions),
+                ACTION_KEYWORDS[action],
+            )
         rules_per_device.setdefault(artifact.device, []).append(
-            MsplRule(artifact.hsplid, conditions, action)
+            MsplRule(artifact.hsplid, *shape)
         )
     return {
         device: MsplPolicy(nsf_name=nsf_per_device[device], rules=tuple(rules))

@@ -452,23 +452,27 @@ def artifacts_to_json(artifacts: list[RuleArtifact]) -> str:
 
 def artifacts_from_json(document: str) -> list[RuleArtifact]:
     """The artifacts of `document`, checked field by field in document
-    order. Each distinct device is checked as an id once, and artifacts with
-    equal capabilities share one tuple of instances, built once from the
-    checked (capability, detail) pairs."""
+    order. Each distinct intent id, device and control is checked as an id
+    once, and artifacts with equal capabilities share one tuple of
+    instances, built once from the checked (capability, detail) pairs."""
     try:
         raw = json.loads(document)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentSyntaxError(f"malformed artifact document: {exc}")
-    devices: set[str] = set()
+    ids: set[str] = set()  # the values found to be ids
     shared: dict[tuple, tuple[CapabilityInstance, ...]] = {}
     artifacts = []
     try:
         for entry in raw:
             hsplid = _string(entry["hsplid"])
+            if hsplid not in ids:
+                ids.add(require_id(hsplid, "hspl id"))
             device = _string(entry["device"])
-            if device not in devices:
-                devices.add(require_id(device, "device id"))
+            if device not in ids:
+                ids.add(require_id(device, "device id"))
             nsf = _string(entry["nsf"])
+            if nsf not in ids:
+                ids.add(require_id(nsf, "control name"))
             pairs = tuple([
                 (_capability(c["capability"]), _string(c["detail"]))
                 for c in entry["capabilities"]

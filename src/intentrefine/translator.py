@@ -140,21 +140,31 @@ def check_rule(
         )
 
 
-def translate_policy(p: MsplPolicy) -> list[str]:
-    """Deterministically render a policy, one rule per expanded combination.
+def check_policy(p: MsplPolicy) -> dict[tuple, MsplRule]:
+    """Each distinct (conditions, action) of the policy -> its first rule,
+    in rule order.
 
-    Raises UnsupportedCapability for a rule outside its control's renderer
-    table (see check_rule). Each distinct (conditions, action) of the policy
-    is checked, expanded and rendered once."""
+    Raises UnknownControl when the policy's control has no renderer, and
+    UnsupportedCapability at the first rule outside its renderer's table
+    (see check_rule); each distinct (conditions, action) is checked once."""
     if p.nsf_name not in RENDERERS:
         raise UnknownControl(f"no renderer registered for control {p.nsf_name!r}")
-    _, _, text, number = RENDERERS[p.nsf_name]
     shapes: dict[tuple, MsplRule] = {}
     for rule in p.rules:
         shape = rule.conditions, rule.action
         if shape not in shapes:
             check_rule(p.nsf_name, rule.id, rule.conditions, rule.action)
             shapes[shape] = rule
+    return shapes
+
+
+def translate_policy(p: MsplPolicy) -> list[str]:
+    """Deterministically render a policy, one rule per expanded combination.
+
+    Raises what check_policy raises. Each distinct (conditions, action) of
+    the policy is checked, expanded and rendered once."""
+    shapes = check_policy(p)
+    _, _, text, number = RENDERERS[p.nsf_name]
     # each shape's expanded rules, as far as their conditions decide them
     texts = {
         shape: [text(e.conditions) for e in _expand_unions(rule)]

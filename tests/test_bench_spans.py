@@ -3,8 +3,8 @@
 The tracer wraps module functions by name and reads the result of
 `refiner.kb_reconcile`, so renaming a traced function or reshaping that
 result fails here, not only in a traced benchmark run. So does a change
-that leaves a per-layer metric of BENCHMARK.json unmeasured, which the
-traced benchmark counts as a failed operation.
+that leaves a per-layer metric of BENCHMARK.json unmeasured in `run` or
+`verify`, which the traced benchmark counts as a failed operation.
 """
 
 import importlib.util
@@ -95,3 +95,23 @@ def test_traced_run_with_a_stale_intent_measures_every_metric(tmp_path, monkeypa
     assert _traced_metrics("run_warm") <= set(stale)
     assert stale["refiner.kb_hit_ratio"] == 0.0
     assert stale["refiner.place_calls"] == 2
+
+
+def test_traced_verify_measures_every_per_layer_metric(tmp_path, monkeypatch, capsys):
+    spans = _load_spans(monkeypatch)
+    argv = _run_argv("scenario1", tmp_path, FIXTURES / "scenario1" / "knowledge.json")
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    metrics = _traced_run(spans, spans.Tracer(), [
+        "verify",
+        "--topology", str(FIXTURES / "scenario1" / "topology.yaml"),
+        "--catalog", str(FIXTURES / "catalog.json"),
+        "--artifacts", str(tmp_path / "out" / "artifacts.json"),
+        "--subject", "Eve", "--object", "Bob",
+        "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3",
+    ])
+
+    assert _traced_metrics("verify") <= set(metrics)
+    assert metrics["topology.enumerate_calls"] == 1
+    assert metrics["verifier.paths"] == metrics["topology.paths"] == 3
+    assert metrics["verifier.report_bytes"] == len(capsys.readouterr().out.encode())

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import pathlib
+import random
 import re
 
 import pytest
@@ -748,30 +749,30 @@ def test_cached_intent_gaining_a_layer_matches_a_cold_run(tmp_path, caplog):
     assert (warm / "kb.json").read_text() == (cold / "kb.json").read_text()
 
 
-def test_markup_in_intent_id_gives_well_formed_mspl(tmp_path):
-    """An HSPL id holds only id characters, but an artifact's intent id may
-    hold any: `convert` escapes it."""
-    from intentrefine import translator
+# Values an artifact's intent id or control once carried into MSPL: markup,
+# which convert escaped; a control character and a noncharacter, which XML
+# cannot hold; a lone surrogate, which UTF-8 cannot encode.
+NON_IDS = ['a&b"<c>', "a\u0001b", "a\ud800b", "a\ufffeb"]
 
-    assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
-    artifacts = tmp_path / "out" / "artifacts.json"
-    doc = json.loads(artifacts.read_text())
-    for artifact in doc:
-        artifact["hsplid"] = 'a&b"<c>'
-    artifacts.write_text(json.dumps(doc))
-    assert run_cli("convert", "--out", tmp_path / "out") == 0
-    assert run_cli("translate", "--out", tmp_path / "out") == 0
 
-    tree = read_tree(tmp_path / "out")
-    for name in [n for n in tree if n.endswith(".mspl.xml")]:
-        policy = converter.parse_mspl(tree[name])
-        assert {rule.id for rule in policy.rules} == {'a&b"<c>'}
-        assert converter.serialize_mspl(policy) == tree[name]
-        rules = translator.rules_file_content(translator.translate_policy(policy))
-        assert rules == tree[name.replace(".mspl.xml", ".rules")]
-
-    assert run_cli("translate", "--out", tmp_path / "out") == 0
-    assert read_tree(tmp_path / "out") == tree
+def test_artifact_id_outside_the_id_characters_exits_validation(tmp_path, capsys):
+    """An artifact's hsplid and nsf must be ids, as its device must: convert
+    and verify reject any other value before writing or deciding anything."""
+    assert run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False)) == 0
+    doc = json.loads((tmp_path / "out" / "artifacts.json").read_text())
+    artifacts = tmp_path / "artifacts.json"
+    code = cli.EXIT_CODES_BY_NAME["ValidationError"]
+    for field, what in (("hsplid", "hspl id"), ("nsf", "control name")):
+        for k, value in enumerate(NON_IDS):
+            artifacts.write_text(json.dumps(doc[:-1] + [{**doc[-1], field: value}]))
+            out = tmp_path / f"out-{field}-{k}"
+            capsys.readouterr()
+            assert run_cli("convert", "--artifacts", artifacts, "--out", out) == code
+            assert verify_eve_to_bob(artifacts) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: ValidationError: invalid {what} {value!r}\n" * 2
+            assert not out.exists()
 
 
 def test_node_id_with_a_trailing_newline_exits_validation(tmp_path, capsys):
@@ -1038,6 +1039,130 @@ def test_verify_rejects_a_deployment_no_stage_can_render(tmp_path, capsys, case)
         codes.append(run_cli("translate", "--out", out))
     assert (codes[-1] == cli.EXIT_CODES_BY_NAME[error]) == pipeline_rejects
     assert "Traceback" not in capsys.readouterr().err
+
+
+# scenario -> the verify flags of a flow its deployment blocks
+VERIFIED_FLOWS = {
+    "scenario1": ["--subject", "Eve", "--object", "Bob",
+                  "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3"],
+    "scenario2": ["--subject", "Alice", "--object", "WebServer",
+                  "--src-ip", "172.20.0.2", "--dst-ip", "172.20.0.3",
+                  "--l7-host", "hadleyshope.3utilities.com"],
+}
+
+# Values a mutation puts in place of a detail, control or device: each one
+# valid in some place and not in others.
+MUTANT_DETAILS = ["not-an-ip", "10.0.0.9-10.0.0.1", "80.71.158.96,",
+                  "80.71.158.0-80.71.158.255", "172.19.0.3", "1.1.1.1,2.2.2.2", "NEW,BOGUS",
+                  "established", "", "Hadleyshope.3utilities.COM", 'a"b.com', "drop"]
+MUTANT_CONTROLS = ["IpTables", "ModSecurity", "Teleporter", "Ip Tables"]
+MUTANT_DEVICES = ["FW1", "FW1-a", "FW2", "FW3", "WAF", "Ghost", "FW 1"]
+CAPABILITY_NAMES = [SOURCE, DESTINATION, "StateConditionCapability",
+                    "HttpHostHeaderConditionCapability", DROP, "DenyActionCapability"]
+
+
+def _mutant(artifact, rng):
+    """`artifact` with one detail, control, device or capability changed."""
+    a = {**artifact, "capabilities": [dict(c) for c in artifact["capabilities"]]}
+    capabilities = a["capabilities"]
+    kind = rng.choice(["detail", "control", "device", "capabilities"])
+    if kind == "detail" and capabilities:
+        rng.choice(capabilities)["detail"] = rng.choice(MUTANT_DETAILS)
+    elif kind == "control":
+        a["nsf"] = rng.choice(MUTANT_CONTROLS)
+    elif kind == "device":
+        a["device"] = rng.choice(MUTANT_DEVICES)
+    elif capabilities and rng.random() < 0.4:
+        capabilities.pop(rng.randrange(len(capabilities)))
+    else:
+        added = (dict(rng.choice(capabilities)) if capabilities and rng.random() < 0.5
+                 else {"capability": rng.choice(CAPABILITY_NAMES),
+                       "detail": rng.choice(MUTANT_DETAILS)})
+        capabilities.insert(rng.randrange(len(capabilities) + 1), added)
+    return a
+
+
+def _mutated(artifacts, rng):
+    """`artifacts` with one to three artifacts given one or two faults each,
+    each either in place of the artifact or as a further artifact beside it;
+    and sometimes an artifact repeated, as it is or under another intent."""
+    artifacts = list(artifacts)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(artifacts))
+        mutant = _mutant(artifacts[i], rng)
+        if rng.random() < 0.4:
+            mutant = _mutant(mutant, rng)
+        if rng.random() < 0.3:
+            artifacts.insert(rng.randrange(len(artifacts) + 1), mutant)
+        else:
+            artifacts[i] = mutant
+    if rng.random() < 0.4:
+        repeated = {**rng.choice(artifacts), "hsplid": rng.choice(["again", "hspl1"])}
+        artifacts.insert(rng.randrange(len(artifacts) + 1), repeated)
+    return artifacts
+
+
+def _fixed_mutants(artifacts):
+    """Cases drawn by hand, as (artifacts, the error line both commands give)."""
+    fw1 = next(a for a in artifacts if a["device"] == "FW1")
+    on_modsecurity = [{**a, "nsf": "ModSecurity"} if a["device"] == "FW1" else a
+                      for a in artifacts]
+    return [
+        # two faults in one artifact: convert finds the control first
+        (artifacts + [{**fw1, "nsf": "ModSecurity", "capabilities": [
+            {**c, "detail": "not-an-ip"} if c["capability"] == SOURCE else c
+            for c in fw1["capabilities"]]}],
+         "error: InconsistentNsf: device 'FW1' assigned both 'IpTables' and "
+         "'ModSecurity'"),
+        # FW1 and FW1-a both fail in translate, which reads FW1-a.mspl.xml
+        # first, though FW1 sorts first as an id
+        (on_modsecurity + [{**fw1, "hsplid": "other", "device": "FW1-a",
+                            "nsf": "ModSecurity"}],
+         "error: UnsupportedCapability: ModSecurity renderer cannot map rule "
+         "'other': conditions ['IpSourceAddressConditionCapability', "
+         "'IpDestinationAddressConditionCapability', 'StateConditionCapability'], "
+         "action 'drop'"),
+    ]
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error: ")]
+
+
+@pytest.mark.parametrize("scenario", sorted(VERIFIED_FLOWS))
+def test_verify_rejects_what_convert_then_translate_reject(tmp_path, capsys, scenario):
+    """Over seeded mutations of the scenario's artifacts, verify fails with
+    convert's exit code and error line where convert fails, and otherwise
+    with translate's where translate of convert's output fails."""
+    assert run_cli("run", *scenario_flags(scenario, tmp_path / "base", kb=False)) == 0
+    artifacts = json.loads((tmp_path / "base" / "out" / "artifacts.json").read_text())
+    cases = [(_mutated(artifacts, random.Random(seed)), None) for seed in range(120)]
+    if scenario == "scenario1":
+        cases += _fixed_mutants(artifacts)
+    path = tmp_path / "artifacts.json"
+    codes = []
+    for k, (case, error) in enumerate(cases):
+        path.write_text(json.dumps(case))
+        out = tmp_path / f"out{k}"
+        capsys.readouterr()
+        code = run_cli("convert", "--artifacts", path, "--out", out)
+        if code == 0:
+            code = run_cli("translate", "--out", out)
+        errors = _error_lines(capsys.readouterr().err)
+        verified = run_cli("verify", "--topology", FIXTURES / scenario / "topology.yaml",
+                           "--catalog", FIXTURES / "catalog.json", "--artifacts", path,
+                           *VERIFIED_FLOWS[scenario])
+        captured = capsys.readouterr()
+        if code:
+            assert (verified, _error_lines(captured.err)) == (code, errors), case
+            assert captured.out == ""
+        else:
+            assert verified in (0, cli.EXIT_BYPASS, 3), case
+        if error is not None:
+            assert errors == [error]
+        codes.append(code)
+    # the mutations reach every check of convert and translate
+    assert set(codes) >= {0, 3, 11, 12, 13, 14}
 
 
 # subcommand -> the inputs it reads: a flag, or "mspl" for the policies

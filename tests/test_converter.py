@@ -136,8 +136,9 @@ def _bulk_like_artifacts(intents=50, hosts=10):
 def test_each_distinct_shape_is_checked_and_rendered_once(
         monkeypatch, scenario2_topology, catalog):
     """build_mspl and evaluate_flow check each distinct capability tuple
-    once, and translate_policy checks each distinct rule shape and escapes
-    each distinct host once, per call."""
+    once, translate_policy checks each distinct rule shape and escapes each
+    distinct host once, and evaluate_flow checks each device's distinct rule
+    shapes once, per call."""
     calls = {}
     for module, name in ((converter, "check_capabilities"), (translator, "check_rule"),
                          (translator, "escape_modsecurity_regex")):
@@ -160,7 +161,9 @@ def test_each_distinct_shape_is_checked_and_rendered_once(
     verdicts = verifier.evaluate_flow(scenario2_topology, artifacts, catalog, flow,
                                       "Alice", "WebServer")
     assert {device for _, device in verdicts} == {"FW1", "FW2"}
-    assert calls == {"check_capabilities": 110}
+    # through translator.check_policy: FW1's and FW2's 100 shapes each, and
+    # the WAF's 10
+    assert calls == {"check_capabilities": 110, "check_rule": 210}
 
 
 def test_parse_mspl_checks_each_distinct_condition_once(monkeypatch):

@@ -647,14 +647,15 @@ rule_artifacts = st.builds(
 
 
 @st.composite
-def pooled_rule_artifacts(draw, devices=json_text):
+def pooled_rule_artifacts(draw, ids=json_text):
     """Artifacts whose capabilities come from a pool of at most three tuples,
-    so that they repeat: as the pool's object, or as an equal copy."""
+    so that they repeat: as the pool's object, or as an equal copy. Their
+    hsplid, device and nsf are drawn from `ids`."""
     pool = draw(st.lists(capability_tuples, min_size=1, max_size=3))
     capabilities = st.sampled_from(pool) | st.sampled_from(pool).map(
         lambda c: tuple(refiner.CapabilityInstance(*i) for i in c))
-    artifact = st.builds(refiner.RuleArtifact, hsplid=json_text, device=devices,
-                         nsf=json_text, capabilities=capabilities)
+    artifact = st.builds(refiner.RuleArtifact, hsplid=ids, device=ids,
+                         nsf=ids, capabilities=capabilities)
     return draw(st.lists(artifact, max_size=8))
 
 
@@ -665,7 +666,7 @@ def test_artifacts_to_json_writes_what_json_dumps_writes(artifacts):
     assert refiner.artifacts_to_json(artifacts) == _reference_artifacts_json(artifacts)
 
 
-@given(artifacts=pooled_rule_artifacts(devices=st.text("Az09_.-", min_size=1)))
+@given(artifacts=pooled_rule_artifacts(ids=st.text("Az09_.-", min_size=1)))
 def test_artifacts_read_back_as_written(artifacts):
     assert refiner.artifacts_from_json(refiner.artifacts_to_json(artifacts)) == artifacts
 

@@ -1,4 +1,5 @@
 import ipaddress
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,6 +214,49 @@ def test_verifier_agrees_with_rendered_iptables_rules(catalog, artifacts, flow):
     rules = translator.rules_file_content(translator.translate_policy(policy))
     [(_, device)] = evaluate_flow(t, artifacts, catalog, f, "A", "B")
     assert (device is not None) == _oracle_drops(rules, f)
+
+
+ONE_WAF = ONE_DEVICE.replace("{id: FW, kind: device, controls: [IpTables]}",
+                             "{id: FW, kind: device, controls: [ModSecurity]}")
+
+# A small pool of host names, one letter or an escaped dot apart, so that
+# generated rules often match generated flows.
+hosts = st.sampled_from(["ab.example.com", "abxexample.com", "a-b.example.com", "ab.example"])
+
+
+@st.composite
+def in_any_case(draw, names):
+    return "".join(c.upper() if draw(st.booleans()) else c for c in draw(names))
+
+
+@st.composite
+def modsecurity_artifacts(draw):
+    return refiner.RuleArtifact("h", "FW", "ModSecurity", (
+        refiner.CapabilityInstance(CapabilityId.HTTP_HOST, draw(in_any_case(hosts))),
+        refiner.CapabilityInstance(CapabilityId.DENY, "deny"),
+    ))
+
+
+def _oracle_denies(rules_text: str, host: str | None) -> bool:
+    """Whether any rendered SecRule denies a request with Host `host`, read
+    as ModSecurity's @rx reads its pattern: a search, case-sensitive unless
+    the rule lower-cases the header first."""
+    patterns = re.findall(r'^SecRule REQUEST_HEADERS:Host "@rx (.*)" \\$', rules_text, re.M)
+    assert len(patterns) == rules_text.count("SecRule") and "t:lowercase" not in rules_text
+    return host is not None and any(re.search(p, host) for p in patterns)
+
+
+@given(
+    artifacts=st.lists(modsecurity_artifacts(), min_size=1, max_size=4),
+    host=st.none() | in_any_case(hosts),
+)
+def test_verifier_agrees_with_rendered_modsecurity_rules(catalog, artifacts, host):
+    t = topology.parse_topology(ONE_WAF)
+    f = FlowSpec(src_ip="10.0.0.100", dst_ip="10.0.0.101", l7_host=host)
+    policy = converter.build_mspl(artifacts)["FW"]
+    rules = translator.rules_file_content(translator.translate_policy(policy))
+    [(_, device)] = evaluate_flow(t, artifacts, catalog, f, "A", "B")
+    assert (device is not None) == _oracle_denies(rules, host)
 
 
 def test_report_shows_each_path_as_the_repr_of_its_node_list(catalog):
