@@ -11,7 +11,6 @@ from collections import namedtuple
 
 from .errors import (
     DocumentSyntaxError,
-    NoDerivableRequirement,
     ValidationError,
     require_id,
     require_list,
@@ -129,17 +128,14 @@ def serialize_catalog(c: Catalog) -> str:
 
 
 def derive_required(fact: Fact) -> list[RequiredSet]:
-    """The capability sets a fact demands, one per implied enforcement layer."""
+    """The capability sets a fact demands, one per implied enforcement layer;
+    none for a fact that binds no enforceable slot kind."""
     required: list[RequiredSet] = []
     slots = [name for name, _ in fact.bindings]
     if any(name.endswith("ip-address") for name in slots):
         required.append(NETWORK_REQUIRED)
     if any(name == "url" for name in slots):
         required.append(APPLICATION_REQUIRED)
-    if not required:
-        raise NoDerivableRequirement(
-            f"fact on template {fact.template!r} binds no enforceable slot kind"
-        )
     return required
 
 

@@ -25,14 +25,14 @@ from . import errors
 
 logger = logging.getLogger("intentrefine")
 
+# 7, 8 and 16 are retired and not reused, so that a code a caller tests for
+# never comes to mean another error.
 EXIT_CODES = {
     errors.DocumentSyntaxError: 2,
     errors.ValidationError: 3,
     errors.UnknownEndpoint: 4,
     errors.UnknownTemplate: 5,
     errors.UnknownSlot: 6,
-    errors.DuplicateSlot: 7,
-    errors.NoDerivableRequirement: 8,
     errors.UnsupportedAction: 9,
     errors.Unenforceable: 10,
     errors.UnknownControl: 11,
@@ -40,7 +40,6 @@ EXIT_CODES = {
     errors.InconsistentNsf: 13,
     errors.NormalizationError: 14,
     errors.NothingToEnforce: 15,
-    errors.CorruptKnowledgeBase: 16,
     errors.PersistError: 17,
 }
 EXIT_CODES_BY_NAME = {cls.__name__: code for cls, code in EXIT_CODES.items()}
@@ -48,13 +47,6 @@ EXIT_BYPASS = 18
 EXIT_USAGE = 64
 
 MANIFEST_NAME = "manifest.json"
-
-
-def _exit_code_for(exc: errors.PipelineError) -> int:
-    for cls, code in EXIT_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    return 1
 
 
 def _read(path: str) -> str:
@@ -242,8 +234,16 @@ def cmd_verify(args) -> int:
         t, artifacts, catalog, flow, args.subject, args.object
     )
     write = sys.stdout.write
-    for line in report:
-        write(f"{line}\n")
+    try:
+        for line in report:
+            write(f"{line}\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader that stops early leaves the verdict as it is. Python
+        # flushes stdout again at exit: point it at devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if blocked else EXIT_BYPASS
 
 
@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except errors.PipelineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return EXIT_CODES[type(exc)]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

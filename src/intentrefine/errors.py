@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all pipeline stages, and the shape check
 that input documents run through at their boundaries.
 
-Every error maps to a distinct CLI exit code (see cli.EXIT_CODES).
+Every error class is a direct subclass of PipelineError that some input
+raises, with its own CLI exit code (see cli.EXIT_CODES).
 """
 
 import re
@@ -49,14 +50,6 @@ class UnknownSlot(PipelineError):
     """Fact binds a slot the template does not declare."""
 
 
-class DuplicateSlot(PipelineError):
-    """Template extension would add an already-present slot."""
-
-
-class NoDerivableRequirement(PipelineError):
-    """Fact binds no slot kind that maps to an enforcement capability."""
-
-
 class UnsupportedAction(PipelineError):
     """HSPL action string is not one this engine can refine."""
 
@@ -87,10 +80,6 @@ class UnknownControl(PipelineError):
 
 class UnsupportedCapability(PipelineError):
     """Renderer has no mapping for a condition; never silently dropped."""
-
-
-class CorruptKnowledgeBase(PipelineError):
-    """Persisted knowledge base fails its internal consistency checks."""
 
 
 class PersistError(PipelineError):

@@ -133,8 +133,8 @@ def indicators_to_knowledge(indicators: list[Indicator], base: Knowledge) -> Kno
 
     Kinds without a matching slot extend the template first (monotone append,
     in order of first occurrence), so a new indicator class never invalidates
-    earlier facts. The result is that of factbase.extend_template and
-    factbase.assert_fact applied indicator by indicator, built in one pass.
+    earlier facts. Built in one pass; the tests check it against a fold that
+    extends the template and asserts a fact indicator by indicator.
     """
     if not indicators:
         return base

@@ -6,8 +6,9 @@ strings in two flat CLIPS forms, e.g.
     {"templates": ["(deftemplate entity (slot url (type STRING)))"],
      "facts": ["(entity (url \"a.example.com\"))"]}
 
-Only STRING slots exist; template extension is append-only, so every fact
-that was valid before an extension stays valid after it.
+Only STRING slots exist. A template grows only by appending slots (see
+extractor.indicators_to_knowledge), so every fact that was valid before
+stays valid after.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from types import MappingProxyType
 
 from .errors import (
     DocumentSyntaxError,
-    DuplicateSlot,
     UnknownSlot,
     UnknownTemplate,
     ValidationError,
@@ -214,23 +214,4 @@ def serialize_knowledge(k: Knowledge) -> str:
         "facts": [serialize_fact(f) for f in k.facts],
     }
     return json.dumps(envelope, indent=2) + "\n"
-
-
-def extend_template(k: Knowledge, template: str, new_slot: str) -> Knowledge:
-    """Append a slot to a template; existing facts stay valid and unmodified."""
-    current = k.templates.get(template)
-    if current is None:
-        raise UnknownTemplate(f"cannot extend unknown template {template!r}")
-    if new_slot in current.slots:
-        raise DuplicateSlot(f"template {template!r} already has slot {new_slot!r}")
-    templates = dict(k.templates)
-    templates[template] = Template(
-        name=current.name, slots=current.slots + (new_slot,)
-    )
-    return Knowledge(templates=templates, facts=k.facts)
-
-
-def assert_fact(k: Knowledge, fact: Fact) -> Knowledge:
-    validate_fact(k, fact)
-    return Knowledge(templates=k.templates, facts=k.facts + (fact,))
 

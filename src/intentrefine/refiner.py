@@ -29,9 +29,7 @@ from .capability import (
     CAPABILITY_IDS, Catalog, CapabilityId, RequiredSet, control_satisfies)
 from .errors import (
     ID_RE,
-    CorruptKnowledgeBase,
     DocumentSyntaxError,
-    NoDerivableRequirement,
     NothingToEnforce,
     PersistError,
     Unenforceable,
@@ -127,8 +125,8 @@ def parse_hspl(document: str) -> list[HsplPolicy]:
 
 def _fact_index(k: Knowledge) -> tuple[dict[str, list[int]], list]:
     """Each lower-cased binding value -> the ascending positions in `k.facts`
-    of the facts that bind it; and, per position, the fact's required sets,
-    or None for a fact without any. Built on first use and kept in `k`'s
+    of the facts that bind it; and, per position, the fact's required sets
+    (capability.derive_required). Built on first use and kept in `k`'s
     instance dict, so refine and each of its bind_intent calls share it."""
     derived = vars(k)
     if "fact_index" not in derived:
@@ -137,10 +135,7 @@ def _fact_index(k: Knowledge) -> tuple[dict[str, list[int]], list]:
         for position, fact in enumerate(k.facts):
             for value in {v.lower() for _, v in fact.bindings}:
                 index.setdefault(value, []).append(position)
-            try:
-                required.append(cap.derive_required(fact))
-            except NoDerivableRequirement:
-                required.append(None)
+            required.append(cap.derive_required(fact))
         derived["fact_index"] = (index, required)
     return derived["fact_index"]
 
@@ -167,11 +162,9 @@ def bind_intent(
     results: list[tuple[Fact, RequiredSet, list[ConditionBinding]]] = []
     relevant = 0
     for position in candidates:
-        fact, required_sets = k.facts[position], required[position]
-        if required_sets is None:
-            continue
+        fact = k.facts[position]
         bound = len(results)
-        for rset in required_sets:
+        for rset in required[position]:
             if rset.layer == cap.LAYER_NETWORK:
                 ips = {v for name, v in fact.bindings if name.endswith("ip-address")}
                 endpoint_ips = {subject.ip, obj.ip} - {None}
@@ -529,9 +522,15 @@ def kb_to_json(kb: KnowledgeBase) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def kb_from_json(document: str) -> KnowledgeBase:
+def load_kb(path: str) -> KnowledgeBase | None:
+    """Read a persisted knowledge base. One that is not UTF-8 text, not in
+    kb_to_json's shape, or whose digest is no sha256 digest is corrupt: it is
+    treated as absent, with a warning."""
+    if not os.path.exists(path):
+        return None
     try:
-        raw = json.loads(document)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.loads(fh.read())
         kb = KnowledgeBase(_string(raw["digest"]), {}, {})
         for hid, entry in raw["intents"].items():
             kb.intents[hid] = HsplPolicy(
@@ -544,24 +543,17 @@ def kb_from_json(document: str) -> KnowledgeBase:
                 _kb_id(layer): {_kb_id(d): _kb_id(c) for d, c in controls.items()}
                 for layer, controls in entry["placement"].items()
             }
+    except UnicodeDecodeError as exc:
+        problem = str(exc)
     except (ValueError, RecursionError, KeyError, TypeError,
             AttributeError) as exc:
-        raise CorruptKnowledgeBase(f"unreadable knowledge base: {exc!r}")
-    if not re.fullmatch(r"[0-9a-f]{64}", kb.digest):
-        raise CorruptKnowledgeBase("digest is not a sha256 digest")
-    return kb
-
-
-def load_kb(path: str) -> KnowledgeBase | None:
-    """Read a persisted knowledge base; a corrupt one is treated as absent."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return kb_from_json(fh.read())
-    except (CorruptKnowledgeBase, UnicodeDecodeError) as exc:
-        logger.warning("ignoring corrupt knowledge base %s: %s", path, exc)
-        return None
+        problem = f"unreadable knowledge base: {exc!r}"
+    else:
+        if re.fullmatch(r"[0-9a-f]{64}", kb.digest):
+            return kb
+        problem = "digest is not a sha256 digest"
+    logger.warning("ignoring corrupt knowledge base %s: %s", path, problem)
+    return None
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
@@ -652,7 +644,7 @@ def refine(
     """
     base, paths, report = kb_reconcile(kb, t, catalog, intents)
     for fact, required in zip(k.facts, _fact_index(k)[1]):
-        if required is None:
+        if not required:
             logger.warning("skipping fact with no derivable requirement: %s", fact)
     family_controls: dict[tuple, dict[str, str]] = {}
     placements: dict[str, Placement] = {}

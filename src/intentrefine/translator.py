@@ -89,22 +89,6 @@ RENDERERS = {
 }
 
 
-def _render(nsf_name: str, r: MsplRule, rule_number: int) -> str:
-    _, _, text, number = RENDERERS[nsf_name]
-    return text(r.conditions) + number.format(rule_number)
-
-
-def render_iptables(r: MsplRule, rule_number: int = 1) -> str:
-    """One rule as translate_policy renders it for IpTables."""
-    return _render("IpTables", r, rule_number)
-
-
-def render_modsecurity(r: MsplRule, rule_number: int) -> str:
-    """One rule, the `rule_number`-th of its policy, as translate_policy
-    renders it for ModSecurity."""
-    return _render("ModSecurity", r, rule_number)
-
-
 def check_renderer_totality(catalog: Catalog) -> None:
     """Every capability a renderable control declares must have a mapping.
 
@@ -146,15 +130,22 @@ def check_policy(p: MsplPolicy) -> dict[tuple, MsplRule]:
 
     Raises UnknownControl when the policy's control has no renderer, and
     UnsupportedCapability at the first rule outside its renderer's table
-    (see check_rule); each distinct (conditions, action) is checked once."""
+    (see check_rule). Its verdict, and its message but for the rule id,
+    depend only on the rule's kind: its condition capabilities and its
+    action. So each distinct kind is checked once, at its first rule."""
     if p.nsf_name not in RENDERERS:
         raise UnknownControl(f"no renderer registered for control {p.nsf_name!r}")
     shapes: dict[tuple, MsplRule] = {}
+    kinds = set()
     for rule in p.rules:
         shape = rule.conditions, rule.action
-        if shape not in shapes:
+        if shape in shapes:
+            continue
+        kind = tuple(c.capability for c in rule.conditions), rule.action
+        if kind not in kinds:
             check_rule(p.nsf_name, rule.id, rule.conditions, rule.action)
-            shapes[shape] = rule
+            kinds.add(kind)
+        shapes[shape] = rule
     return shapes
 
 
@@ -162,7 +153,7 @@ def translate_policy(p: MsplPolicy) -> list[str]:
     """Deterministically render a policy, one rule per expanded combination.
 
     Raises what check_policy raises. Each distinct (conditions, action) of
-    the policy is checked, expanded and rendered once."""
+    the policy is expanded and rendered once."""
     shapes = check_policy(p)
     _, _, text, number = RENDERERS[p.nsf_name]
     # each shape's expanded rules, as far as their conditions decide them

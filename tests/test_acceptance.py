@@ -107,7 +107,7 @@ def test_criterion_3_adaptive_schema(scenario1_knowledge):
         template="entity", bindings=(("url", "hadleyshope.3utilities.com"),)
     )
     with pytest.raises(UnknownSlot):
-        factbase.assert_fact(scenario1_knowledge, url_fact)
+        factbase.validate_fact(scenario1_knowledge, url_fact)
     print("criterion 3 (adaptive schema): PASS")
 
 

@@ -14,7 +14,6 @@ from intentrefine.capability import (
 )
 from intentrefine.errors import (
     DocumentSyntaxError,
-    NoDerivableRequirement,
     ValidationError,
 )
 from intentrefine.factbase import Fact
@@ -102,8 +101,7 @@ def test_derive_required_both_layers():
 
 def test_derive_required_unrecognized_slot():
     fact = Fact(template="entity", bindings=(("registry-key", "HKLM"),))
-    with pytest.raises(NoDerivableRequirement):
-        derive_required(fact)
+    assert derive_required(fact) == []
 
 
 def test_required_set_must_have_one_action():

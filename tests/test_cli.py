@@ -1,12 +1,15 @@
 import contextlib
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
-from intentrefine import cli, converter, factbase, topology
+from intentrefine import cli, converter, errors, factbase, topology
 from intentrefine.converter import MsplPolicy, MsplRule
 from intentrefine.refiner import CapabilityInstance
 
@@ -1443,3 +1446,113 @@ def test_a_stray_file_cannot_forge_an_info_line(tmp_path, caplog, command, suffi
                for r in caplog.records if r.levelname == "INFO")
     assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
         f"ignoring {stray.name!r} in {out}: no stage writes that name"]
+
+
+def _replace(old, new):
+    return lambda text: text.replace(old, new)
+
+
+def _run_with(**edits):
+    """`run` on scenario 1, each input named by its flag replaced by its
+    edit of the fixture's text."""
+    def argv(tmp_path):
+        flags = scenario_flags("scenario1", tmp_path)
+        for flag, edit in edits.items():
+            i = flags.index(f"--{flag}") + 1
+            edited = tmp_path / f"edited-{pathlib.Path(flags[i]).name}"
+            edited.write_text(edit(pathlib.Path(flags[i]).read_text()))
+            flags[i] = edited
+        return ["run", *flags]
+    return argv
+
+
+def _convert_with(edit):
+    """`convert` of scenario 1's artifacts, each passed through `edit`."""
+    return lambda tmp_path: [
+        "convert", "--artifacts", _scenario1_artifacts_with(tmp_path, edit),
+        "--out", tmp_path / "out"]
+
+
+def _run_into_out_with_directory(name):
+    """`run` on scenario 1 into an --out holding a directory `name`."""
+    def argv(tmp_path):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        return ["run", *scenario_flags("scenario1", tmp_path)]
+    return argv
+
+
+# error -> a command line, given a fresh directory, that ends in it
+REACHED = {
+    "DocumentSyntaxError": _run_with(topology=lambda text: "nodes: 5\n"),
+    "ValidationError": _run_with(hspl=_replace("<subject>Eve<", "<subject>Bob<")),
+    "UnknownEndpoint": _run_with(hspl=_replace("<subject>Eve<", "<subject>Mallory<")),
+    "UnknownTemplate": _run_with(knowledge=_replace("(entity (", "(ghost (")),
+    "UnknownSlot": _run_with(knowledge=_replace("(destination-ip-address \\", "(url \\")),
+    "UnsupportedAction": _run_with(hspl=_replace("is not authorized to", "may")),
+    "Unenforceable": _run_with(topology=_replace("controls: [IpTables]", "controls: []")),
+    "UnknownControl": _run_with(topology=_replace("IpTables", "Teleporter"),
+                                catalog=_replace("IpTables", "Teleporter")),
+    "UnsupportedCapability": _run_with(catalog=_replace(
+        '"HttpHostHeaderConditionCapability",',
+        '"HttpHostHeaderConditionCapability", "IpSourceAddressConditionCapability",')),
+    "InconsistentNsf": _convert_with(_second_fw1_rule_on_modsecurity),
+    "NormalizationError": _convert_with(
+        lambda a: [_address_rule("FW1", "80.71.158.96", "garbage")]),
+    "NothingToEnforce": _run_with(knowledge=_replace("80.71.158.96", "9.9.9.9")),
+    "PersistError": _run_into_out_with_directory("FW1.rules"),
+}
+
+
+@pytest.mark.parametrize("error", sorted(REACHED))
+def test_every_exit_code_is_reached_by_some_input(tmp_path, capsys, error):
+    argv = REACHED[error](tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CODES_BY_NAME[error]
+    err = capsys.readouterr().err
+    assert f"error: {error}: " in err
+    assert "Traceback" not in err
+
+
+def test_every_pipeline_error_has_its_own_exit_code():
+    """Each PipelineError subclass is a key of EXIT_CODES and subclasses no
+    other, so main finds an error's code by its exact type. Retired codes
+    leave gaps; the others keep their numbers."""
+    classes = {
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.PipelineError)
+    } - {errors.PipelineError}
+    assert classes == set(cli.EXIT_CODES)
+    assert all(c.__bases__ == (errors.PipelineError,) for c in classes)
+    assert set(REACHED) == set(cli.EXIT_CODES_BY_NAME)
+    assert sorted(cli.EXIT_CODES.values()) == [2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 17]
+    assert "6 UnknownSlot; 9 UnsupportedAction" in cli.EXIT_CODE_HELP
+    assert "15 NothingToEnforce; 17 PersistError" in cli.EXIT_CODE_HELP
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_verify_into_a_closed_pipe_keeps_its_verdict(tmp_path, buffering):
+    """A reader that stops early is no usage error: verify exits with its
+    verdict and writes nothing to stderr, whether its report reaches the
+    closed pipe at exit (buffered) or line by line."""
+    blocked = _scenario1_artifacts_with(tmp_path, lambda a: [a])
+    bypassed = tmp_path / "bypassed.json"
+    bypassed.write_text(json.dumps(
+        [a for a in json.loads(blocked.read_text()) if a["device"] != "FW3"]))
+    env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    for artifacts, code in ((blocked, 0), (bypassed, cli.EXIT_BYPASS)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "intentrefine.cli", "verify",
+                 "--topology", FIXTURES / "scenario1" / "topology.yaml",
+                 "--catalog", FIXTURES / "catalog.json", "--artifacts", artifacts,
+                 "--subject", "Eve", "--object", "Bob",
+                 "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (code, "")

@@ -136,9 +136,9 @@ def _bulk_like_artifacts(intents=50, hosts=10):
 def test_each_distinct_shape_is_checked_and_rendered_once(
         monkeypatch, scenario2_topology, catalog):
     """build_mspl and evaluate_flow check each distinct capability tuple
-    once, translate_policy checks each distinct rule shape and escapes each
-    distinct host once, and evaluate_flow checks each device's distinct rule
-    shapes once, per call."""
+    once, translate_policy checks each distinct rule kind (condition
+    capabilities and action) and escapes each distinct host once, and
+    evaluate_flow checks each device's distinct rule kinds once, per call."""
     calls = {}
     for module, name in ((converter, "check_capabilities"), (translator, "check_rule"),
                          (translator, "escape_modsecurity_regex")):
@@ -151,8 +151,9 @@ def test_each_distinct_shape_is_checked_and_rendered_once(
     policies = build_mspl(artifacts)
     # 100 address shapes, shared by FW1 and FW2, and 10 host shapes
     assert calls == {"check_capabilities": 110}
-    for device, expected in (("FW1", {"check_rule": 100}), ("FW2", {"check_rule": 100}),
-                             ("WAF", {"check_rule": 10, "escape_modsecurity_regex": 10})):
+    # each device's rules are of one kind
+    for device, expected in (("FW1", {"check_rule": 1}), ("FW2", {"check_rule": 1}),
+                             ("WAF", {"check_rule": 1, "escape_modsecurity_regex": 10})):
         calls.clear()
         assert len(translator.translate_policy(policies[device])) == len(policies[device].rules)
         assert calls == expected
@@ -161,9 +162,8 @@ def test_each_distinct_shape_is_checked_and_rendered_once(
     verdicts = verifier.evaluate_flow(scenario2_topology, artifacts, catalog, flow,
                                       "Alice", "WebServer")
     assert {device for _, device in verdicts} == {"FW1", "FW2"}
-    # through translator.check_policy: FW1's and FW2's 100 shapes each, and
-    # the WAF's 10
-    assert calls == {"check_capabilities": 110, "check_rule": 210}
+    # through translator.check_policy: one kind on each of FW1, FW2 and WAF
+    assert calls == {"check_capabilities": 110, "check_rule": 3}
 
 
 def test_parse_mspl_checks_each_distinct_condition_once(monkeypatch):

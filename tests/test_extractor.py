@@ -10,7 +10,7 @@ from intentrefine.extractor import (
     indicators_to_knowledge,
 )
 
-from conftest import read_fixture
+from conftest import assert_fact, extend_template, read_fixture
 
 
 def kinds_and_values(indicators):
@@ -108,15 +108,16 @@ def test_extraction_from_empty_base():
 
 
 def reference_knowledge(indicators, base):
-    """indicators_to_knowledge as a fold of the public factbase operations."""
+    """indicators_to_knowledge as a fold of the one-step knowledge
+    operations."""
     k = base
     if indicators and "entity" not in k.templates:
         k = factbase.Knowledge({**k.templates, "entity": factbase.Template("entity")},
                                k.facts)
     for ind in indicators:
         if ind.kind not in k.templates["entity"].slots:
-            k = factbase.extend_template(k, "entity", ind.kind)
-        k = factbase.assert_fact(k, factbase.Fact("entity", ((ind.kind, ind.value),)))
+            k = extend_template(k, "entity", ind.kind)
+        k = assert_fact(k, factbase.Fact("entity", ((ind.kind, ind.value),)))
     return k
 
 

