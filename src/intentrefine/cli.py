@@ -116,8 +116,11 @@ def _kb_lock(kb_path: str | None):
     if kb_path is None:
         yield
         return
-    lock_path = kb_path + ".lock"
-    with open(lock_path, "w") as fh:
+    try:
+        fh = open(kb_path + ".lock", "w")
+    except OSError as exc:
+        raise errors.PersistError(f"cannot lock the knowledge base: {exc}")
+    with fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         try:
             yield
@@ -183,6 +186,24 @@ def _render_all(artifacts):
     return outputs
 
 
+@contextlib.contextmanager
+def _flushed_stdout():
+    """Flush stdout after the body, whatever its outcome. A reader that
+    stops early is no error: the body's result or exception stands, and
+    stdout is pointed at devnull, as Python flushes it again at exit."""
+    try:
+        yield
+    except BrokenPipeError:
+        pass
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+
+
 # --- subcommands ------------------------------------------------------------
 
 def cmd_extract(args) -> int:
@@ -234,16 +255,9 @@ def cmd_verify(args) -> int:
         t, artifacts, catalog, flow, args.subject, args.object
     )
     write = sys.stdout.write
-    try:
+    with _flushed_stdout():
         for line in report:
             write(f"{line}\n")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # A reader that stops early leaves the verdict as it is. Python
-        # flushes stdout again at exit: point it at devnull.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
     return 0 if blocked else EXIT_BYPASS
 
 
@@ -335,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # `--help` prints to stdout and exits here, before any handler below
+    with _flushed_stdout():
+        args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
                         level=logging.DEBUG if args.verbose else logging.INFO)
     try:

@@ -6,8 +6,10 @@ all operations here are pure.
 
 Paths are enumerated segment by segment: the nodes every route between two
 endpoints passes through (found by lowpoints) cut the routes into segments,
-each segment is walked only through the parts of the graph that join its two
-ends, and the segments' routes are joined.
+and each segment is walked only through the parts of the graph that join its
+two ends. `route_segments` returns each segment's routes; `enumerate_paths`
+joins them into paths, and the verifier decides and formats each segment
+route once before joining.
 """
 
 from __future__ import annotations
@@ -342,35 +344,46 @@ def _joined(parts: list[list[tuple]]) -> list[tuple]:
     return [head + tail for head in heads for tail in tails]
 
 
-def enumerate_paths(topo: Topology, subject: str, obj: str) -> list[Path]:
-    """All simple paths between two endpoints, endpoints excluded.
-
-    Result is sorted lexicographically by node-id sequence; empty when the
-    endpoints are disconnected.
+def route_segments(topo: Topology, subject: str, obj: str) -> list[list[tuple[str, ...]]]:
+    """The routes of each segment of the paths between two endpoints, the
+    segments in the order every path passes them; empty when the endpoints
+    are disconnected.
 
     Every path passes the endpoints' separators (_separators) in the same
     order, so the paths are the products of the routes of each segment
     between consecutive separators or an endpoint. A segment's routes stay
     in the regions that touch both of its ends (_regions); a region touching
     one end only, as a dead end hanging off a separator, lies on no path
-    and is never walked.
+    and is never walked. Between distinct endpoints the first segment's one
+    route is `()`, as the subject's subnet is the first separator; every
+    later segment's routes start at their separator.
     """
     resolve_endpoint(topo, subject)
     resolve_endpoint(topo, obj)
     walkable = {n for n, node in topo.nodes.items() if node.kind != ENDPOINT}
     if subject == obj:
-        found = _walk(topo, subject, obj, walkable)
-    elif (separators := _separators(topo, subject, obj, walkable)) is None:
-        found = []
-    else:
-        ends = [subject, *separators, obj]
-        regions = _regions(topo, ends, walkable)
-        parts = [_walk(topo, subject, ends[1], regions[0])]
-        for i, separator in enumerate(separators, 1):
-            parts.append([
-                (separator, *seq)
-                for seq in _walk(topo, separator, ends[i + 1], regions[i])
-            ])
-        found = _joined(parts)
+        return [_walk(topo, subject, obj, walkable)]
+    separators = _separators(topo, subject, obj, walkable)
+    if separators is None:
+        return []
+    ends = [subject, *separators, obj]
+    regions = _regions(topo, ends, walkable)
+    segments = [_walk(topo, subject, ends[1], regions[0])]
+    for i, separator in enumerate(separators, 1):
+        segments.append([
+            (separator, *seq) for seq in _walk(topo, separator, ends[i + 1], regions[i])
+        ])
+    return segments
+
+
+def enumerate_paths(topo: Topology, subject: str, obj: str) -> list[Path]:
+    """All simple paths between two endpoints, endpoints excluded: the
+    products of route_segments.
+
+    Result is sorted lexicographically by node-id sequence; empty when the
+    endpoints are disconnected.
+    """
+    segments = route_segments(topo, subject, obj)
+    found = _joined(segments) if segments else []
     found.sort()
     return list(map(Path, found))

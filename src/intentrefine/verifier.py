@@ -6,6 +6,12 @@ every condition: an address by exact value, union member or range; the HTTP
 host only at a control that inspects the application layer, and
 case-sensitively, as the rendered `@rx` compares it; any connection state.
 Each path is blocked at its first blocking device.
+
+Paths are never built. Every path is a product of segment routes
+(topology.route_segments), so each segment route is formatted once, as the
+ids' reprs joined by ", ", and decided once, at its first blocking node. The
+report is their product, sorted in path order: verify costs time in
+proportion to what it prints.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .capability import Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION
 from .converter import MatchOperator, MsplCondition, ip_key
 from .errors import UnknownControl, ValidationError
 from .refiner import RuleArtifact
-from .topology import Path, Topology
+from .topology import Topology
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +55,23 @@ def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec) -> bool:
     return ip in cond.values
 
 
+def _joined(parts: list[list[tuple]]) -> list[tuple]:
+    """Every joining of one (route, device) of each of `parts`, in order,
+    halves first as topology._joined joins routes. A joined route's device
+    is its head's, or its tail's when the head has none. An empty head (the
+    first segment's route `()`) adds no separator; a tail is never empty,
+    as it starts at a separator."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    heads, tails = _joined(parts[:half]), _joined(parts[half:])
+    joined = []
+    for head, device in heads:
+        lead = f"{head}, " if head else ""
+        joined += [(lead + tail, device or at) for tail, at in tails]
+    return joined
+
+
 def evaluate_flow(
     t: Topology,
     artifacts: list[RuleArtifact],
@@ -56,9 +79,10 @@ def evaluate_flow(
     f: FlowSpec,
     subject: str,
     obj: str,
-) -> list[tuple[Path, str | None]]:
-    """Each enumerated path with its first blocking device, or None when the
-    flow passes it.
+) -> list[tuple[str, str | None]]:
+    """Each path's route with its first blocking device, or None when the
+    flow passes it, in path order. A route is the path's node ids' reprs
+    joined by ", ", as `repr(list(path))` shows them between its brackets.
 
     The deployment is read with the stages' own checks before any device is
     decided: converter.build_mspl, as `convert` runs it, then
@@ -69,7 +93,7 @@ def evaluate_flow(
     Each device is decided from the distinct rule shapes check_policy
     returned.
     """
-    paths = topo.enumerate_paths(t, subject, obj)
+    segments = topo.route_segments(t, subject, obj)
     # The first artifact of each distinct (device, control, capabilities): a
     # later equal one cannot fail before it, nor decide its device otherwise.
     first: dict[tuple, RuleArtifact] = {}
@@ -96,9 +120,20 @@ def evaluate_flow(
         if any(all(_admits(c, f, control) for c in conditions)
                for conditions, _ in shapes[device]):
             blocking.add(device)
-    return [
-        (p, next((n for n in p.intermediate if n in blocking), None)) for p in paths
-    ]
+    if not segments:
+        return []
+    verdicts = _joined([
+        [(", ".join(map(repr, route)), next(filter(blocking.__contains__, route), None))
+         for route in routes]
+        for routes in segments
+    ])
+    # Ids match errors.ID_RE, whose characters all sort above the quotes of
+    # each repr, so route order is path order. topology._walk meets each
+    # node's neighbors in sorted order, so the product is already in that
+    # order; sorting it, one comparison a line, keeps the report's order
+    # from resting on how the segments were walked.
+    verdicts.sort()
+    return verdicts
 
 
 def verify_deployment(
@@ -114,14 +149,9 @@ def verify_deployment(
     if not verdicts:
         logger.warning("no paths between %s and %s; vacuously blocked", subject, obj)
         return True, [f"warning: no paths between {subject} and {obj}"]
-    # each path as `repr(list(p.intermediate))` shows it, from node reprs
-    # computed once
-    shown = {n: repr(n) for n in t.nodes}
-    report = []
-    for p, device in verdicts:
-        route = f"[{', '.join(map(shown.__getitem__, p.intermediate))}]"
-        report.append(
-            f"ALLOWED (bypass) path {route}" if device is None
-            else f"BLOCKED path {route} at {device}"
-        )
+    report = [
+        f"ALLOWED (bypass) path [{route}]" if device is None
+        else f"BLOCKED path [{route}] at {device}"
+        for route, device in verdicts
+    ]
     return all(device is not None for _, device in verdicts), report

@@ -111,7 +111,10 @@ def test_traced_verify_measures_every_per_layer_metric(tmp_path, monkeypatch, ca
         "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3",
     ])
 
+    out = capsys.readouterr().out
     assert _traced_metrics("verify") <= set(metrics)
-    assert metrics["topology.enumerate_calls"] == 1
-    assert metrics["verifier.paths"] == metrics["topology.paths"] == 3
-    assert metrics["verifier.report_bytes"] == len(capsys.readouterr().out.encode())
+    # verify joins segment routes and never enumerates paths
+    assert metrics["topology.enumerate_calls"] == 0
+    assert metrics["verifier.paths"] == 3 == sum(
+        line.startswith(("BLOCKED ", "ALLOWED ")) for line in out.splitlines())
+    assert metrics["verifier.report_bytes"] == len(out.encode())

@@ -1424,6 +1424,16 @@ def test_a_failed_removal_of_an_earlier_file_exits_persist(tmp_path, capsys,
         f"error: PersistError: cannot remove earlier output {name}: ")
 
 
+@pytest.mark.parametrize("command", ["run", "refine"])
+def test_a_kb_in_a_missing_directory_exits_persist(tmp_path, capsys, command):
+    flags = scenario_flags("scenario1", tmp_path, kb=False)
+    kb = tmp_path / "no-such-dir" / "kb.json"
+    assert run_cli(command, *flags, "--kb", kb) == cli.EXIT_CODES_BY_NAME["PersistError"]
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: PersistError: cannot lock the knowledge base: ")
+    assert not (tmp_path / "out").exists()
+
+
 # A file name that, logged raw, would end one INFO line and forge another.
 FORGING_NAME = "a b=c\nstage=forged event=x"
 
@@ -1556,3 +1566,23 @@ def test_verify_into_a_closed_pipe_keeps_its_verdict(tmp_path, buffering):
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (code, "")
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_into_a_closed_pipe_exits_ok(argv, buffering):
+    """argparse prints the help and exits before any command runs; a reader
+    that stopped early makes that no error either."""
+    env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "intentrefine.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")

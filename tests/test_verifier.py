@@ -1,4 +1,6 @@
 import ipaddress
+import itertools
+import random
 import re
 
 import pytest
@@ -8,6 +10,8 @@ from intentrefine import capability, converter, refiner, topology, translator, v
 from intentrefine.capability import CapabilityId
 from intentrefine.errors import UnknownEndpoint, ValidationError
 from intentrefine.verifier import FlowSpec, evaluate_flow, verify_deployment
+
+from randomtopo import oracle_simple_paths, random_topology, series_parallel_topology
 
 MALICIOUS_FLOW = FlowSpec(src_ip="80.71.158.96", dst_ip="172.19.0.3")
 
@@ -35,10 +39,15 @@ def test_scenario1_flow_blocked_everywhere(scenario1_topology, scenario1_artifac
 
 
 def test_blocking_device_lies_on_its_path(scenario1_topology, scenario1_artifacts, catalog):
-    for path, device in evaluate_flow(
+    verdicts = evaluate_flow(
         scenario1_topology, scenario1_artifacts, catalog, MALICIOUS_FLOW, "Eve", "Bob"
-    ):
-        assert device in path.intermediate
+    )
+    paths = topology.enumerate_paths(scenario1_topology, "Eve", "Bob")
+    assert [route for route, _ in verdicts] == [
+        repr(list(p.intermediate))[1:-1] for p in paths
+    ]
+    for route, device in verdicts:
+        assert repr(device) in route.split(", ")
 
 
 def test_no_artifacts_allows_everything(scenario1_topology, catalog):
@@ -291,3 +300,57 @@ links:
         f"BLOCKED path {repr(list(first.intermediate))} at FW-a_2",
         f"ALLOWED (bypass) path {repr(list(second.intermediate))}",
     ]
+
+
+# At least test_end_to_end's EXAMPLES, and enough that some instance holds
+# a segment route that is a prefix of another: there the order of two
+# paths, and of their routes' text, turns on the node after the shorter.
+ORACLE_EXAMPLES = 300
+
+
+def _drop_rule(device, src_ip, dst_ip):
+    return refiner.RuleArtifact("h", device, "IpTables", (
+        refiner.CapabilityInstance(CapabilityId.IP_SOURCE, src_ip),
+        refiner.CapabilityInstance(CapabilityId.IP_DESTINATION, dst_ip),
+        refiner.CapabilityInstance(CapabilityId.DROP, "drop"),
+    ))
+
+
+def test_report_equals_one_built_from_oracle_paths(catalog):
+    """verify's report, built from segment routes, against lines built from
+    the oracle's tuple-sorted paths, each shown as the repr of its node list
+    and blocked at its first device with a rule matching the flow."""
+    prefixed = 0
+    for seed in range(ORACLE_EXAMPLES):
+        rng = random.Random(seed)
+        t = (random_topology if seed % 2 else series_parallel_topology)(rng)
+        endpoints = sorted(n.id for n in t.nodes.values() if n.kind == "endpoint")
+        subject, obj = rng.sample(endpoints, 2)
+        f = FlowSpec(t.nodes[subject].ip, t.nodes[obj].ip)
+        capable = sorted(n.id for n in t.nodes.values() if n.controls)
+        ruled = [d for d in capable if rng.random() < 0.5]
+        # a rule for another source leaves its device passing the flow
+        blocking = {d for d in ruled if rng.random() < 0.8}
+        artifacts = [_drop_rule(d, f.src_ip if d in blocking else "10.0.0.2", f.dst_ip)
+                     for d in ruled]
+
+        paths = oracle_simple_paths(t, subject, obj)
+        segments = topology.route_segments(t, subject, obj)
+        product = sorted(
+            tuple(itertools.chain.from_iterable(routes))
+            for routes in itertools.product(*segments)
+        ) if segments else []
+        assert product == [p.intermediate for p in topology.enumerate_paths(t, subject, obj)]
+        assert product == paths
+        prefixed += any(a != b and a == b[:len(a)]
+                        for routes in segments for a in routes for b in routes)
+
+        blocked, report = verify_deployment(t, artifacts, catalog, f, subject, obj)
+        devices = [next((n for n in p if n in blocking), None) for p in paths]
+        expected = [
+            f"ALLOWED (bypass) path {list(p)!r}" if d is None
+            else f"BLOCKED path {list(p)!r} at {d}"
+            for p, d in zip(paths, devices)
+        ] or [f"warning: no paths between {subject} and {obj}"]
+        assert (blocked, report) == (None not in devices, expected), seed
+    assert prefixed
