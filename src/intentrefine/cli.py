@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 
 from . import converter, extractor, factbase, refiner, translator, verifier
 from . import capability as cap
@@ -81,15 +80,7 @@ def _write_outputs(out_dir: str, outputs: dict[str, str], kinds: tuple[str, ...]
     current."""
     os.makedirs(out_dir, exist_ok=True)
     for name, content in outputs.items():
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(content)
-            os.replace(tmp, os.path.join(out_dir, name))
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise errors.PersistError(f"cannot write {name}: {exc}")
+        errors.write_atomic(os.path.join(out_dir, name), content, f"write {name}")
     for name in _stage_files(out_dir, kinds):
         if name in outputs:
             continue

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all pipeline stages, and the shape check
-that input documents run through at their boundaries.
+"""Exception hierarchy shared by all pipeline stages, the shape check that
+input documents run through at their boundaries, and the one way a file is
+written out.
 
 Every error class is a direct subclass of PipelineError that some input
 raises, with its own CLI exit code (see cli.EXIT_CODES).
 """
 
+import contextlib
+import os
 import re
 import reprlib
 
@@ -109,3 +112,25 @@ def require_id(value: str, what: str) -> str:
     if not ID_RE.fullmatch(value):
         raise ValidationError(f"invalid {what} {value!r}")
     return value
+
+
+def write_atomic(path: str, content: str, what: str) -> None:
+    """Write `content` to `path` through a temporary file beside it and one
+    rename, so a reader sees the old file or the new one, never part of one.
+    The temporary file is created with mode 0o666, so the umask sets the
+    file's mode as for any file the user creates, and is named after this
+    process, since nothing locks an output directory. On failure it is
+    removed, and an OSError becomes a PersistError `cannot {what}: …`."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise PersistError(f"cannot {what}: {exc}")

@@ -31,11 +31,11 @@ from .errors import (
     ID_RE,
     DocumentSyntaxError,
     NothingToEnforce,
-    PersistError,
     Unenforceable,
     UnsupportedAction,
     ValidationError,
     require_id,
+    write_atomic,
 )
 from .factbase import Fact, Knowledge
 from .topology import Path, Topology
@@ -519,7 +519,7 @@ def kb_to_json(kb: KnowledgeBase) -> str:
             for i in kb.intents.values()
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_kb(path: str) -> KnowledgeBase | None:
@@ -557,13 +557,7 @@ def load_kb(path: str) -> KnowledgeBase | None:
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
-    try:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(kb_to_json(kb))
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise PersistError(f"cannot persist knowledge base to {path}: {exc}")
+    write_atomic(path, kb_to_json(kb), f"persist knowledge base to {path}")
 
 
 def _attachments(t: Topology, intent: HsplPolicy) -> tuple:

@@ -4,6 +4,9 @@ import os
 import pathlib
 import random
 import re
+import resource
+import signal
+import stat
 import subprocess
 import sys
 
@@ -650,12 +653,14 @@ def test_every_replaced_input_value_exits_with_a_documented_code(
 
 
 def _rerun_on_kb(tmp_path, caplog, capsys, kb_doc):
-    """Run scenario1 cold in its own directory, then on `kb_doc` as the KB;
-    the second run must equal the cold one, outputs and KB. Returns its log."""
+    """Run scenario1 cold in its own directory, then on `kb_doc` (a document,
+    or the text of one) as the KB; the second run must equal the cold one,
+    outputs and KB. Returns its log."""
     cold = tmp_path / "cold"
     cold.mkdir()
     assert run_cli("run", *scenario_flags("scenario1", cold)) == 0
-    (tmp_path / "kb.json").write_text(json.dumps(kb_doc(cold / "kb.json")))
+    kb = kb_doc(cold / "kb.json")
+    (tmp_path / "kb.json").write_text(kb if isinstance(kb, str) else json.dumps(kb))
     caplog.clear()
     with caplog.at_level("INFO"):
         assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
@@ -690,6 +695,21 @@ def test_tampered_kb_record_is_treated_as_absent(tmp_path, caplog, capsys, tampe
     reuse = [m for m in messages if "event=kb_reuse" in m]
     assert reuse == [f"stage=refiner event=kb_reuse intent=hspl1 result=stale {diff}"]
     assert not any("corrupt" in m for m in messages)
+
+
+def test_kb_in_the_earlier_indented_layout_is_reused_and_rewritten_compact(
+        tmp_path, caplog, capsys):
+    """A KB is written as compact JSON with sorted keys. One written in the
+    earlier layout, indented by two spaces, holds the same document: every
+    intent is a hit, and the run rewrites the KB in the compact layout."""
+    def indented(kb_path):
+        return json.dumps(json.loads(kb_path.read_text()), indent=2, sort_keys=True) + "\n"
+
+    messages = _rerun_on_kb(tmp_path, caplog, capsys, indented)
+    reuse = [m for m in messages if "event=kb_reuse" in m]
+    assert reuse == ["stage=refiner event=kb_reuse intent=hspl1 result=hit"]
+    text = (tmp_path / "kb.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_kb_in_the_path_cache_format_is_treated_as_absent(tmp_path, caplog, capsys):
@@ -1432,6 +1452,45 @@ def test_a_kb_in_a_missing_directory_exits_persist(tmp_path, capsys, command):
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "error: PersistError: cannot lock the knowledge base: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kb", [True, False], ids=["kb", "outputs"])
+def test_a_write_cut_short_exits_persist_and_leaves_no_temporary_file(tmp_path, kb):
+    """The child may write files of at most 150 bytes, and a longer write
+    fails (SIGXFSZ ignored): the KB (written first) or an output cannot be
+    written whole. The run exits 17, and no temporary file is left."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (150, 150))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "intentrefine.cli", "run",
+         *map(str, scenario_flags("scenario1", tmp_path, kb=kb))],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=limit,
+    )
+    assert done.returncode == cli.EXIT_CODES_BY_NAME["PersistError"], done.stderr
+    what = "persist knowledge base to " if kb else "write "
+    assert done.stderr.splitlines()[-1].startswith(f"error: PersistError: cannot {what}")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_outputs_and_kb_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    """Every file a run writes, cold or warm, is created as any file the user
+    creates: mode 0o666 less the umask."""
+    previous = os.umask(umask)
+    try:
+        for _ in range(2):
+            assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
+    finally:
+        os.umask(previous)
+    written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert {p.name for p in written} >= {"kb.json", "kb.json.lock", "FW1.rules"}
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {
+        p.name: mode for p in written}
 
 
 # A file name that, logged raw, would end one INFO line and forge another.
