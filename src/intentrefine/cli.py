@@ -143,12 +143,12 @@ def _refine(args, knowledge: factbase.Knowledge):
     )
 
     with _kb_lock(args.kb):
-        kb = refiner.load_kb(args.kb) if args.kb else None
+        kb, kb_text = refiner.load_kb(args.kb) if args.kb else (None, None)
         artifacts, report, updated = refiner.refine(
             t, intents, knowledge, catalog, kb=kb
         )
         if args.kb:
-            refiner.save_kb(updated, args.kb)
+            refiner.save_kb(updated, args.kb, kb_text)
     for hid in report.hits:
         logger.info("stage=refiner event=kb_reuse intent=%s result=hit", hid)
     for hid in report.misses:

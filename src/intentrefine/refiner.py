@@ -522,15 +522,19 @@ def kb_to_json(kb: KnowledgeBase) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load_kb(path: str) -> KnowledgeBase | None:
-    """Read a persisted knowledge base. One that is not UTF-8 text, not in
-    kb_to_json's shape, or whose digest is no sha256 digest is corrupt: it is
-    treated as absent, with a warning."""
+def load_kb(path: str) -> tuple[KnowledgeBase | None, str | None]:
+    """Read a persisted knowledge base: the KB, and the file's text for
+    save_kb to compare with. One that is not UTF-8 text, not in kb_to_json's
+    shape, or whose digest is no sha256 digest is corrupt: it is treated as
+    absent, with a warning. The text is None when the file does not exist or
+    is no UTF-8 text."""
     if not os.path.exists(path):
-        return None
+        return None, None
+    text = None
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.loads(fh.read())
+            text = fh.read()
+        raw = json.loads(text)
         kb = KnowledgeBase(_string(raw["digest"]), {}, {})
         for hid, entry in raw["intents"].items():
             kb.intents[hid] = HsplPolicy(
@@ -550,14 +554,18 @@ def load_kb(path: str) -> KnowledgeBase | None:
         problem = f"unreadable knowledge base: {exc!r}"
     else:
         if re.fullmatch(r"[0-9a-f]{64}", kb.digest):
-            return kb
+            return kb, text
         problem = "digest is not a sha256 digest"
     logger.warning("ignoring corrupt knowledge base %s: %s", path, problem)
-    return None
+    return None, text
 
 
-def save_kb(kb: KnowledgeBase, path: str) -> None:
-    write_atomic(path, kb_to_json(kb), f"persist knowledge base to {path}")
+def save_kb(kb: KnowledgeBase, path: str, earlier: str | None = None) -> None:
+    """Write `kb` to `path`, unless `earlier`, the text load_kb read from
+    it, already is kb_to_json's text of it."""
+    text = kb_to_json(kb)
+    if text != earlier:
+        write_atomic(path, text, f"persist knowledge base to {path}")
 
 
 def _attachments(t: Topology, intent: HsplPolicy) -> tuple:

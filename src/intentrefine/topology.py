@@ -1,8 +1,11 @@
 """Network topology model: parsing, endpoint resolution, simple-path enumeration.
 
 The input format is a flat YAML document with `nodes` and `links` lists (see
-tests/fixtures for full scenarios). Topologies are immutable after parsing and
-all operations here are pure.
+tests/fixtures for full scenarios). A document in the one-line-per-entry
+layout those fixtures use is read without PyYAML (`_read_layout`), so a
+process reading one never imports it; every other document is read by
+PyYAML. Topologies are immutable after parsing and all operations here are
+pure.
 
 Paths are enumerated segment by segment: the nodes every route between two
 endpoints passes through (found by lowpoints) cut the routes into segments,
@@ -14,12 +17,11 @@ route once before joining.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import re
 from collections import namedtuple
-
-import yaml
 
 from .errors import (
     DocumentSyntaxError,
@@ -33,24 +35,118 @@ from .errors import (
 _HOST_LABEL = r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?"
 HOST_NAME_RE = re.compile(rf"{_HOST_LABEL}(\.{_HOST_LABEL})*")
 
-if yaml.__with_libyaml__:
-    class _Loader(
+# The one-line-per-entry layout: an optional `name: <value>` line, then
+# `nodes:` and one `  - {key: value, ...}` line per node, then `links:` and
+# one `  - [a, b]` line per link. A value is a plain scalar or a flow list of
+# them, and a plain scalar an id-like word or a dotted quad. A scalar starts
+# only after a character no scalar holds: a search that fails in a long run
+# of scalar characters then fails at once at every later position of the
+# run, and takes linear time.
+_PLAIN = r"(?<![A-Za-z0-9_.-])(?:[A-Za-z_][A-Za-z0-9_.-]*|[0-9]+(?:\.[0-9]+){3})"
+_SCALARS = re.compile(_PLAIN)
+_PAIRS = re.compile(rf"({_PLAIN}): (\[(?:{_PLAIN}(?:, {_PLAIN})*)?\]|{_PLAIN})")
+# The id-like words YAML 1.1 reads as a boolean or null, not as a string.
+_NOT_STRINGS = frozenset(
+    spelling
+    for word in ("yes", "no", "true", "false", "on", "off", "null")
+    for spelling in (word, word.title(), word.upper())
+)
+
+
+def _layout_value(value: str | list[str]) -> str:
+    return f"[{', '.join(value)}]" if isinstance(value, list) else value
+
+
+def _layout_pairs(text: str) -> dict:
+    return {
+        key: _SCALARS.findall(value) if value[0] == "[" else value
+        for key, value in _PAIRS.findall(text)
+    }
+
+
+def _layout_text(raw: dict) -> str:
+    """`raw` written in the one-line-per-entry layout."""
+    lines = [f"name: {_layout_value(raw['name'])}"] if "name" in raw else []
+    lines.append("nodes:")
+    for node in raw["nodes"]:
+        pairs = ", ".join(f"{k}: {_layout_value(v)}" for k, v in node.items())
+        lines.append(f"  - {{{pairs}}}")
+    lines.append("links:")
+    lines += [f"  - {_layout_value(link)}" for link in raw["links"]]
+    return "\n".join(lines) + "\n"
+
+
+def _read_layout(document: str) -> dict | None:
+    """What PyYAML reads from `document` (`yaml.load` with `_yaml_loader()`)
+    when it is in the one-line-per-entry layout with both blocks non-empty;
+    None for any other text.
+
+    The document is read leniently, then accepted only if writing what was
+    read back in the layout gives the document itself. The layout spells
+    each value one way, so that proves every line is in the layout, every
+    value a plain scalar or a list of them, and no node repeats a key; what
+    is left is to refuse the words YAML reads as no string.
+    """
+    head, _, rest = document.partition("nodes:\n")
+    nodes, _, links = rest.partition("links:\n")
+    raw = _layout_pairs(head)
+    raw["nodes"] = [_layout_pairs(line) for line in nodes.splitlines()]
+    raw["links"] = [_SCALARS.findall(line) for line in links.splitlines()]
+    if (
+        raw["nodes"]
+        and raw["links"]
+        and _layout_text(raw) == document
+        and _NOT_STRINGS.isdisjoint(_SCALARS.findall(document))
+    ):
+        return raw
+    return None
+
+
+@functools.cache
+def _yaml_loader() -> type:
+    """`yaml.SafeLoader`, on libyaml's C scanner and parser when PyYAML was
+    built with libyaml. Built on first use: a process that reads only the
+    one-line-per-entry layout never imports PyYAML."""
+    import yaml
+
+    if not yaml.__with_libyaml__:
+        return yaml.SafeLoader
+
+    class Loader(
         yaml.composer.Composer,
         yaml.cyaml.CParser,
         yaml.constructor.SafeConstructor,
         yaml.resolver.Resolver,
     ):
-        """`yaml.SafeLoader` on libyaml's C scanner and parser. The composer
-        stays PyYAML's: libyaml's recurses on the C stack, so deep nesting
-        crashes the process, where this one raises RecursionError."""
+        """The composer stays PyYAML's: libyaml's recurses on the C stack, so
+        deep nesting crashes the process, where this one raises
+        RecursionError."""
 
         def __init__(self, stream):
             yaml.cyaml.CParser.__init__(self, stream)
             yaml.composer.Composer.__init__(self)
             yaml.constructor.SafeConstructor.__init__(self)
             yaml.resolver.Resolver.__init__(self)
-else:
-    _Loader = yaml.SafeLoader
+
+    return Loader
+
+
+def _load_yaml(document: str) -> object:
+    """The value of a YAML document, read by PyYAML."""
+    import yaml
+
+    try:
+        return yaml.load(document, Loader=_yaml_loader())
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else None
+        raise DocumentSyntaxError(f"malformed topology document: {exc}", line=line)
+    except (RecursionError, ValueError, LookupError, AttributeError) as exc:
+        # Nesting deeper than the composer's recursion allows, or a value the
+        # safe constructor cannot build under its tag (`!!int x`, the date
+        # 2020-13-45, `!!timestamp x`).
+        raise DocumentSyntaxError(f"malformed topology document: {exc!r}")
+
 
 ENDPOINT = "endpoint"
 SUBNET = "subnet"
@@ -171,17 +267,7 @@ def parse_topology(document: str) -> Topology:
     (duplicate ids, dangling links, endpoints not attached to exactly one
     subnet).
     """
-    try:
-        raw = yaml.load(document, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else None
-        raise DocumentSyntaxError(f"malformed topology document: {exc}", line=line)
-    except (RecursionError, ValueError, LookupError, AttributeError) as exc:
-        # Nesting deeper than the composer's recursion allows, or a value the
-        # safe constructor cannot build under its tag (`!!int x`, the date
-        # 2020-13-45, `!!timestamp x`).
-        raise DocumentSyntaxError(f"malformed topology document: {exc!r}")
+    raw = _read_layout(document) or _load_yaml(document)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

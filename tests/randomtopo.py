@@ -38,9 +38,7 @@ def random_topology(rng: random.Random, max_devices: int = 8):
             links.add((a, b))
 
     doc = {"name": f"random-{rng.random()}", "nodes": nodes, "links": [list(l) for l in sorted(links)]}
-    import yaml
-
-    return topology.parse_topology(yaml.safe_dump(doc))
+    return _parsed_both_ways(doc)
 
 
 def series_parallel_topology(rng: random.Random, max_stages: int = 5):
@@ -108,9 +106,38 @@ def series_parallel_topology(rng: random.Random, max_stages: int = 5):
     links |= {("A", "SA"), ("B", b_subnet), ("C", rng.choice(subnets))}
     doc = {"name": f"series-parallel-{rng.random()}", "nodes": nodes,
            "links": [list(l) for l in sorted(links)]}
+    return _parsed_both_ways(doc)
+
+
+def one_line_layout(name, nodes, links):
+    """A topology document in the one-line-per-entry layout: `name` is None
+    or a value, `nodes` a list of (key, value) pair lists and `links` a list
+    of lists, where a value is a string or a list of strings, each written
+    as it is."""
+    def value(v):
+        return f"[{', '.join(v)}]" if isinstance(v, list) else v
+
+    lines = [] if name is None else [f"name: {value(name)}"]
+    lines.append("nodes:")
+    lines += ["  - {" + ", ".join(f"{k}: {value(v)}" for k, v in pairs) + "}"
+              for pairs in nodes]
+    lines.append("links:")
+    lines += [f"  - {value(link)}" for link in links]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _parsed_both_ways(doc):
+    """`doc` parsed from `yaml.safe_dump`'s block style, which PyYAML reads,
+    and from the one-line layout, which parse_topology reads without it. The
+    two must give an equal topology."""
     import yaml
 
-    return topology.parse_topology(yaml.safe_dump(doc))
+    block = topology.parse_topology(yaml.safe_dump(doc))
+    line = one_line_layout(
+        doc["name"], [list(node.items()) for node in doc["nodes"]], doc["links"])
+    assert topology._read_layout(line) is not None, line
+    assert topology.parse_topology(line) == block
+    return block
 
 
 def oracle_simple_paths(topo, subject, obj):

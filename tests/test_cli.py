@@ -201,12 +201,16 @@ def test_rerun_is_byte_identical_and_cache_hits(tmp_path, caplog):
     assert run_cli("run", *flags) == 0
     first = read_tree(tmp_path / "out")
     first_kb = (tmp_path / "kb.json").read_text()
+    kb_file = (tmp_path / "kb.json").stat()
 
     with caplog.at_level("INFO"):
         assert run_cli("run", *flags) == 0
     second = read_tree(tmp_path / "out")
     assert second == first
     assert (tmp_path / "kb.json").read_text() == first_kb
+    # a KB whose text would not change is not written again
+    again = (tmp_path / "kb.json").stat()
+    assert (again.st_ino, again.st_mtime_ns) == (kb_file.st_ino, kb_file.st_mtime_ns)
     messages = [r.message for r in caplog.records]
     assert any("event=kb_reuse intent=hspl1 result=hit" in m for m in messages)
     assert not any("result=miss" in m or "corrupt" in m for m in messages)

@@ -754,16 +754,16 @@ def test_kb_persistence_roundtrip(
     )
     path = str(tmp_path / "kb.json")
     refiner.save_kb(kb, path)
-    loaded = refiner.load_kb(path)
+    loaded, text = refiner.load_kb(path)
     assert loaded == kb
-    assert refiner.kb_to_json(loaded) == refiner.kb_to_json(kb)
+    assert refiner.kb_to_json(loaded) == refiner.kb_to_json(kb) == text
 
 
 def test_corrupt_kb_treated_as_absent(tmp_path, caplog):
     path = tmp_path / "kb.json"
     path.write_text('{"digest": "zz", "intents": {}}')
     with caplog.at_level("WARNING"):
-        assert refiner.load_kb(str(path)) is None
+        assert refiner.load_kb(str(path)) == (None, path.read_text())
     assert any("corrupt" in rec.message.lower() for rec in caplog.records)
 
 
@@ -793,7 +793,7 @@ def test_malformed_kb_treated_as_absent(tmp_path, caplog, document):
     path = tmp_path / "kb.json"
     path.write_text(document)
     with caplog.at_level("WARNING"):
-        assert refiner.load_kb(str(path)) is None
+        assert refiner.load_kb(str(path)) == (None, path.read_text())
     assert any("corrupt" in rec.message.lower() for rec in caplog.records)
 
 
@@ -910,4 +910,4 @@ def test_path_without_a_capable_device_names_the_intent(
 
 
 def test_missing_kb_file():
-    assert refiner.load_kb("/nonexistent/kb.json") is None
+    assert refiner.load_kb("/nonexistent/kb.json") == (None, None)

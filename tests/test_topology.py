@@ -1,15 +1,20 @@
+import pathlib
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from intentrefine import topology
 from intentrefine.errors import (
     DocumentSyntaxError, PipelineError, UnknownEndpoint, ValidationError)
 
-from conftest import read_fixture
-from randomtopo import oracle_simple_paths, random_topology, series_parallel_topology
+from conftest import FIXTURES, read_fixture
+from randomtopo import (
+    one_line_layout, oracle_simple_paths, random_topology, series_parallel_topology)
 
 
 def test_scenario2_parse_counts(scenario2_topology):
@@ -275,7 +280,7 @@ yaml_values = st.recursive(
 def test_loader_reads_what_safe_dump_writes_as_safe_load_does(value, flow, allow_unicode):
     document = yaml.safe_dump(
         value, default_flow_style=flow, allow_unicode=allow_unicode)
-    assert yaml.load(document, Loader=topology._Loader) == yaml.safe_load(document)
+    assert yaml.load(document, Loader=topology._yaml_loader()) == yaml.safe_load(document)
 
 
 # Fragments of YAML syntax, so that arbitrary text often reaches the parser's
@@ -313,3 +318,134 @@ UNCONSTRUCTIBLE = {
 def test_unconstructible_yaml_is_a_syntax_error(case):
     with pytest.raises(DocumentSyntaxError, match="malformed topology document"):
         topology.parse_topology(UNCONSTRUCTIBLE[case])
+
+
+# --- the one-line-per-entry layout, read without PyYAML -------------------------
+
+# Plain scalars of the layout, all of which YAML reads as strings.
+LAYOUT_STRINGS = st.sampled_from([
+    "FW1", "id", "kind", "name", "nodes", "links", "device", "a.b-c_d", "_", "x-",
+    "yesterday", "Nope", "onto", "y", "n", "NuLL", "oN", "10.0.0.1", "999.01.0.12",
+]) | st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,5}", fullmatch=True).filter(
+    lambda s: isinstance(yaml.safe_load(s), str))
+# The same, mixed with words and numbers YAML reads as no string (booleans,
+# null, floats, ints, a sexagesimal time, a date, infinity) and with text
+# that is no plain scalar of the layout.
+LAYOUT_SCALARS = LAYOUT_STRINGS | st.sampled_from([
+    "yes", "Yes", "On", "ON", "off", "no", "True", "FALSE", "~", "null", "Null",
+    "NULL", "1.50", "0x1F", "1_000", "12:30", "2020-01-01", ".inf",
+    "1.2.3", "1.2.3.4.5", "1e3", "-a", "a b", "a:b",
+])
+
+
+def _layout_parts(scalars):
+    """(name, nodes, links) of a document in the layout, for one_line_layout."""
+    values = scalars | st.lists(scalars, max_size=3)
+    return st.tuples(
+        st.none() | values,
+        st.lists(st.lists(st.tuples(scalars, values), max_size=4), min_size=1, max_size=4),
+        st.lists(st.lists(scalars, max_size=3), min_size=1, max_size=4),
+    )
+
+
+# The layout's plain scalars, as the layout defines them: YAML reads some
+# of these as no string, and the layout leaves those out.
+LAYOUT_PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*|[0-9]+(?:\.[0-9]+){3}")
+
+
+def _scalars(value):
+    return value if isinstance(value, list) else [value]
+
+
+@given(parts=_layout_parts(LAYOUT_SCALARS))
+def test_the_layout_reader_reads_what_pyyaml_reads_or_nothing(parts):
+    """The reader returns PyYAML's value or None, and None exactly when a
+    scalar is no plain scalar of the layout that PyYAML reads as a string,
+    or a node repeats a key."""
+    name, nodes, links = parts
+    document = one_line_layout(name, nodes, links)
+    raw = topology._read_layout(document)
+    if raw is not None:
+        assert raw == yaml.load(document, Loader=topology._yaml_loader())
+    named = [] if name is None else [name]
+    scalars = [s for v in [*named, *links] for s in _scalars(v)]
+    scalars += [s for pairs in nodes for k, v in pairs for s in [k, *_scalars(v)]]
+    in_layout = all(
+        LAYOUT_PLAIN.fullmatch(s) and isinstance(yaml.safe_load(s), str)
+        for s in scalars
+    ) and all(len(dict(pairs)) == len(pairs) for pairs in nodes)
+    assert (raw is not None) == in_layout
+
+
+def _defective(parts, defect, data):
+    """The document of `parts`, in the layout, with one defect that takes
+    it out of the layout."""
+    name, nodes, links = parts
+    i = data.draw(st.integers(0, len(nodes) - 1))
+    if defect == "repeated-key":
+        nodes = [*nodes[:i], [*nodes[i], ("id", "a"), ("id", "b")], *nodes[i + 1:]]
+    elif defect == "no-space-after-colon":
+        nodes = [*nodes[:i], [("controls", ["IpTables"]), *nodes[i]], *nodes[i + 1:]]
+    elif defect == "empty-block":
+        nodes, links = data.draw(st.sampled_from([([], links), (nodes, [])]))
+    document = one_line_layout(name, nodes, links)
+    lines = document.splitlines(keepends=True)
+    if defect == "character":
+        at = data.draw(st.integers(0, len(document)))
+        return document[:at] + data.draw(st.sampled_from("'\"#\t&*!|>%@`")) + document[at:]
+    if defect == "no-space-after-colon":
+        return document.replace("controls: [", "controls:[", 1)
+    if defect == "crlf":
+        return document.replace("\n", "\r\n")
+    if defect == "bom":
+        return "\ufeff" + document
+    if defect == "trailing-space":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[j] = lines[j][:-1] + " \n"
+    elif defect == "indentation":
+        j = data.draw(st.sampled_from(
+            [j for j, line in enumerate(lines) if line.startswith("  - ")]))
+        lines[j] = data.draw(st.sampled_from(["", " ", "   ", "    ", "\t"])) + lines[j][2:]
+    return "".join(lines)
+
+
+LAYOUT_DEFECTS = ["character", "crlf", "bom", "trailing-space", "indentation",
+                  "no-space-after-colon", "repeated-key", "empty-block"]
+
+
+@given(parts=_layout_parts(LAYOUT_STRINGS), defect=st.sampled_from(LAYOUT_DEFECTS),
+       data=st.data())
+def test_the_layout_reader_refuses_what_is_not_in_the_layout(parts, defect, data):
+    assume(topology._read_layout(one_line_layout(*parts)) is not None)
+    assert topology._read_layout(_defective(parts, defect, data)) is None
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(FIXTURES)) for p in FIXTURES.glob("*/*.yaml")))
+def test_the_layout_reader_reads_every_fixture_topology(path):
+    document = read_fixture(path)
+    raw = topology._read_layout(document)
+    assert raw is not None and raw == yaml.safe_load(document)
+
+
+# Runs of text on which a search for a scalar or a pair could fail late at
+# each position, as each document, node line, link line and name: in one
+# subprocess, so quadratic time fails on the timeout.
+LONG_RUNS_PROBE = """
+from intentrefine import topology
+
+n = 10 ** 6
+for run in ("a" * n, "1" * n, "1." * n, "a: [" * (n // 4), "k: [" + "a, " * (n // 3),
+            "a: " * (n // 3), "a:" * (n // 2), "a1." * (n // 3)):
+    for document in (run, "nodes:\\n  - {" + run + "}\\nlinks:\\n  - [a]\\n",
+                     "nodes:\\n  - {a: b}\\nlinks:\\n  - [" + run + "]\\n",
+                     "name: " + run + "\\nnodes:\\n  - {a: b}\\nlinks:\\n  - [a]\\n"):
+        topology._read_layout(document)
+"""
+
+
+def test_the_layout_reader_takes_linear_time_on_long_runs():
+    src = str(pathlib.Path(topology.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", LONG_RUNS_PROBE], capture_output=True,
+                          text=True, timeout=60, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
