@@ -4,7 +4,8 @@ emit rule artifacts, and maintain the reuse knowledge base.
 Enforcement placement picks the fewest devices that hit every path between
 an intent's endpoints: a minimum subject-object vertex cut in which only
 capable devices may be cut, found by max-flow on the topology's links among
-the nodes of those paths (see select_enforcement_set).
+the nodes of those paths, read from their route segments without building a
+path (see select_enforcement_set).
 The knowledge base is the record of the last deployment: each intent's
 placement under a digest of the topology and catalog. A run reports, per
 intent, whether that record was absent, equal to the new placement, or stale.
@@ -262,44 +263,62 @@ def _push_unit(residual, parent, end):
         v = u
 
 
+def _path_ends(segments, index: int) -> set[str]:
+    """The first (`index` 0, `segments` in order) or last (`index` -1,
+    `segments` reversed) nodes of the paths that join one route of each
+    segment: the end of each of a segment's routes, and past a segment
+    holding the route `()`, the ends of the next."""
+    ends: set[str] = set()
+    for routes in segments:
+        ends.update(route[index] for route in routes if route)
+        if () not in routes:
+            break
+    return ends
+
+
 def select_enforcement_set(
-    paths: list[Path],
+    paths: topo.Paths,
     t: Topology,
     catalog: Catalog,
     r: RequiredSet,
 ) -> tuple[set[str], dict[str, str]]:
     """Minimum set of devices covering every path with a satisfying control.
 
-    `paths` must be every simple path between two endpoints (as from
-    `enumerate_paths`). Capability belongs to the device, not the path, so a
+    `paths` must be every simple path between two endpoints, as
+    `enumerate_paths` returns them; only their route segments are read, and
+    no path is built. Capability belongs to the device, not the path, so a
     minimum cover is a minimum vertex cut between the endpoints in which
     only capable devices may be cut (Menger). The cut is found by max-flow
-    on the graph of the topology's links among the nodes on `paths`, taken
-    in both orientations, with the source on each path's first node and the
-    sink on its last: any route of that graph holds one of `paths`, so both
-    have the same vertex cuts. Every node is split into an in- and an
+    on the graph of the topology's links among the nodes of the segment
+    routes, which are the nodes on the paths, taken in both orientations,
+    with the source on each path's first node and the sink on its last
+    (_path_ends): any route of that graph holds one of `paths`, so both have
+    the same vertex cuts. Every node is split into an in- and an
     out-vertex, joined by an arc of capacity 1 for a capable device and
     unbounded otherwise.
 
     Ties break lexicographically on the sorted device-id tuple: candidates
     are taken in sorted order, and each is kept only if removing it, together
-    with the devices already kept, lowers the cut by exactly one. Raises
-    Unenforceable (carrying the offending path) for the first path that has
-    no capable device.
+    with the devices already kept, lowers the cut by exactly one. A path has
+    no capable device exactly when every segment has a route without one;
+    then Unenforceable carries the first such path in path order, the first
+    such route of each segment joined, as the segments' products come in
+    that order (topology._walk meets neighbors sorted).
     """
-    if not paths:
+    segments = paths.segments
+    if not segments:
         raise ValidationError("select_enforcement_set requires at least one path")
 
-    routes = [p.intermediate for p in paths]
-    nodes = set().union(*routes)
+    nodes = {n for routes in segments for route in routes for n in route}
     controls = {
         n: _satisfying_controls(t, n, catalog, r)
         for n in nodes
         if t.nodes[n].kind == topo.DEVICE
     }
     capable = {n for n, names in controls.items() if names}
-    if any(map(capable.isdisjoint, routes)):
-        path = next(p for p in paths if capable.isdisjoint(p.intermediate))
+    uncovered = [next(filter(capable.isdisjoint, routes), None) for routes in segments]
+    if None not in uncovered:
+        path = Path(tuple(n for route in uncovered for n in route))
         raise Unenforceable(
             f"path {list(path.intermediate)} has no device with a "
             f"satisfying {r.layer}-layer control",
@@ -322,9 +341,9 @@ def select_enforcement_set(
         for m in t.neighbors(n):
             if m in nodes:
                 arc((n, _OUT), (m, _IN), math.inf)
-    for first in sorted({seq[0] for seq in routes}):
+    for first in sorted(_path_ends(segments, 0)):
         arc(source, (first, _IN), math.inf)
-    for last in sorted({seq[-1] for seq in routes}):
+    for last in sorted(_path_ends(reversed(segments), -1)):
         arc((last, _OUT), sink, math.inf)
 
     while sink in (tree := _residual_tree(residual, source)):
@@ -570,30 +589,31 @@ def save_kb(kb: KnowledgeBase, path: str, earlier: str | None = None) -> None:
 
 def _attachments(t: Topology, intent: HsplPolicy) -> tuple:
     """The subnets the intent's subject and object attach to. Its simple
-    paths depend on these alone, since enumerate_paths never walks through
+    paths depend on these alone, since route_segments never walks through
     an endpoint; parse_topology attaches each endpoint to exactly one."""
     return t.neighbors(intent.subject), t.neighbors(intent.object)
 
 
 def kb_reconcile(
     kb: KnowledgeBase | None, t: Topology, catalog: Catalog, intents: list[HsplPolicy]
-) -> tuple[KnowledgeBase, dict[str, list[Path]], ReuseReport]:
-    """The knowledge base this run builds on, every intent's paths, and which
+) -> tuple[KnowledgeBase, dict[str, topo.Paths], ReuseReport]:
+    """The knowledge base this run builds on, every intent's paths (as
+    enumerate_paths holds them: route segments, no path built), and which
     intents have a record.
 
     `kb` is built on when it was made for this topology and catalog;
     otherwise the run starts from an empty KB. An intent equal to its record
     is a hit until refine has compared the record with its placement; any
     other intent is a miss. Paths are enumerated once per distinct pair of
-    attachment subnets; intents sharing the pair share one list.
+    attachment subnets; intents sharing the pair share one Paths.
     """
     digest = kb_digest(t, catalog)
     if kb is None or kb.digest != digest:
         kb = KnowledgeBase(digest, {}, {})
 
     report = ReuseReport([], [], {})
-    paths: dict[str, list[Path]] = {}
-    families: dict[tuple, list[Path]] = {}
+    paths: dict[str, topo.Paths] = {}
+    families: dict[tuple, topo.Paths] = {}
     for intent in intents:
         hit = kb.intents.get(intent.id) == intent
         (report.hits if hit else report.misses).append(intent.id)
@@ -640,7 +660,9 @@ def refine(
 
     Placement depends only on the intent's paths, so on its attachment
     subnets, and the required set: it runs once per distinct pair of the
-    two in the run, and intents sharing it share its control map.
+    two in the run, and intents sharing it share its control map. It reads
+    the paths' route segments and builds no path, so its time and memory
+    grow with the number of segment routes, not with their product.
     A hit whose record differs from the intent's placement becomes stale: it
     moves to the report's misses, and `report.stale` holds what changed.
     """

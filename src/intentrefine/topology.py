@@ -7,12 +7,13 @@ process reading one never imports it; every other document is read by
 PyYAML. Topologies are immutable after parsing and all operations here are
 pure.
 
-Paths are enumerated segment by segment: the nodes every route between two
+Paths are held segment by segment: the nodes every route between two
 endpoints passes through (found by lowpoints) cut the routes into segments,
 and each segment is walked only through the parts of the graph that join its
-two ends. `route_segments` returns each segment's routes; `enumerate_paths`
-joins them into paths, and the verifier decides and formats each segment
-route once before joining.
+two ends. `route_segments` returns each segment's routes, and
+`enumerate_paths` wraps them in `Paths`, which joins them into paths only
+when iterated. Placement reads the segments and never joins them; the
+verifier decides and formats each segment route once before joining.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import ipaddress
 import json
+import math
 import re
 from collections import namedtuple
 
@@ -462,14 +464,35 @@ def route_segments(topo: Topology, subject: str, obj: str) -> list[list[tuple[st
     return segments
 
 
-def enumerate_paths(topo: Topology, subject: str, obj: str) -> list[Path]:
-    """All simple paths between two endpoints, endpoints excluded: the
-    products of route_segments.
+class Paths:
+    """The simple paths between two endpoints, endpoints excluded, held as
+    their route_segments: every path is one route of each segment, joined
+    in order. Nothing is joined until the paths are iterated; iterating
+    builds them sorted lexicographically by node-id sequence."""
 
-    Result is sorted lexicographically by node-id sequence; empty when the
-    endpoints are disconnected.
-    """
-    segments = route_segments(topo, subject, obj)
-    found = _joined(segments) if segments else []
-    found.sort()
-    return list(map(Path, found))
+    __slots__ = ("segments",)
+
+    def __init__(self, segments: list[list[tuple[str, ...]]]):
+        self.segments = segments
+
+    def __bool__(self) -> bool:
+        """Whether the endpoints are connected. Unlike len(), which cannot
+        exceed sys.maxsize, this holds at any number of paths."""
+        return bool(self.segments)
+
+    def __len__(self) -> int:
+        """The number of paths: the product of the segments' route counts,
+        0 when the endpoints are disconnected."""
+        return math.prod(map(len, self.segments)) if self.segments else 0
+
+    def __iter__(self):
+        found = _joined(self.segments) if self.segments else []
+        found.sort()
+        return map(Path, found)
+
+
+def enumerate_paths(topo: Topology, subject: str, obj: str) -> Paths:
+    """All simple paths between two endpoints, endpoints excluded, as the
+    Paths of their route_segments; empty when the endpoints are
+    disconnected."""
+    return Paths(route_segments(topo, subject, obj))

@@ -12,7 +12,7 @@ import json
 import pathlib
 import sys
 
-from intentrefine import cli
+from intentrefine import cli, topology
 
 from conftest import FIXTURES
 
@@ -71,7 +71,14 @@ def test_traced_runs_measure_every_per_layer_metric(tmp_path, monkeypatch):
     assert _traced_metrics("run_warm") <= set(warm)
     assert cold["refiner.kb_hit_ratio"] == 0.0
     assert warm["refiner.kb_hit_ratio"] == 1.0
+    # the counts of the paths themselves, built here as the run builds none
+    t = topology.parse_topology((FIXTURES / "scenario1" / "topology.yaml").read_text())
+    paths = list(topology.enumerate_paths(t, "Eve", "Bob"))
+    candidates = {d for p in paths for d in p.devices(t)
+                  if "IpTables" in t.nodes[d].controls}
     for metrics in (cold, warm):
+        assert metrics["topology.paths"] == len(paths) == 3
+        assert metrics["refiner.candidates"] == len(candidates) == 4
         assert metrics["refiner.place_calls"] == 1
         assert metrics["refiner.cover_size"] == 2
         assert metrics["refiner.place_yield"] == 1.0

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import json
 import os
@@ -906,6 +907,88 @@ def test_run_on_a_chain_of_1500_devices(tmp_path):
     flags[1] = document
     assert run_cli("run", *flags) == 0
     assert set(read_tree(tmp_path / "out")) >= {"D0000.rules", "D0000.mspl.xml"}
+
+
+def _ladder_flags(tmp_path, rungs, bare=lambda rung, side: False):
+    """scenario_flags of scenario 1 with its topology replaced by a ladder:
+    `rungs` rungs of two devices in parallel between consecutive subnets,
+    from Eve's subnet S0 to Bob's. Rung i holds L<rungs-1-i>a and
+    L<rungs-1-i>b, so the lexicographically first pair of devices is next
+    to Bob; a device for which `bare(i, side)` holds has no control. Returns
+    the flags and the topology."""
+    nodes = ["  - {id: Eve, kind: endpoint, ip: 80.71.158.96}",
+             "  - {id: Bob, kind: endpoint, ip: 172.19.0.3}"]
+    nodes += [f"  - {{id: S{i}, kind: subnet}}" for i in range(rungs + 1)]
+    links = ["  - [Eve, S0]", f"  - [Bob, S{rungs}]"]
+    for i in range(rungs):
+        for side in "ab":
+            device = f"L{rungs - 1 - i:02d}{side}"
+            controls = "[]" if bare(i, side) else "[IpTables]"
+            nodes.append(f"  - {{id: {device}, kind: device, controls: {controls}}}")
+            links += [f"  - [S{i}, {device}]", f"  - [{device}, S{i + 1}]"]
+    document = tmp_path / "topology.yaml"
+    document.write_text("\n".join(["nodes:", *nodes, "links:", *links, ""]))
+    flags = scenario_flags("scenario1", tmp_path, kb=False)
+    flags[1] = document
+    return flags, topology.parse_topology(document.read_text())
+
+
+def _selected(caplog):
+    return [r.message.rsplit("devices=", 1)[1]
+            for r in caplog.records if "event=selection" in r.message]
+
+
+@pytest.fixture
+def no_path_built(monkeypatch):
+    """Fail the test wherever segment routes are joined into paths."""
+    def joined(parts):
+        raise AssertionError("a path was built")
+
+    monkeypatch.setattr(topology, "_joined", joined)
+
+
+@pytest.mark.parametrize("rungs", [0, 40, 70], ids=["scenario1", "ladder40", "ladder70"])
+def test_run_builds_no_path(tmp_path, caplog, no_path_built, rungs):
+    """Placement reads route segments and joins none into a path, so a
+    ladder of 2**70 paths, more than len() can count, places as scenario 1
+    does."""
+    if rungs:
+        flags, t = _ladder_flags(tmp_path, rungs)
+        cover = "L00a,L00b"
+        paths = topology.enumerate_paths(t, "Eve", "Bob")
+        assert paths
+        if rungs == 40:
+            assert len(paths) == 2 ** 40
+    else:
+        flags, cover = scenario_flags("scenario1", tmp_path), "FW1,FW3"
+
+    with caplog.at_level("INFO", logger="intentrefine"):
+        assert run_cli("run", *flags) == 0
+    assert _selected(caplog) == [cover]
+
+
+def test_unenforceable_ladder_names_a_real_path_without_a_capable_device(
+        tmp_path, capsys, no_path_built):
+    """Every rung of a 40-rung ladder has a bare device, and every third
+    rung two: the first of the 2**14 paths with no capable device is named,
+    found without building any path."""
+    def bare(rung, side):
+        return rung % 3 == 0 or side == "ab"[rung % 2]
+
+    flags, t = _ladder_flags(tmp_path, 40, bare)
+    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["Unenforceable"]
+    err = capsys.readouterr().err
+    witness = re.fullmatch(
+        r"error: Unenforceable: intent 'hspl1': path (\[.*\]) has no device "
+        r"with a satisfying network-layer control\n", err).group(1)
+    path = ["Eve", *ast.literal_eval(witness), "Bob"]
+    assert len(set(path)) == len(path)
+    assert all(frozenset(link) in t.links for link in zip(path, path[1:]))
+    assert not any(t.nodes[n].controls for n in path)
+    # the first in path order: side a wherever both devices of a rung are bare
+    assert path[1::2] == [f"S{i}" for i in range(41)]
+    assert path[2:-1:2] == [f"L{39 - i:02d}{'a' if i % 3 == 0 else 'ab'[i % 2]}"
+                            for i in range(40)]
 
 
 NESTED = "[" * 100_000 + "]" * 100_000

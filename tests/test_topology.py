@@ -126,7 +126,7 @@ links:
   - [B, S2]
 """
     t = topology.parse_topology(doc)
-    assert topology.enumerate_paths(t, "A", "B") == []
+    assert list(topology.enumerate_paths(t, "A", "B")) == []
 
 
 def test_paths_are_simple_and_link_consistent(scenario1_topology):
