@@ -41,7 +41,6 @@ EXIT_CODES = {
     errors.NothingToEnforce: 15,
     errors.PersistError: 17,
 }
-EXIT_CODES_BY_NAME = {cls.__name__: code for cls, code in EXIT_CODES.items()}
 EXIT_BYPASS = 18
 EXIT_USAGE = 64
 

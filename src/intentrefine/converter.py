@@ -10,6 +10,7 @@ each capability at most once and exactly one action (check_capabilities).
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from collections import namedtuple
 from xml.etree import ElementTree as ET
@@ -111,20 +112,6 @@ def condition_of(inst: CapabilityInstance) -> MsplCondition | None:
     return _normalize_address(inst.capability, inst.detail)
 
 
-class Memo(dict):
-    """key -> compute(key), computed once per distinct key on first lookup:
-    a per-call cache of a pure function. A key whose computation raises is
-    not kept, so every lookup of it raises."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 def check_capabilities(rule_id: str, carried: list[CapabilityId]) -> None:
     """NormalizationError unless a rule carries each capability at most once
     and exactly one action: the one reading of a rule that build_mspl and
@@ -151,7 +138,7 @@ def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
     rules_per_device: dict[str, list[MsplRule]] = {}
     # capabilities tuple -> (conditions, action keyword)
     shapes: dict[tuple, tuple] = {}
-    normalized = Memo(condition_of)
+    normalized = functools.cache(condition_of)
     for artifact in artifacts:
         known = nsf_per_device.setdefault(artifact.device, artifact.nsf)
         if known != artifact.nsf:
@@ -162,7 +149,7 @@ def build_mspl(artifacts: list[RuleArtifact]) -> dict[str, MsplPolicy]:
         if shape is None:
             carried = tuple(i.capability for i in artifact.capabilities)
             check_capabilities(artifact.hsplid, carried)
-            conditions = {i.capability: normalized[i] for i in artifact.capabilities}
+            conditions = {i.capability: normalized(i) for i in artifact.capabilities}
             [action] = ACTION_CAPABILITIES.intersection(carried)
             shape = shapes[artifact.capabilities] = (
                 tuple(conditions[c] for c in CONDITION_ELEMENTS if c in conditions),
@@ -213,16 +200,16 @@ def serialize_mspl(p: MsplPolicy) -> str:
     if not p.rules:
         return f'{XML_HEADER}\n<policy nsfName="{nsf_name}"/>\n'
     # Each distinct rule id, condition and action is written out once.
-    opening = Memo(lambda rule_id: f'  <rule id="{_escape(rule_id)}">')
-    elements = Memo(_condition_element)
-    closing = Memo(
+    opening = functools.cache(lambda rule_id: f'  <rule id="{_escape(rule_id)}">')
+    elements = functools.cache(_condition_element)
+    closing = functools.cache(
         lambda action: f"    <actionCapability>{_escape(action)}</actionCapability>\n  </rule>"
     )
     lines = [XML_HEADER, f'<policy nsfName="{nsf_name}">']
     for rule in p.rules:
-        lines.append(opening[rule.id])
-        lines.extend(map(elements.__getitem__, rule.conditions))
-        lines.append(closing[rule.action])
+        lines.append(opening(rule.id))
+        lines.extend(map(elements, rule.conditions))
+        lines.append(closing(rule.action))
     lines.append("</policy>")
     return "\n".join(lines) + "\n"
 
@@ -249,7 +236,7 @@ def parse_mspl(document: str) -> MsplPolicy:
         raise DocumentSyntaxError("MSPL root must be <policy nsfName=...>")
 
     rules = []
-    checked = Memo(_checked)  # each distinct condition is checked once
+    checked = functools.cache(_checked)  # each distinct condition is checked once
     for rule_el in root.findall("rule"):
         conditions = []
         actions = []
@@ -284,7 +271,7 @@ def parse_mspl(document: str) -> MsplPolicy:
                 values = tuple(
                     (m.text or "").strip() for m in container.findall("exactMatch")
                 )
-            conditions.append(checked[MsplCondition(capability, operator, values)])
+            conditions.append(checked(MsplCondition(capability, operator, values)))
         rule_id = rule_el.get("id", "")
         if not actions or not set(actions) <= CAPABILITY_BY_ACTION.keys():
             raise DocumentSyntaxError(f"rule {rule_id!r}: bad action {actions}")

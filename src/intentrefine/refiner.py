@@ -263,19 +263,6 @@ def _push_unit(residual, parent, end):
         v = u
 
 
-def _path_ends(segments, index: int) -> set[str]:
-    """The first (`index` 0, `segments` in order) or last (`index` -1,
-    `segments` reversed) nodes of the paths that join one route of each
-    segment: the end of each of a segment's routes, and past a segment
-    holding the route `()`, the ends of the next."""
-    ends: set[str] = set()
-    for routes in segments:
-        ends.update(route[index] for route in routes if route)
-        if () not in routes:
-            break
-    return ends
-
-
 def select_enforcement_set(
     paths: topo.Paths,
     t: Topology,
@@ -291,9 +278,9 @@ def select_enforcement_set(
     only capable devices may be cut (Menger). The cut is found by max-flow
     on the graph of the topology's links among the nodes of the segment
     routes, which are the nodes on the paths, taken in both orientations,
-    with the source on each path's first node and the sink on its last
-    (_path_ends): any route of that graph holds one of `paths`, so both have
-    the same vertex cuts. Every node is split into an in- and an
+    with the source on the subject's subnet, where every path starts, and
+    the sink on the object's: any route of that graph holds one of `paths`,
+    so both have the same vertex cuts. Every node is split into an in- and an
     out-vertex, joined by an arc of capacity 1 for a capable device and
     unbounded otherwise.
 
@@ -303,7 +290,7 @@ def select_enforcement_set(
     no capable device exactly when every segment has a route without one;
     then Unenforceable carries the first such path in path order, the first
     such route of each segment joined, as the segments' products come in
-    that order (topology._walk meets neighbors sorted).
+    that order (topology.route_segments).
     """
     segments = paths.segments
     if not segments:
@@ -341,10 +328,8 @@ def select_enforcement_set(
         for m in t.neighbors(n):
             if m in nodes:
                 arc((n, _OUT), (m, _IN), math.inf)
-    for first in sorted(_path_ends(segments, 0)):
-        arc(source, (first, _IN), math.inf)
-    for last in sorted(_path_ends(reversed(segments), -1)):
-        arc((last, _OUT), sink, math.inf)
+    arc(source, (segments[0][0][0], _IN), math.inf)
+    arc((segments[-1][0][-1], _OUT), sink, math.inf)
 
     while sink in (tree := _residual_tree(residual, source)):
         _push_unit(residual, tree, sink)

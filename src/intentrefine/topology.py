@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import ipaddress
+import itertools
 import json
 import math
 import re
@@ -418,57 +419,45 @@ def _regions(topo: Topology, ends: list[str], walkable) -> list[set[str]]:
     return regions
 
 
-def _joined(parts: list[list[tuple]]) -> list[tuple]:
-    """Every concatenation of one sequence from each of `parts`, in order.
-
-    The halves of `parts` are joined first, so each result is built by one
-    concatenation, and no list of shorter prefixes as long as the result
-    is held beside it.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    half = len(parts) // 2
-    heads, tails = _joined(parts[:half]), _joined(parts[half:])
-    return [head + tail for head in heads for tail in tails]
-
-
 def route_segments(topo: Topology, subject: str, obj: str) -> list[list[tuple[str, ...]]]:
     """The routes of each segment of the paths between two endpoints, the
     segments in the order every path passes them; empty when the endpoints
     are disconnected.
 
     Every path passes the endpoints' separators (_separators) in the same
-    order, so the paths are the products of the routes of each segment
-    between consecutive separators or an endpoint. A segment's routes stay
-    in the regions that touch both of its ends (_regions); a region touching
-    one end only, as a dead end hanging off a separator, lies on no path
-    and is never walked. Between distinct endpoints the first segment's one
-    route is `()`, as the subject's subnet is the first separator; every
-    later segment's routes start at their separator.
+    order, the first the subject's subnet and the last the object's, so the
+    paths are the products of the routes of each segment, which runs from
+    one separator to the next, or to the object. A segment's routes stay in
+    the regions that touch both of its ends (_regions); a region touching
+    one end only, as a dead end hanging off a separator, lies on no path and
+    is never walked. So every route of a segment starts at its separator,
+    and the last segment is the one route `(object's subnet,)`.
+
+    The product of the segments, taken in order, yields the paths sorted by
+    node-id sequence: _walk meets each node's neighbors in sorted order, so
+    a segment's routes come sorted as each route followed by the segment's
+    far end, which starts every route of the next segment.
     """
     resolve_endpoint(topo, subject)
     resolve_endpoint(topo, obj)
-    walkable = {n for n, node in topo.nodes.items() if node.kind != ENDPOINT}
     if subject == obj:
-        return [_walk(topo, subject, obj, walkable)]
+        return [[topo.neighbors(subject)]]  # the one route: the attachment subnet
+    walkable = {n for n, node in topo.nodes.items() if node.kind != ENDPOINT}
     separators = _separators(topo, subject, obj, walkable)
     if separators is None:
         return []
-    ends = [subject, *separators, obj]
-    regions = _regions(topo, ends, walkable)
-    segments = [_walk(topo, subject, ends[1], regions[0])]
-    for i, separator in enumerate(separators, 1):
-        segments.append([
-            (separator, *seq) for seq in _walk(topo, separator, ends[i + 1], regions[i])
-        ])
-    return segments
+    ends = [*separators, obj]
+    return [
+        [(separator, *seq) for seq in _walk(topo, separator, end, region)]
+        for separator, end, region in zip(
+            separators, ends[1:], _regions(topo, ends, walkable))
+    ]
 
 
 class Paths:
     """The simple paths between two endpoints, endpoints excluded, held as
     their route_segments: every path is one route of each segment, joined
-    in order. Nothing is joined until the paths are iterated; iterating
-    builds them sorted lexicographically by node-id sequence."""
+    in order. Iterating joins them one at a time, in route_segments' order."""
 
     __slots__ = ("segments",)
 
@@ -486,9 +475,9 @@ class Paths:
         return math.prod(map(len, self.segments)) if self.segments else 0
 
     def __iter__(self):
-        found = _joined(self.segments) if self.segments else []
-        found.sort()
-        return map(Path, found)
+        # product() of no segments would yield one empty path
+        products = itertools.product(*self.segments) if self.segments else ()
+        return (Path(tuple(itertools.chain.from_iterable(p))) for p in products)
 
 
 def enumerate_paths(topo: Topology, subject: str, obj: str) -> Paths:

@@ -10,8 +10,8 @@ Each path is blocked at its first blocking device.
 Paths are never built. Every path is a product of segment routes
 (topology.route_segments), so each segment route is formatted once, as the
 ids' reprs joined by ", ", and decided once, at its first blocking node. The
-report is their product, sorted in path order: verify costs time in
-proportion to what it prints.
+report is their product, which route_segments yields in path order: verify
+costs time in proportion to what it prints.
 """
 
 from __future__ import annotations
@@ -57,19 +57,15 @@ def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec) -> bool:
 
 def _joined(parts: list[list[tuple]]) -> list[tuple]:
     """Every joining of one (route, device) of each of `parts`, in order,
-    halves first as topology._joined joins routes. A joined route's device
-    is its head's, or its tail's when the head has none. An empty head (the
-    first segment's route `()`) adds no separator; a tail is never empty,
-    as it starts at a separator."""
+    halves first, so each joined route is built by one concatenation. A
+    joined route's device is its head's, or its tail's when the head has
+    none."""
     if len(parts) == 1:
         return parts[0]
     half = len(parts) // 2
     heads, tails = _joined(parts[:half]), _joined(parts[half:])
-    joined = []
-    for head, device in heads:
-        lead = f"{head}, " if head else ""
-        joined += [(lead + tail, device or at) for tail, at in tails]
-    return joined
+    return [(f"{head}, {tail}", device or at)
+            for head, device in heads for tail, at in tails]
 
 
 def evaluate_flow(
@@ -122,18 +118,11 @@ def evaluate_flow(
             blocking.add(device)
     if not segments:
         return []
-    verdicts = _joined([
+    return _joined([
         [(", ".join(map(repr, route)), next(filter(blocking.__contains__, route), None))
          for route in routes]
         for routes in segments
     ])
-    # Ids match errors.ID_RE, whose characters all sort above the quotes of
-    # each repr, so route order is path order. topology._walk meets each
-    # node's neighbors in sorted order, so the product is already in that
-    # order; sorting it, one comparison a line, keeps the report's order
-    # from resting on how the segments were walked.
-    verdicts.sort()
-    return verdicts
 
 
 def verify_deployment(

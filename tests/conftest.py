@@ -2,10 +2,12 @@ import pathlib
 
 import pytest
 
-from intentrefine import capability, factbase, refiner, topology
+from intentrefine import capability, cli, factbase, refiner, topology
 from intentrefine.errors import UnknownTemplate
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+EXIT_CODES_BY_NAME = {cls.__name__: code for cls, code in cli.EXIT_CODES.items()}
 
 
 def read_fixture(*parts: str) -> str:

@@ -25,7 +25,7 @@ from intentrefine import (
 from intentrefine.errors import Unenforceable, UnknownSlot
 from intentrefine.verifier import FlowSpec
 
-from conftest import FIXTURES, read_fixture
+from conftest import EXIT_CODES_BY_NAME, FIXTURES, read_fixture
 from randomtopo import oracle_min_cover, random_topology
 
 GOLDEN_IPTABLES = (
@@ -258,7 +258,7 @@ def test_criterion_7_roundtrip_and_unenforceability(tmp_path, capsys):
         "scenario1", out / "unenforceable",
         topology_name="topology_unenforceable.yaml",
     )
-    assert code == cli.EXIT_CODES_BY_NAME["Unenforceable"]
+    assert code == EXIT_CODES_BY_NAME["Unenforceable"]
     err = capsys.readouterr().err
     assert "FW2" in err and "FW3" in err
     assert not pathlib.Path(out / "unenforceable").exists() or not read_tree(

@@ -17,7 +17,7 @@ from intentrefine import cli, converter, errors, factbase, topology
 from intentrefine.converter import MsplPolicy, MsplRule
 from intentrefine.refiner import CapabilityInstance
 
-from conftest import FIXTURES
+from conftest import EXIT_CODES_BY_NAME, FIXTURES
 
 
 def run_cli(*args):
@@ -83,7 +83,7 @@ def test_unenforceable_exit_code_and_no_partial_outputs(tmp_path):
         "--catalog", FIXTURES / "catalog.json",
         "--out", tmp_path / "out",
     )
-    assert code == cli.EXIT_CODES_BY_NAME["Unenforceable"]
+    assert code == EXIT_CODES_BY_NAME["Unenforceable"]
     assert not (tmp_path / "out").exists() or not read_tree(tmp_path / "out")
 
 
@@ -115,7 +115,7 @@ def test_missing_knowledge_slot_exit_code(tmp_path):
         "--catalog", FIXTURES / "catalog.json",
         "--out", tmp_path / "out",
     )
-    assert code == cli.EXIT_CODES_BY_NAME["UnknownSlot"]
+    assert code == EXIT_CODES_BY_NAME["UnknownSlot"]
 
 
 def test_extract_writes_knowledge(tmp_path):
@@ -255,7 +255,7 @@ def test_malformed_artifacts_exit_document_syntax(tmp_path, capsys, document):
         "--subject", "Eve", "--object", "Bob",
         "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3",
     )
-    code = cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"]
+    code = EXIT_CODES_BY_NAME["DocumentSyntaxError"]
     assert (convert, verify) == (code, code)
     err = capsys.readouterr().err
     assert err.count("error: DocumentSyntaxError: malformed artifact document") == 2
@@ -339,7 +339,7 @@ def test_verify_rejects_a_malformed_detail_whatever_the_flow(tmp_path, capsys, s
     destination; the detail is rejected all the same, as `convert` does."""
     artifacts = tmp_path / "artifacts.json"
     artifacts.write_text(json.dumps([_address_rule("FW1", source, "garbage")]))
-    assert verify_eve_to_bob(artifacts) == cli.EXIT_CODES_BY_NAME["NormalizationError"]
+    assert verify_eve_to_bob(artifacts) == EXIT_CODES_BY_NAME["NormalizationError"]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: NormalizationError" in captured.err
@@ -395,7 +395,7 @@ def test_a_rule_repeating_a_capability_exits_normalization(tmp_path, capsys, com
         code = run_cli("translate", "--out", out)
     else:
         code = verify_eve_to_bob(artifacts)
-    assert code == cli.EXIT_CODES_BY_NAME["NormalizationError"]
+    assert code == EXIT_CODES_BY_NAME["NormalizationError"]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: NormalizationError: rule 'h' must carry each capability" in captured.err
@@ -407,7 +407,7 @@ def test_a_rule_repeating_a_capability_exits_normalization(tmp_path, capsys, com
 def test_verify_rejects_a_flow_address_that_is_not_ipv4(tmp_path, capsys):
     run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False))
     code = verify_eve_to_bob(tmp_path / "out" / "artifacts.json", src_ip="not-an-ip")
-    assert code == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    assert code == EXIT_CODES_BY_NAME["ValidationError"]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
@@ -421,7 +421,7 @@ def test_address_less_endpoint_exits_validation(tmp_path, capsys):
     topology.write_text(base.replace(bob, "  - {id: Bob, kind: endpoint}\n"))
     flags = scenario_flags("scenario1", tmp_path)
     flags[1] = topology
-    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    assert run_cli("run", *flags) == EXIT_CODES_BY_NAME["ValidationError"]
     err = capsys.readouterr().err
     assert "'Bob' has no ip address" in err
     assert "Traceback" not in err
@@ -470,7 +470,7 @@ def test_input_of_the_wrong_shape_exits_with_its_code(tmp_path, capsys, case):
     edited = tmp_path / pathlib.Path(flags[index]).name
     edited.write_text(edit(pathlib.Path(flags[index]).read_text()))
     flags[index] = edited
-    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME[error]
+    assert run_cli("run", *flags) == EXIT_CODES_BY_NAME[error]
     err = capsys.readouterr().err
     assert f"error: {error}: {message}, got " in err
     assert "Traceback" not in err
@@ -485,7 +485,7 @@ def test_catalog_stateful_must_be_a_boolean(tmp_path, capsys, stateful):
     flags = scenario_flags("scenario1", tmp_path)
     flags[7] = tmp_path / "catalog.json"
     flags[7].write_text(json.dumps(catalog))
-    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    assert run_cli("run", *flags) == EXIT_CODES_BY_NAME["ValidationError"]
     err = capsys.readouterr().err
     assert "error: ValidationError: control 'IpTables': stateful must be true or false" in err
     assert "Traceback" not in err
@@ -500,7 +500,7 @@ def test_extract_rejects_a_name_it_could_not_read_back(tmp_path, capsys):
     knowledge.write_text(json.dumps({
         "templates": ['(deftemplate entity (slot "url" (type STRING)))'], "facts": []}))
     code = run_cli("extract", "--knowledge", knowledge, "--out", tmp_path / "out")
-    assert code == cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"] == 2
+    assert code == EXIT_CODES_BY_NAME["DocumentSyntaxError"] == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -789,7 +789,7 @@ def test_artifact_id_outside_the_id_characters_exits_validation(tmp_path, capsys
     assert run_cli("run", *scenario_flags("scenario1", tmp_path, kb=False)) == 0
     doc = json.loads((tmp_path / "out" / "artifacts.json").read_text())
     artifacts = tmp_path / "artifacts.json"
-    code = cli.EXIT_CODES_BY_NAME["ValidationError"]
+    code = EXIT_CODES_BY_NAME["ValidationError"]
     for field, what in (("hsplid", "hspl id"), ("nsf", "control name")):
         for k, value in enumerate(NON_IDS):
             artifacts.write_text(json.dumps(doc[:-1] + [{**doc[-1], field: value}]))
@@ -811,7 +811,7 @@ def test_node_id_with_a_trailing_newline_exits_validation(tmp_path, capsys):
         "{id: FW1,", '{id: "FW1\\n",').replace("[Subnet1, FW1]", '[Subnet1, "FW1\\n"]'))
     flags = scenario_flags("scenario1", tmp_path)
     flags[1] = topology
-    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    assert run_cli("run", *flags) == EXIT_CODES_BY_NAME["ValidationError"]
     err = capsys.readouterr().err
     assert "invalid node id 'FW1\\n'" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -826,7 +826,7 @@ def test_hspl_id_outside_the_id_characters_exits_validation(tmp_path, caplog, ca
     flags = scenario_flags("scenario1", tmp_path)
     flags[3] = hspl
     with caplog.at_level("INFO"):
-        assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+        assert run_cli("run", *flags) == EXIT_CODES_BY_NAME["ValidationError"]
     assert not any("forged" in r.getMessage() for r in caplog.records)
     err = capsys.readouterr().err
     assert "invalid hspl id 'hspl1\\nstage=refiner" in err and "Traceback" not in err
@@ -846,7 +846,7 @@ def test_quote_in_served_domain_exits_validation(tmp_path, capsys):
     }))
     flags = scenario_flags("scenario2", tmp_path)
     flags[1], flags[5] = topology, knowledge
-    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["ValidationError"]
+    assert run_cli("run", *flags) == EXIT_CODES_BY_NAME["ValidationError"]
     err = capsys.readouterr().err
     assert "RFC 1123" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -862,7 +862,7 @@ def test_quote_in_artifact_host_exits_normalization(tmp_path, capsys):
         ],
     }]))
     code = run_cli("convert", "--artifacts", artifacts, "--out", tmp_path / "out")
-    assert code == cli.EXIT_CODES_BY_NAME["NormalizationError"]
+    assert code == EXIT_CODES_BY_NAME["NormalizationError"]
     err = capsys.readouterr().err
     assert "RFC 1123" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -878,7 +878,7 @@ def test_translate_rejects_an_injected_mspl_value(tmp_path, capsys):
         "<exactMatch>80.71.158.96</exactMatch>",
         "<exactMatch>1.2.3.4 -j ACCEPT ; rm -rf /</exactMatch>", 1))
     code = run_cli("translate", "--out", out)
-    assert code == cli.EXIT_CODES_BY_NAME["NormalizationError"]
+    assert code == EXIT_CODES_BY_NAME["NormalizationError"]
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert not list(out.glob("*.rules"))
@@ -941,10 +941,10 @@ def _selected(caplog):
 @pytest.fixture
 def no_path_built(monkeypatch):
     """Fail the test wherever segment routes are joined into paths."""
-    def joined(parts):
+    def joined(paths):
         raise AssertionError("a path was built")
 
-    monkeypatch.setattr(topology, "_joined", joined)
+    monkeypatch.setattr(topology.Paths, "__iter__", joined)
 
 
 @pytest.mark.parametrize("rungs", [0, 40, 70], ids=["scenario1", "ladder40", "ladder70"])
@@ -976,7 +976,7 @@ def test_unenforceable_ladder_names_a_real_path_without_a_capable_device(
         return rung % 3 == 0 or side == "ab"[rung % 2]
 
     flags, t = _ladder_flags(tmp_path, 40, bare)
-    assert run_cli("run", *flags) == cli.EXIT_CODES_BY_NAME["Unenforceable"]
+    assert run_cli("run", *flags) == EXIT_CODES_BY_NAME["Unenforceable"]
     err = capsys.readouterr().err
     witness = re.fullmatch(
         r"error: Unenforceable: intent 'hspl1': path (\[.*\]) has no device "
@@ -1018,7 +1018,7 @@ def test_hostile_topology_exits_document_syntax(tmp_path, case):
         [sys.executable, "-m", "intentrefine.cli", "run", *map(str, flags)],
         capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
     )
-    assert done.returncode == cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"], done.stderr
+    assert done.returncode == EXIT_CODES_BY_NAME["DocumentSyntaxError"], done.stderr
     assert "error: DocumentSyntaxError: " in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
@@ -1061,7 +1061,7 @@ def test_deeply_nested_json_exits_document_syntax(tmp_path, capsys, case):
         argv[argv.index("--knowledge") + 1] = files["knowledge"]
         argv[argv.index("--catalog") + 1] = files["catalog"]
     capsys.readouterr()
-    assert run_cli(*argv) == cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"]
+    assert run_cli(*argv) == EXIT_CODES_BY_NAME["DocumentSyntaxError"]
     captured = capsys.readouterr()
     assert "error: DocumentSyntaxError: " in captured.err
     assert "Traceback" not in captured.err
@@ -1137,7 +1137,7 @@ def test_verify_rejects_a_deployment_no_stage_can_render(tmp_path, capsys, case)
     edit, error, pipeline_rejects = UNDEPLOYABLE[case]
     artifacts = _scenario1_artifacts_with(tmp_path, edit)
     capsys.readouterr()
-    assert verify_eve_to_bob(artifacts) == cli.EXIT_CODES_BY_NAME[error]
+    assert verify_eve_to_bob(artifacts) == EXIT_CODES_BY_NAME[error]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {error}: " in captured.err
@@ -1147,7 +1147,7 @@ def test_verify_rejects_a_deployment_no_stage_can_render(tmp_path, capsys, case)
     codes = [run_cli("convert", "--artifacts", artifacts, "--out", out)]
     if codes[0] == 0:
         codes.append(run_cli("translate", "--out", out))
-    assert (codes[-1] == cli.EXIT_CODES_BY_NAME[error]) == pipeline_rejects
+    assert (codes[-1] == EXIT_CODES_BY_NAME[error]) == pipeline_rejects
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -1316,7 +1316,7 @@ def test_undecodable_input_exits_document_syntax(tmp_path, capsys, command, read
     else:
         argv += ["--out", out]
     capsys.readouterr()
-    assert run_cli(*argv) == cli.EXIT_CODES_BY_NAME["DocumentSyntaxError"]
+    assert run_cli(*argv) == EXIT_CODES_BY_NAME["DocumentSyntaxError"]
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: DocumentSyntaxError: {bad} is not UTF-8 text")
     assert "Traceback" not in captured.err
@@ -1378,7 +1378,7 @@ def test_aliased_topology_value_gives_a_short_message(tmp_path, capsys, case):
                    "--catalog", FIXTURES / "catalog.json",
                    "--artifacts", tmp_path / "absent.json", "--subject", "Eve",
                    "--object", "Bob", "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3")
-    assert code == cli.EXIT_CODES_BY_NAME[error]
+    assert code == EXIT_CODES_BY_NAME[error]
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {error}: ")
     assert len(captured.err.encode()) < 1024
@@ -1526,7 +1526,7 @@ def test_a_failed_removal_of_an_earlier_file_exits_persist(tmp_path, capsys,
     assert run_cli("run", *scenario_flags("scenario2", tmp_path, kb=False)) == 0
     out = tmp_path / "out"
     (out / name).mkdir()
-    assert run_cli(command, "--out", out) == cli.EXIT_CODES_BY_NAME["PersistError"]
+    assert run_cli(command, "--out", out) == EXIT_CODES_BY_NAME["PersistError"]
     assert capsys.readouterr().err.startswith(
         f"error: PersistError: cannot remove earlier output {name}: ")
 
@@ -1535,7 +1535,7 @@ def test_a_failed_removal_of_an_earlier_file_exits_persist(tmp_path, capsys,
 def test_a_kb_in_a_missing_directory_exits_persist(tmp_path, capsys, command):
     flags = scenario_flags("scenario1", tmp_path, kb=False)
     kb = tmp_path / "no-such-dir" / "kb.json"
-    assert run_cli(command, *flags, "--kb", kb) == cli.EXIT_CODES_BY_NAME["PersistError"]
+    assert run_cli(command, *flags, "--kb", kb) == EXIT_CODES_BY_NAME["PersistError"]
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "error: PersistError: cannot lock the knowledge base: ")
     assert not (tmp_path / "out").exists()
@@ -1557,7 +1557,7 @@ def test_a_write_cut_short_exits_persist_and_leaves_no_temporary_file(tmp_path, 
          *map(str, scenario_flags("scenario1", tmp_path, kb=kb))],
         capture_output=True, text=True, timeout=120, env=env, preexec_fn=limit,
     )
-    assert done.returncode == cli.EXIT_CODES_BY_NAME["PersistError"], done.stderr
+    assert done.returncode == EXIT_CODES_BY_NAME["PersistError"], done.stderr
     what = "persist knowledge base to " if kb else "write "
     assert done.stderr.splitlines()[-1].startswith(f"error: PersistError: cannot {what}")
     assert not list(tmp_path.rglob("*.tmp"))
@@ -1663,7 +1663,7 @@ REACHED = {
 def test_every_exit_code_is_reached_by_some_input(tmp_path, capsys, error):
     argv = REACHED[error](tmp_path)
     capsys.readouterr()
-    assert run_cli(*argv) == cli.EXIT_CODES_BY_NAME[error]
+    assert run_cli(*argv) == EXIT_CODES_BY_NAME[error]
     err = capsys.readouterr().err
     assert f"error: {error}: " in err
     assert "Traceback" not in err
@@ -1679,7 +1679,7 @@ def test_every_pipeline_error_has_its_own_exit_code():
     } - {errors.PipelineError}
     assert classes == set(cli.EXIT_CODES)
     assert all(c.__bases__ == (errors.PipelineError,) for c in classes)
-    assert set(REACHED) == set(cli.EXIT_CODES_BY_NAME)
+    assert set(REACHED) == set(EXIT_CODES_BY_NAME)
     assert sorted(cli.EXIT_CODES.values()) == [2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 17]
     assert "6 UnknownSlot; 9 UnsupportedAction" in cli.EXIT_CODE_HELP
     assert "15 NothingToEnforce; 17 PersistError" in cli.EXIT_CODE_HELP

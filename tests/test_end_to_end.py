@@ -25,7 +25,7 @@ import random
 
 from intentrefine import cli
 
-from conftest import FIXTURES
+from conftest import EXIT_CODES_BY_NAME, FIXTURES
 from randomtopo import oracle_simple_paths, random_topology, series_parallel_topology
 
 # Fixed: lowering it weakens the oracle.
@@ -107,7 +107,7 @@ def test_every_stage_agrees_on_random_topologies(tmp_path, capsys, caplog):
 
         code = run_cli("run", *inputs, "--kb", kb, "--out", out)
         if not all(_enforceable(t, s, o) for _, s, o in intents):
-            assert code == cli.EXIT_CODES_BY_NAME["Unenforceable"], seed
+            assert code == EXIT_CODES_BY_NAME["Unenforceable"], seed
             assert not out.exists() and not kb.exists(), seed
             continue
         assert code == 0, (seed, capsys.readouterr().err)

@@ -146,12 +146,26 @@ def test_path_symmetry_up_to_reversal(scenario1_topology):
     )
 
 
+def _assert_segment_shape(t, subject, obj, segments):
+    """Every path starts at the subject's subnet and ends at the object's,
+    and each segment's routes start at one node: its separator."""
+    if not segments:
+        return
+    [subnet], [object_subnet] = t.neighbors(subject), t.neighbors(obj)
+    assert () not in (route for routes in segments for route in routes)
+    assert all(len({route[0] for route in routes}) == 1 for routes in segments)
+    assert segments[0][0][0] == subnet
+    assert segments[-1] == [(object_subnet,)]
+
+
 def test_enumeration_matches_dfs_oracle_on_random_topologies():
     rng = random.Random(1234)
     for _ in range(60):
         t = random_topology(rng)
-        got = [p.intermediate for p in topology.enumerate_paths(t, "A", "B")]
+        paths = topology.enumerate_paths(t, "A", "B")
+        got = [p.intermediate for p in paths]
         assert got == oracle_simple_paths(t, "A", "B")
+        _assert_segment_shape(t, "A", "B", paths.segments)
 
 
 def test_the_route_from_an_endpoint_to_itself_is_its_subnet(scenario1_topology):
@@ -166,8 +180,10 @@ def test_enumeration_matches_dfs_oracle_on_series_parallel_topologies():
     for _ in range(150):
         t = series_parallel_topology(rng)
         for subject, obj in (("A", "B"), ("B", "A")):
-            got = [p.intermediate for p in topology.enumerate_paths(t, subject, obj)]
+            paths = topology.enumerate_paths(t, subject, obj)
+            got = [p.intermediate for p in paths]
             assert got == oracle_simple_paths(t, subject, obj)
+            _assert_segment_shape(t, subject, obj, paths.segments)
 
 
 def _ladder(first, last, stages, prefix):
@@ -214,6 +230,10 @@ def test_a_ladder_hanging_off_the_subjects_subnet_is_never_walked(monkeypatch):
     paths = topology.enumerate_paths(t, "A", "B")
     assert [p.intermediate for p in paths] == [("SA", "FW", "SB")]
     # each node is looked at a bounded number of times, not once per route
+    assert len(calls) <= 3 * len(t.nodes)
+    calls.clear()
+    paths = topology.enumerate_paths(t, "A", "A")
+    assert [p.intermediate for p in paths] == [("SA",)]
     assert len(calls) <= 3 * len(t.nodes)
 
 
