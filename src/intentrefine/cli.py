@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import fcntl
-import hashlib
 import json
 import logging
 import os
 import sys
 
-from . import converter, extractor, factbase, refiner, translator, verifier
+from . import converter, factbase, refiner, translator, verifier
 from . import capability as cap
 from . import topology as topo
 from . import errors
@@ -93,6 +91,8 @@ def _write_outputs(out_dir: str, outputs: dict[str, str], kinds: tuple[str, ...]
 
 
 def _manifest(outputs: dict[str, str]) -> str:
+    import hashlib
+
     digests = {
         name: hashlib.sha256(content.encode()).hexdigest()
         for name, content in outputs.items()
@@ -106,6 +106,8 @@ def _kb_lock(kb_path: str | None):
     if kb_path is None:
         yield
         return
+    import fcntl
+
     try:
         fh = open(kb_path + ".lock", "w")
     except OSError as exc:
@@ -125,6 +127,8 @@ def _load_knowledge(args) -> factbase.Knowledge:
         else factbase.Knowledge()
     )
     if getattr(args, "cti", None):
+        from . import extractor
+
         text = _read(args.cti)
         indicators = extractor.extract_indicators(text)
         logger.info("stage=extractor event=indicators count=%d", len(indicators))

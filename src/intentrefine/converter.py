@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import ipaddress
 from collections import namedtuple
-from xml.etree import ElementTree as ET
 
 from .capability import ACTION_CAPABILITIES, CapabilityId
 from .errors import DocumentSyntaxError, InconsistentNsf, NormalizationError
@@ -228,6 +227,8 @@ def _checked(cond: MsplCondition) -> MsplCondition:
 
 
 def parse_mspl(document: str) -> MsplPolicy:
+    from xml.etree import ElementTree as ET
+
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:

@@ -14,7 +14,6 @@ intent, whether that record was absent, equal to the new placement, or stale.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import logging
 import math
@@ -22,7 +21,6 @@ import os
 import re
 from collections import deque, namedtuple
 from json.encoder import encode_basestring_ascii as _quote
-from xml.etree import ElementTree as ET
 
 from . import capability as cap
 from . import topology as topo
@@ -87,6 +85,8 @@ ReuseReport = namedtuple("ReuseReport", "hits misses stale")
 
 def parse_hspl(document: str) -> list[HsplPolicy]:
     """Parse `<hspl id=...>` elements, in document order."""
+    from xml.etree import ElementTree as ET
+
     try:
         root = ET.fromstring(document)
     except ET.ParseError:
@@ -506,6 +506,8 @@ def _kb_id(value: object) -> str:
 
 def kb_digest(t: Topology, catalog: Catalog) -> str:
     """sha256 over the two inputs placement reads: topology and catalog."""
+    import hashlib
+
     inputs = t.canonical() + cap.serialize_catalog(catalog)
     return hashlib.sha256(inputs.encode()).hexdigest()
 

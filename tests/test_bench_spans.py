@@ -49,7 +49,7 @@ def _traced_run(spans, tracer, argv):
     return spans.layer_metrics(tracer.take())
 
 
-def _run_argv(scenario, tmp_path, knowledge):
+def _run_argv(scenario, tmp_path, knowledge, *extra):
     return [
         "run",
         "--topology", str(FIXTURES / scenario / "topology.yaml"),
@@ -58,6 +58,7 @@ def _run_argv(scenario, tmp_path, knowledge):
         "--catalog", str(FIXTURES / "catalog.json"),
         "--kb", str(tmp_path / "kb.json"),
         "--out", str(tmp_path / "out"),
+        *extra,
     ]
 
 
@@ -83,6 +84,20 @@ def test_traced_runs_measure_every_per_layer_metric(tmp_path, monkeypatch):
         assert metrics["refiner.cover_size"] == 2
         assert metrics["refiner.place_yield"] == 1.0
         assert metrics["refiner.artifacts"] == 4
+
+
+def test_traced_run_with_cti_measures_the_extractor(tmp_path, monkeypatch):
+    """The CLI imports the extractor only for `--cti`, and calls it through
+    the module, so the wrappers installed on the module's attributes see it."""
+    spans = _load_spans(monkeypatch)
+    argv = _run_argv("scenario1", tmp_path, FIXTURES / "scenario1" / "knowledge.json",
+                     "--cti", str(FIXTURES / "scenario1" / "cti.txt"))
+    cold = _traced_run(spans, spans.Tracer(), argv)
+
+    assert _traced_metrics("run_cold") <= set(cold)
+    assert cold["extractor.indicators"] == 1
+    assert cold["extractor.extract_s"] > 0
+    assert cold["extractor.to_knowledge_s"] > 0
 
 
 def test_traced_run_with_a_stale_intent_measures_every_metric(tmp_path, monkeypatch):

@@ -1,64 +1,108 @@
 """Start-up guard: every CLI process imports the package, so a module that is
 slow to import and that nothing needs costs every op. `dataclasses` imports
 `inspect`, which brings `ast`, `dis` and more; the value types are
-namedtuples instead (see README, "Value types"). `yaml` reads only a topology
-that is not in the one-line-per-entry layout the fixtures use (see README,
-"Install")."""
+namedtuples instead. `yaml` reads only a topology that is not in the
+one-line-per-entry layout the fixtures use (see README, "Install").
+`xml.etree`, `hashlib`, the extractor and `fcntl` are imported by the
+functions that use them, so a command that calls none of those functions
+loads none of them (see README, "Start-up").
+
+Each command runs in a fresh process of its own: in one shared process, a
+module that an earlier command imported would hide the same import made by a
+later one."""
 
 import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from intentrefine import cli
 
 from conftest import FIXTURES
 
-UNWANTED = ("dataclasses", "inspect", "yaml")
+NEVER = ("dataclasses", "inspect", "yaml")
+DEFERRED = ("fcntl", "hashlib", "intentrefine.extractor", "xml.etree")
 
-PROBE = f"""
+# argv is None for a process that only imports the CLI. The last stdout line
+# lists the modules of `unwanted` that the process loaded.
+PROBE = """
 import json
 import sys
 
-def loaded():
-    return sorted(m for m in {UNWANTED!r} if m in sys.modules)
-
+argv, unwanted = json.loads(sys.argv[1])
 from intentrefine import cli
-assert not loaded(), ("import intentrefine.cli", loaded())
-for argv in json.loads(sys.argv[1]):
-    assert cli.main(argv) == 0, argv
-    assert not loaded(), (argv[0], loaded())
+code = None if argv is None else cli.main(argv)
+print(json.dumps([code, sorted(m for m in unwanted if m in sys.modules)]))
 """
 
+SCENARIO2 = FIXTURES / "scenario2"
 
-def test_cli_imports_neither_dataclasses_nor_inspect_nor_yaml(tmp_path):
-    s2 = tmp_path / "scenario2"
-    assert cli.main([
-        "run",
-        "--topology", str(FIXTURES / "scenario2" / "topology.yaml"),
-        "--hspl", str(FIXTURES / "scenario2" / "hspl.xml"),
-        "--knowledge", str(FIXTURES / "scenario2" / "knowledge.json"),
-        "--catalog", str(FIXTURES / "catalog.json"),
-        "--out", str(s2)]) == 0
-    run = ["run",
-           "--topology", FIXTURES / "scenario1" / "topology.yaml",
-           "--hspl", FIXTURES / "scenario1" / "hspl.xml",
-           "--knowledge", FIXTURES / "scenario1" / "knowledge.json",
-           "--catalog", FIXTURES / "catalog.json",
-           "--kb", tmp_path / "kb.json", "--out", tmp_path / "out"]
-    verify = ["verify",
-              "--topology", FIXTURES / "scenario2" / "topology.yaml",
-              "--catalog", FIXTURES / "catalog.json",
-              "--artifacts", s2 / "artifacts.json",
-              "--subject", "Alice", "--object", "WebServer",
-              "--src-ip", "172.20.0.2", "--dst-ip", "172.20.0.3",
-              "--l7-host", "hadleyshope.3utilities.com"]
-    argvs = json.dumps([list(map(str, argv)) for argv in (run, verify)])
+
+def _run(scenario, out, *extra):
+    return ["run",
+            "--topology", FIXTURES / scenario / "topology.yaml",
+            "--hspl", FIXTURES / scenario / "hspl.xml",
+            "--catalog", FIXTURES / "catalog.json",
+            "--out", out, *extra]
+
+
+@pytest.fixture(scope="module")
+def scenario2_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scenario2")
+    argv = _run("scenario2", out, "--knowledge", SCENARIO2 / "knowledge.json")
+    assert cli.main(list(map(str, argv))) == 0
+    return out
+
+
+# command -> (argv from a fresh output directory and scenario 2's outputs,
+# the modules the command must not load besides NEVER, a file it writes)
+COMMANDS = {
+    "import": (lambda out, s2: None, DEFERRED, None),
+    "verify": (lambda out, s2: [
+        "verify",
+        "--topology", SCENARIO2 / "topology.yaml",
+        "--catalog", FIXTURES / "catalog.json",
+        "--artifacts", s2 / "artifacts.json",
+        "--subject", "Alice", "--object", "WebServer",
+        "--src-ip", "172.20.0.2", "--dst-ip", "172.20.0.3",
+        "--l7-host", "hadleyshope.3utilities.com"], DEFERRED, None),
+    "convert": (lambda out, s2: [
+        "convert", "--artifacts", s2 / "artifacts.json", "--out", out],
+        DEFERRED, "WAF.mspl.xml"),
+    "translate": (lambda out, s2: [
+        "translate", "--catalog", FIXTURES / "catalog.json", "--out", out],
+        ("fcntl", "hashlib", "intentrefine.extractor"), "WAF.rules"),
+    "run": (lambda out, s2: _run(
+        "scenario2", out, "--knowledge", SCENARIO2 / "knowledge.json"),
+        ("fcntl", "intentrefine.extractor"), "WAF.rules"),
+    "run-cti-kb": (lambda out, s2: _run(
+        "scenario1", out, "--knowledge", FIXTURES / "scenario1" / "knowledge.json",
+        "--cti", FIXTURES / "scenario1" / "cti.txt", "--kb", out.parent / "kb.json"),
+        (), "FW1.rules"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_what_it_runs(command, scenario2_out, tmp_path):
+    argv_of, deferred, written = COMMANDS[command]
+    out = tmp_path / "out"
+    if command == "translate":
+        out.mkdir()
+        (out / "WAF.mspl.xml").write_text((scenario2_out / "WAF.mspl.xml").read_text())
+    argv = argv_of(out, scenario2_out)
+    request = [None if argv is None else list(map(str, argv)), [*NEVER, *deferred]]
     src = str(pathlib.Path(cli.__file__).parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, argvs],
+        [sys.executable, "-c", PROBE, json.dumps(request)],
         capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "out" / "FW1.rules").exists()
-    assert "BLOCKED" in done.stdout
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == (None if argv is None else 0), done.stderr
+    assert loaded == [], (command, loaded)
+    if written:
+        assert (out / written).exists()
+    if command == "verify":
+        assert "BLOCKED" in done.stdout
