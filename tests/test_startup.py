@@ -5,7 +5,9 @@ namedtuples instead. `yaml` reads only a topology that is not in the
 one-line-per-entry layout the fixtures use (see README, "Install").
 `xml.etree`, `hashlib`, the extractor and `fcntl` are imported by the
 functions that use them, so a command that calls none of those functions
-loads none of them (see README, "Start-up").
+loads none of them (see README, "Start-up"). Importing the CLI registers an
+exit hook that freezes the garbage collector, so that the interpreter's final
+collection scans none of the objects left at exit.
 
 Each command runs in a fresh process of its own: in one shared process, a
 module that an earlier command imported would hide the same import made by a
@@ -26,15 +28,21 @@ NEVER = ("dataclasses", "inspect", "yaml")
 DEFERRED = ("fcntl", "hashlib", "intentrefine.extractor", "xml.etree")
 
 # argv is None for a process that only imports the CLI. The last stdout line
-# lists the modules of `unwanted` that the process loaded.
+# lists the modules of `unwanted` that the process loaded, and whether the
+# collector was frozen at exit. Exit hooks run last in, first out, so the
+# probe's hook, registered before the CLI is imported, runs after the CLI's.
 PROBE = """
+import atexit
+import gc
 import json
 import sys
 
 argv, unwanted = json.loads(sys.argv[1])
+result = []
+atexit.register(lambda: print(json.dumps([*result, gc.get_freeze_count() > 0])))
 from intentrefine import cli
 code = None if argv is None else cli.main(argv)
-print(json.dumps([code, sorted(m for m in unwanted if m in sys.modules)]))
+result += [code, sorted(m for m in unwanted if m in sys.modules)]
 """
 
 SCENARIO2 = FIXTURES / "scenario2"
@@ -99,9 +107,10 @@ def test_each_command_loads_only_what_it_runs(command, scenario2_out, tmp_path):
         capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    code, loaded, frozen = json.loads(done.stdout.splitlines()[-1])
     assert code == (None if argv is None else 0), done.stderr
     assert loaded == [], (command, loaded)
+    assert frozen, command
     if written:
         assert (out / written).exists()
     if command == "verify":
