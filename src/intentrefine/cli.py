@@ -142,7 +142,11 @@ def _load_knowledge(args) -> factbase.Knowledge:
     return base
 
 
-def _refine(args, knowledge: factbase.Knowledge):
+@contextlib.contextmanager
+def _refined(args, knowledge: factbase.Knowledge):
+    """The artifacts of the run, for the body to write out. The KB is saved
+    after the body, so only a run whose outputs are in place is recorded,
+    all under the KB lock."""
     t = topo.parse_topology(_read(args.topology))
     intents = refiner.parse_hspl(_read(args.hspl))
     catalog = cap.load_catalog(_read(args.catalog))
@@ -156,20 +160,20 @@ def _refine(args, knowledge: factbase.Knowledge):
         artifacts, report, updated = refiner.refine(
             t, intents, knowledge, catalog, kb=kb
         )
+        for hid in report.hits:
+            logger.info("stage=refiner event=kb_reuse intent=%s result=hit", hid)
+        for hid in report.misses:
+            if hid in report.stale:
+                added, removed = report.stale[hid]
+                logger.info(
+                    "stage=refiner event=kb_reuse intent=%s result=stale added=%s removed=%s",
+                    hid, ",".join(added), ",".join(removed),
+                )
+            else:
+                logger.info("stage=refiner event=kb_reuse intent=%s result=miss", hid)
+        yield artifacts
         if args.kb:
             refiner.save_kb(updated, args.kb, kb_text)
-    for hid in report.hits:
-        logger.info("stage=refiner event=kb_reuse intent=%s result=hit", hid)
-    for hid in report.misses:
-        if hid in report.stale:
-            added, removed = report.stale[hid]
-            logger.info(
-                "stage=refiner event=kb_reuse intent=%s result=stale added=%s removed=%s",
-                hid, ",".join(added), ",".join(removed),
-            )
-        else:
-            logger.info("stage=refiner event=kb_reuse intent=%s result=miss", hid)
-    return artifacts
 
 
 def _render_all(artifacts):
@@ -214,8 +218,8 @@ def cmd_extract(args) -> int:
 
 def cmd_refine(args) -> int:
     knowledge = _load_knowledge(args)
-    artifacts = _refine(args, knowledge)
-    _write_outputs(args.out, {"artifacts.json": refiner.artifacts_to_json(artifacts)})
+    with _refined(args, knowledge) as artifacts:
+        _write_outputs(args.out, {"artifacts.json": refiner.artifacts_to_json(artifacts)})
     return 0
 
 
@@ -263,14 +267,14 @@ def cmd_verify(args) -> int:
 
 def cmd_run(args) -> int:
     knowledge = _load_knowledge(args)
-    artifacts = _refine(args, knowledge)
-    outputs = {
-        "knowledge.json": factbase.serialize_knowledge(knowledge),
-        "artifacts.json": refiner.artifacts_to_json(artifacts),
-    }
-    outputs.update(_render_all(artifacts))
-    outputs[MANIFEST_NAME] = _manifest(outputs)
-    _write_outputs(args.out, outputs, (".mspl.xml", ".rules"))
+    with _refined(args, knowledge) as artifacts:
+        outputs = {
+            "knowledge.json": factbase.serialize_knowledge(knowledge),
+            "artifacts.json": refiner.artifacts_to_json(artifacts),
+        }
+        outputs.update(_render_all(artifacts))
+        outputs[MANIFEST_NAME] = _manifest(outputs)
+        _write_outputs(args.out, outputs, (".mspl.xml", ".rules"))
     logger.info("stage=cli event=done files=%d", len(outputs))
     return 0
 

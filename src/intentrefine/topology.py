@@ -8,12 +8,13 @@ PyYAML. Topologies are immutable after parsing and all operations here are
 pure.
 
 Paths are held segment by segment: the nodes every route between two
-endpoints passes through (found by lowpoints) cut the routes into segments,
-and each segment is walked only through the parts of the graph that join its
-two ends. `route_segments` returns each segment's routes, and
-`enumerate_paths` wraps them in `Paths`, which joins them into paths only
-when iterated. Placement reads the segments and never joins them; the
-verifier decides and formats each segment route once before joining.
+endpoints passes through cut the routes into segments, and each segment is
+walked only within the block (biconnected component) that joins its two
+ends; one depth-first search finds both. `route_segments` returns each
+segment's routes, and `enumerate_paths` wraps them in `Paths`, which joins
+them into paths only when iterated. Placement reads the segments and never
+joins them; the verifier decides and formats each segment route once before
+joining.
 """
 
 from __future__ import annotations
@@ -351,72 +352,45 @@ def _walk(topo: Topology, start: str, end: str, region) -> list[tuple[str, ...]]
     return found
 
 
-def _separators(topo: Topology, subject: str, obj: str, walkable) -> list[str] | None:
-    """The nodes every route from `subject` to `obj` passes through, in
-    route order, or None when no route exists.
+def _blocks(topo: Topology, root: str) -> tuple[dict, dict]:
+    """The depth-first tree of the nodes reachable from `root`, as each
+    node's parent, and its blocks (biconnected components): for each node c
+    whose subtree no back arc leaves for a node discovered before its parent
+    v, the nodes other than v of the block that holds the link (v, c).
 
-    One depth-first search from `subject` computes lowpoints (Hopcroft &
-    Tarjan 1973): a node v on the tree path to `obj` separates the two iff
-    no back arc leaves the subtree of v's child on that path for a node
-    discovered before v.
+    One search computes lowpoints (Hopcroft & Tarjan 1973) and keeps a stack
+    of the discovered nodes that no closed block holds yet. When c finishes
+    as above, the nodes discovered since c are popped: with v, they form
+    the block.
     """
-    order = {subject: 0}
-    low = {subject: 0}
-    parent = {subject: None}
-    pending = [(subject, iter(topo.neighbors(subject)))]
+    order = {root: 0}
+    low = {root: 0}
+    parent = {root: None}
+    blocks: dict[str, set[str]] = {}
+    stack: list[str] = []
+    # (node, its neighbor scan, the stack height at its discovery)
+    pending = [(root, iter(topo.neighbors(root)), 0)]
     while pending:
-        u, scan = pending[-1]
+        u, scan, _ = pending[-1]
         for v in scan:
             if v not in order:
-                if v in walkable or v == obj:
-                    order[v] = low[v] = len(order)
-                    parent[v] = u
-                    pending.append((v, iter(topo.neighbors(v))))
-                    break
-            elif order[v] < low[u]:
+                order[v] = low[v] = len(order)
+                parent[v] = u
+                pending.append((v, iter(topo.neighbors(v)), len(stack)))
+                stack.append(v)
+                break
+            if order[v] < low[u]:
                 low[u] = order[v]
         else:
-            pending.pop()
+            _, _, height = pending.pop()
             if pending:
                 p = pending[-1][0]
-                low[p] = min(low[p], low[u])
-    if obj not in parent:
-        return None
-    route = []
-    child, v = obj, parent[obj]
-    while v != subject:
-        if low[child] >= order[v]:
-            route.append(v)
-        child, v = v, parent[v]
-    route.reverse()
-    return route
-
-
-def _regions(topo: Topology, ends: list[str], walkable) -> list[set[str]]:
-    """For each two consecutive `ends`, the nodes of the connected regions of
-    the walkable graph minus `ends` that touch both. A region touches two
-    ends at most, and then consecutive ones, as the inner ends are
-    separators."""
-    position = {n: i for i, n in enumerate(ends)}
-    regions: list[set[str]] = [set() for _ in ends[1:]]
-    seen: set[str] = set()
-    for end in ends:
-        for first in topo.neighbors(end):
-            if first in seen or first in position or first not in walkable:
-                continue
-            seen.add(first)
-            region = [first]
-            touched = set()
-            for n in region:
-                for m in topo.neighbors(n):
-                    if m in position:
-                        touched.add(position[m])
-                    elif m not in seen and m in walkable:
-                        seen.add(m)
-                        region.append(m)
-            if len(touched) == 2:
-                regions[min(touched)].update(region)
-    return regions
+                if low[u] >= order[p]:
+                    blocks[u] = set(stack[height:])
+                    del stack[height:]
+                elif low[u] < low[p]:
+                    low[p] = low[u]
+    return parent, blocks
 
 
 def route_segments(topo: Topology, subject: str, obj: str) -> list[list[tuple[str, ...]]]:
@@ -424,13 +398,16 @@ def route_segments(topo: Topology, subject: str, obj: str) -> list[list[tuple[st
     segments in the order every path passes them; empty when the endpoints
     are disconnected.
 
-    Every path passes the endpoints' separators (_separators) in the same
-    order, the first the subject's subnet and the last the object's, so the
-    paths are the products of the routes of each segment, which runs from
-    one separator to the next, or to the object. A segment's routes stay in
-    the regions that touch both of its ends (_regions); a region touching
-    one end only, as a dead end hanging off a separator, lies on no path and
-    is never walked. So every route of a segment starts at its separator,
+    Every path passes the endpoints' separators, the cut vertices on the
+    tree path from `obj` up to `subject` (_blocks), in the same order, the
+    first the subject's subnet and the last the object's. So the paths are
+    the products of the routes of each segment, which runs from one
+    separator to the next, or to the object. A segment's routes stay in the
+    block that holds the link from its separator toward the object on that
+    tree path; a block off the path, as a dead end hanging off any node,
+    lies on no path and is never walked. An endpoint is a block of its own with its
+    subnet, as parse_topology attaches it to exactly one, so no segment's
+    block holds one. So every route of a segment starts at its separator,
     and the last segment is the one route `(object's subnet,)`.
 
     The product of the segments, taken in order, yields the paths sorted by
@@ -442,16 +419,18 @@ def route_segments(topo: Topology, subject: str, obj: str) -> list[list[tuple[st
     resolve_endpoint(topo, obj)
     if subject == obj:
         return [[topo.neighbors(subject)]]  # the one route: the attachment subnet
-    walkable = {n for n, node in topo.nodes.items() if node.kind != ENDPOINT}
-    separators = _separators(topo, subject, obj, walkable)
-    if separators is None:
+    parent, blocks = _blocks(topo, subject)
+    if obj not in parent:
         return []
-    ends = [*separators, obj]
-    return [
-        [(separator, *seq) for seq in _walk(topo, separator, end, region)]
-        for separator, end, region in zip(
-            separators, ends[1:], _regions(topo, ends, walkable))
-    ]
+    segments = []
+    end = child = obj
+    while (v := parent[child]) != subject:
+        if child in blocks:  # v is a separator
+            segments.append([(v, *seq) for seq in _walk(topo, v, end, blocks[child])])
+            end = v
+        child = v
+    segments.reverse()
+    return segments
 
 
 class Paths:

@@ -1541,13 +1541,45 @@ def test_a_kb_in_a_missing_directory_exits_persist(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "refine"])
+@pytest.mark.parametrize("earlier", [False, True], ids=["absent", "earlier"])
+def test_a_run_whose_outputs_cannot_be_written_records_nothing_in_the_kb(
+        tmp_path, command, earlier):
+    """The KB records a placement only once its outputs are written: with
+    `--out` naming a file, the KB stays absent, or keeps its bytes."""
+    kb = tmp_path / "kb.json"
+    if earlier:
+        assert run_cli("run", *scenario_flags("scenario2", tmp_path)) == 0
+        before = kb.read_bytes()
+    flags = scenario_flags("scenario1", tmp_path)
+    flags[flags.index("--out") + 1] = tmp_path / "a-file"
+    (tmp_path / "a-file").write_text("")
+    assert run_cli(command, *flags) == cli.EXIT_USAGE
+    assert kb.read_bytes() == before if earlier else not kb.exists()
+
+
 @pytest.mark.parametrize("kb", [True, False], ids=["kb", "outputs"])
 def test_a_write_cut_short_exits_persist_and_leaves_no_temporary_file(tmp_path, kb):
-    """The child may write files of at most 150 bytes, and a longer write
-    fails (SIGXFSZ ignored): the KB (written first) or an output cannot be
-    written whole. The run exits 17, and no temporary file is left."""
+    """The child may write files of at most `size` bytes, and a longer write
+    fails (SIGXFSZ ignored): an output cannot be written whole, or every
+    output can and the KB, written after them and holding the records of
+    other intents, cannot. The run exits 17, and no temporary file is left."""
+    size = 150
+    if kb:
+        size = 4096
+        assert run_cli("run", *scenario_flags("scenario1", tmp_path)) == 0
+        outputs = read_tree(tmp_path / "out")
+        assert max(len(text.encode()) for text in outputs.values()) < size
+        record = json.loads((tmp_path / "kb.json").read_text())
+        [entry, *_] = record["intents"].values()
+        record["intents"] = {f"other{i}": entry for i in range(100)}
+        (tmp_path / "kb.json").write_text(json.dumps(record))
+        assert (tmp_path / "kb.json").stat().st_size > size
+        for p in (tmp_path / "out").iterdir():
+            p.unlink()
+
     def limit():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (150, 150))
+        resource.setrlimit(resource.RLIMIT_FSIZE, (size, size))
         signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 
     env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1]),
@@ -1560,6 +1592,8 @@ def test_a_write_cut_short_exits_persist_and_leaves_no_temporary_file(tmp_path, 
     assert done.returncode == EXIT_CODES_BY_NAME["PersistError"], done.stderr
     what = "persist knowledge base to " if kb else "write "
     assert done.stderr.splitlines()[-1].startswith(f"error: PersistError: cannot {what}")
+    if kb:
+        assert read_tree(tmp_path / "out") == outputs
     assert not list(tmp_path.rglob("*.tmp"))
 
 

@@ -158,14 +158,11 @@ def _assert_segment_shape(t, subject, obj, segments):
     assert segments[-1] == [(object_subnet,)]
 
 
-def test_enumeration_matches_dfs_oracle_on_random_topologies():
-    rng = random.Random(1234)
+def test_enumeration_matches_dfs_oracle_on_random_topologies(monkeypatch):
+    rng, anchors = random.Random(1234), random.Random(1)
     for _ in range(60):
         t = random_topology(rng)
-        paths = topology.enumerate_paths(t, "A", "B")
-        got = [p.intermediate for p in paths]
-        assert got == oracle_simple_paths(t, "A", "B")
-        _assert_segment_shape(t, "A", "B", paths.segments)
+        _assert_matches_oracle(t, "A", "B", anchors, monkeypatch)
 
 
 def test_the_route_from_an_endpoint_to_itself_is_its_subnet(scenario1_topology):
@@ -175,15 +172,12 @@ def test_the_route_from_an_endpoint_to_itself_is_its_subnet(scenario1_topology):
         tuple(scenario1_topology.neighbors("Eve"))]
 
 
-def test_enumeration_matches_dfs_oracle_on_series_parallel_topologies():
-    rng = random.Random(2024)
+def test_enumeration_matches_dfs_oracle_on_series_parallel_topologies(monkeypatch):
+    rng, anchors = random.Random(2024), random.Random(1)
     for _ in range(150):
         t = series_parallel_topology(rng)
         for subject, obj in (("A", "B"), ("B", "A")):
-            paths = topology.enumerate_paths(t, subject, obj)
-            got = [p.intermediate for p in paths]
-            assert got == oracle_simple_paths(t, subject, obj)
-            _assert_segment_shape(t, subject, obj, paths.segments)
+            _assert_matches_oracle(t, subject, obj, anchors, monkeypatch)
 
 
 def _ladder(first, last, stages, prefix):
@@ -219,16 +213,41 @@ def _topology(kinds, links):
     ]))
 
 
-def test_a_ladder_hanging_off_the_subjects_subnet_is_never_walked(monkeypatch):
-    # 2**12 simple routes lead into the ladder from SA, and none reaches B
-    kinds, links = _ladder("SA", "End", 12, "X")
+def _assert_matches_oracle(t, subject, obj, anchors, monkeypatch):
+    """enumerate_paths gives the oracle's paths, in route_segments' shape.
+    An 8-stage dead-end ladder hung off a node drawn from `anchors` (no
+    endpoint) changes no segment, and is looked at no more than twice a
+    node: it lies on no route, so no segment walks it."""
+    calls = _counting_neighbors(monkeypatch)
+    paths = topology.enumerate_paths(t, subject, obj)
+    plain = len(calls)
+    assert [p.intermediate for p in paths] == oracle_simple_paths(t, subject, obj)
+    _assert_segment_shape(t, subject, obj, paths.segments)
+
+    anchor = anchors.choice(
+        sorted(n for n, node in t.nodes.items() if node.kind != topology.ENDPOINT))
+    kinds, links = _ladder(anchor, "XEnd", 8, "X")
+    kinds.update((n, node.kind) for n, node in t.nodes.items())
+    hung = _topology(kinds, [*map(sorted, t.links), *links])
+    calls.clear()
+    assert topology.route_segments(hung, subject, obj) == paths.segments
+    assert len(calls) - plain <= 2 * (len(hung.nodes) - len(t.nodes))
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("anchor", ["SA", "FW1"])
+def test_a_ladder_hanging_off_a_route_is_never_walked(monkeypatch, anchor):
+    # 2**12 simple routes lead into the ladder from SA or FW1, and none
+    # reaches B; off FW1 it hangs inside the segment SA-FW1|FW2-SB
+    kinds, links = _ladder(anchor, "End", 12, "X")
     kinds.update({"A": "endpoint", "B": "endpoint", "SA": "subnet", "SB": "subnet",
-                  "FW": "device"})
-    links += [("A", "SA"), ("SA", "FW"), ("FW", "SB"), ("SB", "B")]
+                  "FW1": "device", "FW2": "device"})
+    links += [("A", "SA"), ("SA", "FW1"), ("SA", "FW2"), ("FW1", "SB"), ("FW2", "SB"),
+              ("SB", "B")]
     t = _topology(kinds, links)
     calls = _counting_neighbors(monkeypatch)
     paths = topology.enumerate_paths(t, "A", "B")
-    assert [p.intermediate for p in paths] == [("SA", "FW", "SB")]
+    assert [p.intermediate for p in paths] == [("SA", "FW1", "SB"), ("SA", "FW2", "SB")]
     # each node is looked at a bounded number of times, not once per route
     assert len(calls) <= 3 * len(t.nodes)
     calls.clear()
