@@ -8,14 +8,15 @@ removed. Every error class maps to its own exit code; `--help` lists them.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import contextlib
 import gc
 import json
 import logging
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import converter, factbase, refiner, translator, verifier
 from . import capability as cap
@@ -47,8 +48,6 @@ EXIT_CODES = {
 }
 EXIT_BYPASS = 18
 EXIT_USAGE = 64
-
-MANIFEST_NAME = "manifest.json"
 
 
 def _read(path: str) -> str:
@@ -99,10 +98,8 @@ def _write_outputs(out_dir: str, outputs: dict[str, str], kinds: tuple[str, ...]
 def _manifest(outputs: dict[str, str]) -> str:
     import hashlib
 
-    digests = {
-        name: hashlib.sha256(content.encode()).hexdigest()
-        for name, content in outputs.items()
-    }
+    digests = {name: hashlib.sha256(content.encode()).hexdigest()
+               for name, content in outputs.items()}
     return json.dumps({"files": digests}, indent=2, sort_keys=True) + "\n"
 
 
@@ -127,12 +124,9 @@ def _kb_lock(kb_path: str | None):
 
 
 def _load_knowledge(args) -> factbase.Knowledge:
-    base = (
-        factbase.parse_knowledge(_read(args.knowledge))
-        if getattr(args, "knowledge", None)
-        else factbase.Knowledge()
-    )
-    if getattr(args, "cti", None):
+    base = (factbase.parse_knowledge(_read(args.knowledge)) if args.knowledge
+            else factbase.Knowledge())
+    if args.cti:
         from . import extractor
 
         text = _read(args.cti)
@@ -151,15 +145,11 @@ def _refined(args, knowledge: factbase.Knowledge):
     intents = refiner.parse_hspl(_read(args.hspl))
     catalog = cap.load_catalog(_read(args.catalog))
     translator.check_renderer_totality(catalog)
-    logger.info(
-        "stage=refiner event=inputs intents=%d nodes=%d", len(intents), len(t.nodes)
-    )
+    logger.info("stage=refiner event=inputs intents=%d nodes=%d", len(intents), len(t.nodes))
 
     with _kb_lock(args.kb):
         kb, kb_text = refiner.load_kb(args.kb) if args.kb else (None, None)
-        artifacts, report, updated = refiner.refine(
-            t, intents, knowledge, catalog, kb=kb
-        )
+        artifacts, report, updated = refiner.refine(t, intents, knowledge, catalog, kb=kb)
         for hid in report.hits:
             logger.info("stage=refiner event=kb_reuse intent=%s result=hit", hid)
         for hid in report.misses:
@@ -167,27 +157,12 @@ def _refined(args, knowledge: factbase.Knowledge):
                 added, removed = report.stale[hid]
                 logger.info(
                     "stage=refiner event=kb_reuse intent=%s result=stale added=%s removed=%s",
-                    hid, ",".join(added), ",".join(removed),
-                )
+                    hid, ",".join(added), ",".join(removed))
             else:
                 logger.info("stage=refiner event=kb_reuse intent=%s result=miss", hid)
         yield artifacts
         if args.kb:
             refiner.save_kb(updated, args.kb, kb_text)
-
-
-def _render_all(artifacts):
-    policies = converter.build_mspl(artifacts)
-    outputs: dict[str, str] = {}
-    for device in sorted(policies):
-        policy = policies[device]
-        outputs[f"{device}.mspl.xml"] = converter.serialize_mspl(policy)
-        rules = translator.translate_policy(policy)
-        outputs[f"{device}.rules"] = translator.rules_file_content(rules)
-        logger.info(
-            "stage=translator event=rendered device=%s rules=%d", device, len(rules)
-        )
-    return outputs
 
 
 @contextlib.contextmanager
@@ -227,10 +202,8 @@ def cmd_convert(args) -> int:
     artifacts_path = args.artifacts or os.path.join(args.out, "artifacts.json")
     artifacts = refiner.artifacts_from_json(_read(artifacts_path))
     policies = converter.build_mspl(artifacts)
-    outputs = {
-        f"{device}.mspl.xml": converter.serialize_mspl(policies[device])
-        for device in sorted(policies)
-    }
+    outputs = {f"{device}.mspl.xml": converter.serialize_mspl(policies[device])
+               for device in sorted(policies)}
     _write_outputs(args.out, outputs, (".mspl.xml",))
     return 0
 
@@ -252,12 +225,9 @@ def cmd_verify(args) -> int:
     t = topo.parse_topology(_read(args.topology))
     artifacts = refiner.artifacts_from_json(_read(args.artifacts))
     catalog = cap.load_catalog(_read(args.catalog))
-    flow = verifier.FlowSpec(
-        src_ip=args.src_ip, dst_ip=args.dst_ip, l7_host=args.l7_host
-    )
+    flow = verifier.FlowSpec(src_ip=args.src_ip, dst_ip=args.dst_ip, l7_host=args.l7_host)
     blocked, report = verifier.verify_deployment(
-        t, artifacts, catalog, flow, args.subject, args.object
-    )
+        t, artifacts, catalog, flow, args.subject, args.object)
     write = sys.stdout.write
     with _flushed_stdout():
         for line in report:
@@ -268,94 +238,124 @@ def cmd_verify(args) -> int:
 def cmd_run(args) -> int:
     knowledge = _load_knowledge(args)
     with _refined(args, knowledge) as artifacts:
-        outputs = {
-            "knowledge.json": factbase.serialize_knowledge(knowledge),
-            "artifacts.json": refiner.artifacts_to_json(artifacts),
-        }
-        outputs.update(_render_all(artifacts))
-        outputs[MANIFEST_NAME] = _manifest(outputs)
+        outputs = {"knowledge.json": factbase.serialize_knowledge(knowledge),
+                   "artifacts.json": refiner.artifacts_to_json(artifacts)}
+        policies = converter.build_mspl(artifacts)
+        for device in sorted(policies):
+            outputs[f"{device}.mspl.xml"] = converter.serialize_mspl(policies[device])
+            rules = translator.translate_policy(policies[device])
+            outputs[f"{device}.rules"] = translator.rules_file_content(rules)
+            logger.info("stage=translator event=rendered device=%s rules=%d",
+                        device, len(rules))
+        outputs["manifest.json"] = _manifest(outputs)
         _write_outputs(args.out, outputs, (".mspl.xml", ".rules"))
     logger.info("stage=cli event=done files=%d", len(outputs))
     return 0
 
 
-# --- argument parsing -------------------------------------------------------
+# --- command line -----------------------------------------------------------
 
 EXIT_CODE_HELP = "exit codes: 0 ok; " + "; ".join(
     f"{code} {cls.__name__}" for cls, code in sorted(EXIT_CODES.items(), key=lambda i: i[1])
-) + f"; {EXIT_BYPASS} bypass detected by verify"
+) + f"; {EXIT_BYPASS} bypass detected by verify; {EXIT_USAGE} usage or file-system error"
+FLAG_HELP = {
+    "topology": "topology YAML document", "hspl": "HSPL intent XML document",
+    "cti": "natural-language CTI report (.txt)", "out": "output directory",
+    "knowledge": "knowledge envelope JSON (base/input)", "kb": "knowledge-base file for reuse",
+    "catalog": "security-control catalog JSON", "artifacts": "rule artifact JSON file",
+    "subject": "endpoint the flow comes from", "object": "endpoint the flow goes to",
+    "src-ip": "flow's source IPv4 address", "dst-ip": "flow's destination IPv4 address",
+    "l7-host": "flow's HTTP host",
+}
+_REFINE_FLAGS = {"topology": True, "hspl": True, "cti": False, "knowledge": False,
+                 "catalog": True, "kb": False, "out": True}
+# command -> (its function, its help, its flags in the order --help lists
+# them, each True if required); `args.<flag>` is None for an absent one
+COMMANDS = {
+    "extract": (cmd_extract, "derive indicator knowledge from a CTI report",
+                {"cti": False, "knowledge": False, "out": True}),
+    "refine": (cmd_refine, "allocate enforcement and emit rule artifacts", _REFINE_FLAGS),
+    "convert": (cmd_convert, "build per-device MSPL policies from artifacts",
+                {"out": True, "artifacts": False}),
+    "translate": (cmd_translate, "render MSPL policies to native rules",
+                  {"out": True, "catalog": False}),
+    "verify": (cmd_verify, "symbolically check a flow against a deployment",
+               {"topology": True, "catalog": True, "artifacts": True, "subject": True,
+                "object": True, "src-ip": True, "dst-ip": True, "l7-host": False}),
+    "run": (cmd_run, "full pipeline: extract, refine, convert, translate", _REFINE_FLAGS),
+}
 
 
-def _add_io_flags(p, topology=False, hspl=False, cti=False, knowledge=False,
-                  catalog=False, kb=False, out=False, artifacts=False):
-    if topology:
-        p.add_argument("--topology", required=True, help="topology YAML document")
-    if hspl:
-        p.add_argument("--hspl", required=True, help="HSPL intent XML document")
-    if cti:
-        p.add_argument("--cti", help="natural-language CTI report (.txt)")
-    if knowledge:
-        p.add_argument("--knowledge", help="knowledge envelope JSON (base/input)")
-    if catalog:
-        p.add_argument("--catalog", required=catalog == "required",
-                       help="security-control catalog JSON")
-    if kb:
-        p.add_argument("--kb", help="knowledge-base file for result reuse")
-    if out:
-        p.add_argument("--out", required=True, help="output directory")
-    if artifacts:
-        p.add_argument("--artifacts", help="rule artifact JSON file")
+def _is_flag(arg: str, known) -> bool:
+    """Whether `arg` is a flag; `-`, negative numbers and unknown flags with a
+    space are values, as argparse read them."""
+    return arg[:1] == "-" and len(arg) > 1 and (
+        arg.partition("=")[0] in known or arg[:2] in known
+        or not (re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="intentrefine",
-        description="Refine security intents and CTI indicators into "
-                    "deployable filtering rules.",
-        epilog=EXIT_CODE_HELP,
-    )
-    parser.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command: str | None, error: str | None = None) -> int:
+    """Print the help and return 0, or the usage and `error` to stderr and return 64."""
+    flags = COMMANDS[command][2] if command else {}
+    usage = " ".join([f"usage: intentrefine {command} [-h]" if command else
+                      f"usage: intentrefine [-h] [-v] {{{','.join(COMMANDS)}}} ...", *(
+        f"--{f} {f.upper()}" if required else f"[--{f} {f.upper()}]"
+        for f, required in flags.items())])
+    if error:
+        print(usage, f"error: {error}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
+    if command:
+        lines = [COMMANDS[command][1], "", "flags:", *(
+            f"  --{f:<9}  {'required' if required else 'optional'}  {FLAG_HELP[f]}"
+            for f, required in flags.items())]
+    else:
+        lines = ["Refine security intents and CTI indicators into deployable rules.",
+                 "", "commands:", *(f"  {c:<9}  {h}" for c, (_, h, _) in COMMANDS.items()),
+                 "", "-v, --verbose (before the command) logs DEBUG lines too", EXIT_CODE_HELP]
+    with _flushed_stdout():
+        sys.stdout.write("\n".join([usage, "", *lines, ""]))
+    return 0
 
-    p = sub.add_parser("extract", help="derive indicator knowledge from a CTI report")
-    _add_io_flags(p, cti=True, knowledge=True, out=True)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("refine", help="allocate enforcement and emit rule artifacts")
-    _add_io_flags(p, topology=True, hspl=True, cti=True, knowledge=True,
-                  catalog="required", kb=True, out=True)
-    p.set_defaults(func=cmd_refine)
-
-    p = sub.add_parser("convert", help="build per-device MSPL policies from artifacts")
-    _add_io_flags(p, out=True, artifacts=True)
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("translate", help="render MSPL policies to native rules")
-    _add_io_flags(p, out=True, catalog=True)
-    p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("verify", help="symbolically check a flow against a deployment")
-    _add_io_flags(p, topology=True, catalog="required")
-    p.add_argument("--artifacts", required=True, help="rule artifact JSON file")
-    p.add_argument("--subject", required=True)
-    p.add_argument("--object", required=True)
-    p.add_argument("--src-ip", required=True)
-    p.add_argument("--dst-ip", required=True)
-    p.add_argument("--l7-host")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("run", help="full pipeline: extract, refine, convert, translate")
-    _add_io_flags(p, topology=True, hspl=True, cti=True, knowledge=True,
-                  catalog="required", kb=True, out=True)
-    p.set_defaults(func=cmd_run)
-
-    return parser
+def _parse(argv: list[str]):
+    """The command line as `args`, or the exit code of a help (0) or of a
+    usage error. An unknown flag or a stray value is refused once all are
+    read, so that a later `--help` still prints the help, as with argparse."""
+    verbose, command, values, error = False, None, {}, None
+    known = {"-h", "--help", "-v", "--verbose"}
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            return _usage(command)
+        if command is None and arg in ("-v", "--verbose"):
+            verbose = True
+        elif name[:2] == "--" and name[2:] in values:
+            # a flag at the end is followed by "--", which is no value
+            if not eq and _is_flag(value := next(args, "--"), known):
+                return _usage(command, f"{name} needs a value")
+            values[name[2:]] = value
+        elif name in known or arg[:2] in known:
+            return _usage(command, f"{arg!r} gives a value to a flag that takes none")
+        elif command is None and not _is_flag(arg, known):
+            if arg not in COMMANDS:
+                return _usage(None, f"unknown command {arg!r}")
+            command, values = arg, dict.fromkeys(COMMANDS[arg][2])
+            known = {"-h", "--help", *(f"--{f}" for f in values)}
+        else:
+            error = error or f"unrecognized argument {arg!r}"
+    missing = [f"--{f}" for f, required in COMMANDS[command][2].items()
+               if required and values[f] is None] if command else ["a command"]
+    if missing or error:
+        return _usage(command, error or f"missing {', '.join(missing)}")
+    return SimpleNamespace(func=COMMANDS[command][0], verbose=verbose,
+                           **{f.replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    # `--help` prints to stdout and exits here, before any handler below
-    with _flushed_stdout():
-        args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):  # a help or a usage error
+        return args
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
                         level=logging.DEBUG if args.verbose else logging.INFO)
     try:

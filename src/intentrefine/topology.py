@@ -356,7 +356,8 @@ def _blocks(topo: Topology, root: str) -> tuple[dict, dict]:
     """The depth-first tree of the nodes reachable from `root`, as each
     node's parent, and its blocks (biconnected components): for each node c
     whose subtree no back arc leaves for a node discovered before its parent
-    v, the nodes other than v of the block that holds the link (v, c).
+    v, the list of the nodes other than v of the block that holds the link
+    (v, c).
 
     One search computes lowpoints (Hopcroft & Tarjan 1973) and keeps a stack
     of the discovered nodes that no closed block holds yet. When c finishes
@@ -366,7 +367,7 @@ def _blocks(topo: Topology, root: str) -> tuple[dict, dict]:
     order = {root: 0}
     low = {root: 0}
     parent = {root: None}
-    blocks: dict[str, set[str]] = {}
+    blocks: dict[str, list[str]] = {}
     stack: list[str] = []
     # (node, its neighbor scan, the stack height at its discovery)
     pending = [(root, iter(topo.neighbors(root)), 0)]
@@ -386,7 +387,7 @@ def _blocks(topo: Topology, root: str) -> tuple[dict, dict]:
             if pending:
                 p = pending[-1][0]
                 if low[u] >= order[p]:
-                    blocks[u] = set(stack[height:])
+                    blocks[u] = stack[height:]
                     del stack[height:]
                 elif low[u] < low[p]:
                     low[p] = low[u]
@@ -426,7 +427,7 @@ def route_segments(topo: Topology, subject: str, obj: str) -> list[list[tuple[st
     end = child = obj
     while (v := parent[child]) != subject:
         if child in blocks:  # v is a separator
-            segments.append([(v, *seq) for seq in _walk(topo, v, end, blocks[child])])
+            segments.append([(v, *seq) for seq in _walk(topo, v, end, set(blocks[child]))])
             end = v
         child = v
     segments.reverse()

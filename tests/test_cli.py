@@ -1751,8 +1751,8 @@ def test_verify_into_a_closed_pipe_keeps_its_verdict(tmp_path, buffering):
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
 def test_help_into_a_closed_pipe_exits_ok(argv, buffering):
-    """argparse prints the help and exits before any command runs; a reader
-    that stopped early makes that no error either."""
+    """The help is printed and the CLI exits before any command runs; a
+    reader that stopped early makes that no error either."""
     env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     if buffering == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"

@@ -5,7 +5,9 @@ namedtuples instead. `yaml` reads only a topology that is not in the
 one-line-per-entry layout the fixtures use (see README, "Install").
 `xml.etree`, `hashlib`, the extractor and `fcntl` are imported by the
 functions that use them, so a command that calls none of those functions
-loads none of them (see README, "Start-up"). Importing the CLI registers an
+loads none of them (see README, "Start-up"). The command line is read from
+one table in `cli`, so no process, `--help` included, loads `argparse` or
+the `gettext` it imports. Importing the CLI registers an
 exit hook that freezes the garbage collector, so that the interpreter's final
 collection scans none of the objects left at exit.
 
@@ -24,7 +26,7 @@ from intentrefine import cli
 
 from conftest import FIXTURES
 
-NEVER = ("dataclasses", "inspect", "yaml")
+NEVER = ("argparse", "dataclasses", "gettext", "inspect", "yaml")
 DEFERRED = ("fcntl", "hashlib", "intentrefine.extractor", "xml.etree")
 
 # argv is None for a process that only imports the CLI. The last stdout line
@@ -68,6 +70,8 @@ def scenario2_out(tmp_path_factory):
 # the modules the command must not load besides NEVER, a file it writes)
 COMMANDS = {
     "import": (lambda out, s2: None, DEFERRED, None),
+    "help": (lambda out, s2: ["--help"], DEFERRED, None),
+    "verify-help": (lambda out, s2: ["verify", "--help"], DEFERRED, None),
     "verify": (lambda out, s2: [
         "verify",
         "--topology", SCENARIO2 / "topology.yaml",
