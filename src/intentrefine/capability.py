@@ -115,18 +115,6 @@ def load_catalog(document: str) -> Catalog:
     return controls
 
 
-def serialize_catalog(c: Catalog) -> str:
-    doc = {
-        name: {
-            "layer": spec.layer,
-            "stateful": spec.stateful,
-            "capabilities": sorted(spec.capabilities),
-        }
-        for name, spec in sorted(c.items())
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def derive_required(fact: Fact) -> list[RequiredSet]:
     """The capability sets a fact demands, one per implied enforcement layer;
     none for a fact that binds no enforceable slot kind."""

@@ -7,8 +7,8 @@ capable devices may be cut, found by max-flow on the topology's links among
 the nodes of those paths, read from their route segments without building a
 path (see select_enforcement_set).
 The knowledge base is the record of the last deployment: each intent's
-placement under a digest of the topology and catalog. A run reports, per
-intent, whether that record was absent, equal to the new placement, or stale.
+placement. A run reports, per intent, whether that record was absent, equal
+to the new placement, or stale.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import logging
 import math
 import os
-import re
 from collections import deque, namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -68,10 +67,9 @@ ConditionBinding = namedtuple(
 # control each enforces with.
 Placement = dict[str, dict[str, str]]
 
-# Placements of earlier runs, valid for the topology and catalog whose
-# kb_digest is `digest`: `intents` maps an intent id to its HsplPolicy and
-# `placements` to its Placement. The two dicts are filled in place.
-KnowledgeBase = namedtuple("KnowledgeBase", "digest intents placements")
+# Placements of earlier runs: `intents` maps an intent id to its HsplPolicy
+# and `placements` to its Placement. The two dicts are filled in place.
+KnowledgeBase = namedtuple("KnowledgeBase", "intents placements")
 
 # How each intent's knowledge-base record compares with this run's placement:
 # a hit equals it; a miss has no record of the unchanged intent, or a stale
@@ -504,17 +502,8 @@ def _kb_id(value: object) -> str:
 
 # --- knowledge base ---------------------------------------------------------
 
-def kb_digest(t: Topology, catalog: Catalog) -> str:
-    """sha256 over the two inputs placement reads: topology and catalog."""
-    import hashlib
-
-    inputs = t.canonical() + cap.serialize_catalog(catalog)
-    return hashlib.sha256(inputs.encode()).hexdigest()
-
-
 def kb_to_json(kb: KnowledgeBase) -> str:
     doc = {
-        "digest": kb.digest,
         "intents": {
             i.id: {
                 "subject": i.subject,
@@ -530,10 +519,11 @@ def kb_to_json(kb: KnowledgeBase) -> str:
 
 def load_kb(path: str) -> tuple[KnowledgeBase | None, str | None]:
     """Read a persisted knowledge base: the KB, and the file's text for
-    save_kb to compare with. One that is not UTF-8 text, not in kb_to_json's
-    shape, or whose digest is no sha256 digest is corrupt: it is treated as
-    absent, with a warning. The text is None when the file does not exist or
-    is no UTF-8 text."""
+    save_kb to compare with. One that is not UTF-8 text or not in
+    kb_to_json's shape is corrupt: it is treated as absent, with a warning.
+    A key that kb_to_json does not write, such as one an earlier version
+    wrote, is ignored. The text is None when the file does not exist or is
+    no UTF-8 text."""
     if not os.path.exists(path):
         return None, None
     text = None
@@ -541,7 +531,7 @@ def load_kb(path: str) -> tuple[KnowledgeBase | None, str | None]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         raw = json.loads(text)
-        kb = KnowledgeBase(_string(raw["digest"]), {}, {})
+        kb = KnowledgeBase({}, {})
         for hid, entry in raw["intents"].items():
             kb.intents[hid] = HsplPolicy(
                 id=hid,
@@ -559,9 +549,7 @@ def load_kb(path: str) -> tuple[KnowledgeBase | None, str | None]:
             AttributeError) as exc:
         problem = f"unreadable knowledge base: {exc!r}"
     else:
-        if re.fullmatch(r"[0-9a-f]{64}", kb.digest):
-            return kb, text
-        problem = "digest is not a sha256 digest"
+        return kb, text
     logger.warning("ignoring corrupt knowledge base %s: %s", path, problem)
     return None, text
 
@@ -588,15 +576,14 @@ def kb_reconcile(
     enumerate_paths holds them: route segments, no path built), and which
     intents have a record.
 
-    `kb` is built on when it was made for this topology and catalog;
-    otherwise the run starts from an empty KB. An intent equal to its record
-    is a hit until refine has compared the record with its placement; any
-    other intent is a miss. Paths are enumerated once per distinct pair of
+    Whatever changed in the topology or catalog, the run builds on `kb`, or
+    on an empty KB when there is none: a record is judged by its placement
+    alone, so `catalog` is not read here. An intent equal to its record is a
+    hit until refine has compared the record with its placement; any other
+    intent is a miss. Paths are enumerated once per distinct pair of
     attachment subnets; intents sharing the pair share one Paths.
     """
-    digest = kb_digest(t, catalog)
-    if kb is None or kb.digest != digest:
-        kb = KnowledgeBase(digest, {}, {})
+    kb = kb or KnowledgeBase({}, {})
 
     report = ReuseReport([], [], {})
     paths: dict[str, topo.Paths] = {}
@@ -626,7 +613,7 @@ def kb_update(
 ) -> KnowledgeBase:
     """`kb` (as kb_reconcile returned it) with this run's intents and
     placements merged in; records of other intents are kept."""
-    merged = KnowledgeBase(kb.digest, dict(kb.intents), dict(kb.placements))
+    merged = KnowledgeBase(dict(kb.intents), dict(kb.placements))
     for intent in intents:
         merged.intents[intent.id] = intent
         merged.placements[intent.id] = placements[intent.id]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import ipaddress
 import itertools
-import json
 import math
 import re
 from collections import namedtuple
@@ -174,32 +173,14 @@ class Path(namedtuple("Path", "intermediate")):
         return tuple(n for n in self.intermediate if topo.nodes[n].kind == DEVICE)
 
 
-class Topology(namedtuple("Topology", "name nodes links adjacency")):
-    """`nodes`: id -> Node; `links`: frozenset of two-id frozensets;
-    `adjacency`: id -> the sorted ids of its neighbors."""
+class Topology(namedtuple("Topology", "name nodes adjacency")):
+    """`nodes`: id -> Node; `adjacency`: id -> the sorted ids of its
+    neighbors."""
 
     __slots__ = ()
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         return self.adjacency.get(node_id, ())
-
-    def canonical(self) -> str:
-        """Deterministic serialization, independent of declaration order."""
-        doc = {
-            "name": self.name,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "ip": n.ip,
-                    "domains": sorted(n.domains),
-                    "controls": sorted(n.controls),
-                }
-                for n in sorted(self.nodes.values(), key=lambda n: n.id)
-            ],
-            "links": sorted(sorted(pair) for pair in self.links),
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def require_ipv4(value: str, context: str) -> str:
@@ -313,7 +294,6 @@ def parse_topology(document: str) -> Topology:
     return Topology(
         name=_text(raw.get("name", ""), "topology name"),
         nodes=nodes,
-        links=frozenset(links),
         adjacency={n: tuple(sorted(v)) for n, v in adjacency.items()},
     )
 
@@ -352,17 +332,18 @@ def _walk(topo: Topology, start: str, end: str, region) -> list[tuple[str, ...]]
     return found
 
 
-def _blocks(topo: Topology, root: str) -> tuple[dict, dict]:
-    """The depth-first tree of the nodes reachable from `root`, as each
-    node's parent, and its blocks (biconnected components): for each node c
-    whose subtree no back arc leaves for a node discovered before its parent
-    v, the list of the nodes other than v of the block that holds the link
-    (v, c).
+def _blocks(topo: Topology, root: str, obj: str) -> tuple[dict, dict]:
+    """The depth-first tree of the nodes that endpoint `root` reaches, every
+    endpoint but `root` and `obj` left out, as each node's parent, and its
+    blocks (biconnected components): for each node c whose subtree no back
+    arc leaves for a node discovered before its parent v, the list of the
+    nodes other than v of the block that holds the link (v, c).
 
     One search computes lowpoints (Hopcroft & Tarjan 1973) and keeps a stack
     of the discovered nodes that no closed block holds yet. When c finishes
     as above, the nodes discovered since c are popped: with v, they form
-    the block.
+    the block. Any other endpoint is skipped when first met: it is a leaf,
+    so it lies on no route, closes a block of its own and moves no lowpoint.
     """
     order = {root: 0}
     low = {root: 0}
@@ -375,6 +356,8 @@ def _blocks(topo: Topology, root: str) -> tuple[dict, dict]:
         u, scan, _ = pending[-1]
         for v in scan:
             if v not in order:
+                if v != obj and topo.nodes[v].kind == ENDPOINT:
+                    continue
                 order[v] = low[v] = len(order)
                 parent[v] = u
                 pending.append((v, iter(topo.neighbors(v)), len(stack)))
@@ -420,7 +403,7 @@ def route_segments(topo: Topology, subject: str, obj: str) -> list[list[tuple[st
     resolve_endpoint(topo, obj)
     if subject == obj:
         return [[topo.neighbors(subject)]]  # the one route: the attachment subnet
-    parent, blocks = _blocks(topo, subject)
+    parent, blocks = _blocks(topo, subject, obj)
     if obj not in parent:
         return []
     segments = []

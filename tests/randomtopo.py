@@ -140,10 +140,15 @@ def _parsed_both_ways(doc):
     return block
 
 
+def link_set(topo):
+    """The topology's links, as a set of two-id frozensets."""
+    return {frozenset((a, b)) for a, ends in topo.adjacency.items() for b in ends}
+
+
 def oracle_simple_paths(topo, subject, obj):
-    """Exhaustive DFS over the raw link set; endpoints never intermediate."""
+    """Exhaustive DFS over the link set; endpoints never intermediate."""
     adjacency = {}
-    for pair in topo.links:
+    for pair in link_set(topo):
         a, b = tuple(pair)
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)

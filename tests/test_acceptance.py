@@ -223,7 +223,8 @@ def test_criterion_6_determinism_and_reuse(tmp_path, caplog):
     assert any("event=kb_reuse intent=hspl1 result=hit" in m for m in messages)
     assert not any("result=miss" in m or "corrupt" in m for m in messages)
 
-    # one removed link forces full recomputation
+    # one removed link moves the placement: the record is stale, with the
+    # device the new placement no longer holds
     modified = tmp_path / "modified.yaml"
     modified.write_text(
         read_fixture("scenario1", "topology.yaml").replace("  - [FW2, FW3]\n", "")
@@ -240,8 +241,9 @@ def test_criterion_6_determinism_and_reuse(tmp_path, caplog):
             "--kb", str(kb),
         ])
     assert code == 0
-    messages = [r.message for r in caplog.records]
-    assert any("event=kb_reuse intent=hspl1 result=miss" in m for m in messages)
+    reuse = [r.message for r in caplog.records if "event=kb_reuse" in r.message]
+    assert reuse == ["stage=refiner event=kb_reuse intent=hspl1 "
+                     "result=stale added= removed=network:FW3:IpTables"]
     print("criterion 6 (determinism and reuse): PASS")
 
 

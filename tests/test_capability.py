@@ -10,7 +10,6 @@ from intentrefine.capability import (
     control_satisfies,
     derive_required,
     load_catalog,
-    serialize_catalog,
 )
 from intentrefine.errors import (
     DocumentSyntaxError,
@@ -63,6 +62,19 @@ def test_layer_capability_mismatch_rejected():
 def test_malformed_catalog():
     with pytest.raises(DocumentSyntaxError):
         load_catalog("{nope")
+
+
+def serialize_catalog(c):
+    """A catalog document that load_catalog reads back as `c`."""
+    doc = {
+        name: {
+            "layer": spec.layer,
+            "stateful": spec.stateful,
+            "capabilities": sorted(spec.capabilities),
+        }
+        for name, spec in sorted(c.items())
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def test_catalog_roundtrip_fixpoint(catalog):

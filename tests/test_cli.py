@@ -18,6 +18,7 @@ from intentrefine.converter import MsplPolicy, MsplRule
 from intentrefine.refiner import CapabilityInstance
 
 from conftest import EXIT_CODES_BY_NAME, FIXTURES
+from randomtopo import link_set
 
 
 def run_cli(*args):
@@ -219,7 +220,7 @@ def test_rerun_is_byte_identical_and_cache_hits(tmp_path, caplog):
 
 def test_topology_change_forces_recompute(tmp_path, caplog):
     flags = scenario_flags("scenario1", tmp_path)
-    run_cli("run", *flags)
+    assert run_cli("run", *flags) == 0
 
     modified = tmp_path / "topology.yaml"
     base = (FIXTURES / "scenario1" / "topology.yaml").read_text()
@@ -227,8 +228,71 @@ def test_topology_change_forces_recompute(tmp_path, caplog):
     flags[1] = modified
     with caplog.at_level("INFO"):
         assert run_cli("run", *flags) == 0
-    messages = [r.message for r in caplog.records]
-    assert any("event=kb_reuse intent=hspl1 result=miss" in m for m in messages)
+    reuse = [r.message for r in caplog.records if "event=kb_reuse" in r.message]
+    assert reuse == ["stage=refiner event=kb_reuse intent=hspl1 "
+                     "result=stale added= removed=network:FW3:IpTables"]
+    kb = json.loads((tmp_path / "kb.json").read_text())
+    assert kb["intents"]["hspl1"]["placement"] == {"network": {"FW1": "IpTables"}}
+
+
+def test_topology_edit_off_every_route_is_a_hit_with_the_same_outputs(tmp_path, caplog):
+    """A subnet hung off FW2 lies on no route of hspl1, so the placement
+    stays: the rerun on the edited topology is a hit, and the outputs and KB
+    stay byte-identical."""
+    flags = scenario_flags("scenario1", tmp_path)
+    assert run_cli("run", *flags) == 0
+    first, first_kb = read_tree(tmp_path / "out"), (tmp_path / "kb.json").read_text()
+
+    modified = tmp_path / "topology.yaml"
+    base = (FIXTURES / "scenario1" / "topology.yaml").read_text()
+    subnet4 = "  - {id: Subnet4, kind: subnet}\n"
+    subnet5 = "  - {id: Subnet5, kind: subnet}\n"
+    modified.write_text(base.replace(subnet4, subnet4 + subnet5) + "  - [FW2, Subnet5]\n")
+    assert topology.parse_topology(modified.read_text()).neighbors("Subnet5") == ("FW2",)
+    flags[1] = modified
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *flags) == 0
+    reuse = [r.message for r in caplog.records if "event=kb_reuse" in r.message]
+    assert reuse == ["stage=refiner event=kb_reuse intent=hspl1 result=hit"]
+    assert read_tree(tmp_path / "out") == first
+    assert (tmp_path / "kb.json").read_text() == first_kb
+
+
+def test_records_of_other_intents_survive_a_topology_change(tmp_path, caplog):
+    """Scenario 2, then scenario 1 on the same KB, with its other topology:
+    hspl2's record is kept as scenario 2 wrote it, so a rerun of scenario 2
+    is a hit."""
+    kb = tmp_path / "kb.json"
+    assert run_cli("run", *scenario_flags("scenario2", tmp_path / "s2", kb=False),
+                   "--kb", kb) == 0
+    hspl2 = json.loads(kb.read_text())["intents"]["hspl2"]
+    assert run_cli("run", *scenario_flags("scenario1", tmp_path / "s1", kb=False),
+                   "--kb", kb) == 0
+    intents = json.loads(kb.read_text())["intents"]
+    assert sorted(intents) == ["hspl1", "hspl2"] and intents["hspl2"] == hspl2
+
+    caplog.clear()
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *scenario_flags("scenario2", tmp_path / "s2", kb=False),
+                       "--kb", kb) == 0
+    reuse = [r.message for r in caplog.records if "event=kb_reuse" in r.message]
+    assert reuse == ["stage=refiner event=kb_reuse intent=hspl2 result=hit"]
+
+
+def test_kb_with_a_digest_entry_is_reused_and_rewritten_without_it(
+        tmp_path, caplog, capsys):
+    """Earlier versions wrote a sha256 digest of topology and catalog beside
+    the records. Such a KB still loads: the key is ignored, the unchanged
+    intent is a hit, and the run rewrites the KB without the key."""
+    def with_digest(kb_path):
+        doc = {"digest": "0123456789abcdef" * 4, **json.loads(kb_path.read_text())}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    messages = _rerun_on_kb(tmp_path, caplog, capsys, with_digest)
+    reuse = [m for m in messages if "event=kb_reuse" in m]
+    assert reuse == ["stage=refiner event=kb_reuse intent=hspl1 result=hit"]
+    assert not any("corrupt" in m for m in messages)
+    assert "digest" not in (tmp_path / "kb.json").read_text()
 
 
 MALFORMED_ARTIFACTS = [
@@ -724,9 +788,10 @@ def test_kb_in_the_path_cache_format_is_treated_as_absent(tmp_path, caplog, caps
 
     from intentrefine import topology
 
-    t = topology.parse_topology((FIXTURES / "scenario1" / "topology.yaml").read_text())
+    document = (FIXTURES / "scenario1" / "topology.yaml").read_text()
+    t = topology.parse_topology(document)
     path_cache = {
-        "topology_hash": hashlib.sha256(t.canonical().encode()).hexdigest(),
+        "topology_hash": hashlib.sha256(document.encode()).hexdigest(),
         "intents": {
             "hspl1": {"subject": "Eve", "action": "deny-access", "object": "Bob"}
         },
@@ -736,7 +801,7 @@ def test_kb_in_the_path_cache_format_is_treated_as_absent(tmp_path, caplog, caps
                              if n.kind == topology.DEVICE},
     }
     messages = _rerun_on_kb(tmp_path, caplog, capsys, lambda _cold_kb: path_cache)
-    assert any("corrupt knowledge base" in m and "KeyError('digest')" in m
+    assert any("corrupt knowledge base" in m and "KeyError('placement')" in m
                for m in messages)
     assert any("event=kb_reuse intent=hspl1 result=miss" in m for m in messages)
 
@@ -983,7 +1048,7 @@ def test_unenforceable_ladder_names_a_real_path_without_a_capable_device(
         r"with a satisfying network-layer control\n", err).group(1)
     path = ["Eve", *ast.literal_eval(witness), "Bob"]
     assert len(set(path)) == len(path)
-    assert all(frozenset(link) in t.links for link in zip(path, path[1:]))
+    assert all(frozenset(link) in link_set(t) for link in zip(path, path[1:]))
     assert not any(t.nodes[n].controls for n in path)
     # the first in path order: side a wherever both devices of a rung are bare
     assert path[1::2] == [f"S{i}" for i in range(41)]

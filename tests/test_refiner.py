@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from intentrefine import capability, cli, factbase, refiner, topology
+from intentrefine import (
+    capability, cli, converter, factbase, refiner, topology, translator)
 from intentrefine.capability import CapabilityId
 from intentrefine.errors import (
     DocumentSyntaxError,
@@ -676,10 +677,9 @@ def test_kb_cycle(scenario1_topology, scenario1_intent, scenario1_knowledge, cat
     empty, paths, report = kb_reconcile(None, t, catalog, intents)
     assert report.misses == ["hspl1"] and not report.hits
     assert len(paths["hspl1"]) == 3
-    assert empty.digest == refiner.kb_digest(t, catalog) and not empty.intents
+    assert not empty.intents and not empty.placements
 
     _, _, kb = refiner.refine(t, intents, scenario1_knowledge, catalog)
-    assert kb.digest == empty.digest
     assert kb.intents == {"hspl1": scenario1_intent}
     assert kb.placements == {"hspl1": SCENARIO1_PLACEMENT}
     assert kb_update(empty, intents, {"hspl1": SCENARIO1_PLACEMENT}) == kb
@@ -714,34 +714,54 @@ def test_kb_hit_records_this_runs_placement(
 def test_kb_topology_change_forces_recompute(
     scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
 ):
+    """A topology edit that moves the placement makes the record stale, with
+    what the placement lost; the run records the new placement."""
     intents = [scenario1_intent]
     _, _, kb = refiner.refine(scenario1_topology, intents, scenario1_knowledge, catalog)
 
     modified = topology.parse_topology(
         read_fixture("scenario1", "topology.yaml").replace("  - [FW2, FW3]\n", "")
     )
-    _, paths2, report = kb_reconcile(kb, modified, catalog, intents)
-    assert report.misses == ["hspl1"]
-    assert len(paths2["hspl1"]) == 2
+    kept, paths2, report = kb_reconcile(kb, modified, catalog, intents)
+    assert report.hits == ["hspl1"] and not report.misses
+    assert kept == kb and len(paths2["hspl1"]) == 2
 
-    _, _, kb2 = refiner.refine(modified, intents, scenario1_knowledge, catalog, kb=kb)
-    assert kb2.digest == refiner.kb_digest(modified, catalog) != kb.digest
+    _, report2, kb2 = refiner.refine(
+        modified, intents, scenario1_knowledge, catalog, kb=kb
+    )
+    assert not report2.hits and report2.misses == ["hspl1"]
+    assert report2.stale == {"hspl1": ([], ["network:FW3:IpTables"])}
     assert kb2.placements == {"hspl1": {"network": {"FW1": "IpTables"}}}
 
 
 def test_kb_catalog_change_forces_recompute(
     scenario1_topology, scenario1_intent, scenario1_knowledge, catalog
 ):
+    """A catalog edit that moves no device is a hit: a record holds devices
+    and controls, not rules. The rules are recomputed all the same, and
+    differ from the cold run's."""
     intents = [scenario1_intent]
-    _, _, kb = refiner.refine(scenario1_topology, intents, scenario1_knowledge, catalog)
+    cold, _, kb = refiner.refine(
+        scenario1_topology, intents, scenario1_knowledge, catalog
+    )
 
     stateless = capability.load_catalog(
         read_fixture("catalog.json").replace('"stateful": true', '"stateful": false')
     )
-    _, paths2, report = kb_reconcile(kb, scenario1_topology, stateless, intents)
-    assert report.misses == ["hspl1"]
-    assert len(paths2["hspl1"]) == 3
-    assert refiner.kb_digest(scenario1_topology, stateless) != kb.digest
+    warm, report, kb2 = refiner.refine(
+        scenario1_topology, intents, scenario1_knowledge, stateless, kb=kb
+    )
+    assert report == refiner.ReuseReport(["hspl1"], [], {})
+    assert kb2 == kb
+
+    def rules(artifacts):
+        return {device: translator.rules_file_content(translator.translate_policy(p))
+                for device, p in converter.build_mspl(artifacts).items()}
+
+    stateful_rules, stateless_rules = rules(cold), rules(warm)
+    assert stateful_rules.keys() == stateless_rules.keys() == {"FW1", "FW3"}
+    for device, text in stateless_rules.items():
+        assert "--ctstate" in stateful_rules[device] and "--ctstate" not in text
 
 
 def test_kb_persistence_roundtrip(
@@ -759,34 +779,30 @@ def test_kb_persistence_roundtrip(
 
 def test_corrupt_kb_treated_as_absent(tmp_path, caplog):
     path = tmp_path / "kb.json"
-    path.write_text('{"digest": "zz", "intents": {}}')
+    path.write_text('{"intents": {"hspl1": {"subject": "Eve", "action": '
+                    '"deny-access", "object": "Bob"}}}')
     with caplog.at_level("WARNING"):
         assert refiner.load_kb(str(path)) == (None, path.read_text())
     assert any("corrupt" in rec.message.lower() for rec in caplog.records)
 
 
-_DIGEST = "0" * 64
-
-
 @pytest.mark.parametrize("document", [
     "not json",
     "[]",
-    '{"digest": 5, "intents": {}}',
-    '{"digest": "%s", "intents": []}' % _DIGEST,
-    '{"digest": "%s", "intents": {"h": "x"}}' % _DIGEST,
-    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
-    ' "object": "B", "placement": {"network": ["FW1"]}}}}' % _DIGEST,
-    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
-    ' "object": "B", "placement": {"network": {"FW1": 1}}}}}' % _DIGEST,
-    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
-    ' "object": "B", "placement": {"network": {"FW1": "Ip Tables"}}}}}' % _DIGEST,
-    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
-    ' "object": "B", "placement": {"network": {"FW1\\n": "IpTables"}}}}}' % _DIGEST,
-    '{"digest": "%s", "intents": {"h": {"subject": "A", "action": "deny-access",'
-    ' "object": "B", "placement": {"net=work": {"FW1": "IpTables"}}}}}' % _DIGEST,
-], ids=["syntax", "list", "digest-type", "intents-list", "entry-string",
-        "devices-list", "control-type", "control-not-an-id", "device-not-an-id",
-        "layer-not-an-id"])
+    '{"intents": []}',
+    '{"intents": {"h": "x"}}',
+    '{"intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"network": ["FW1"]}}}}',
+    '{"intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"network": {"FW1": 1}}}}}',
+    '{"intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"network": {"FW1": "Ip Tables"}}}}}',
+    '{"intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"network": {"FW1\\n": "IpTables"}}}}}',
+    '{"intents": {"h": {"subject": "A", "action": "deny-access",'
+    ' "object": "B", "placement": {"net=work": {"FW1": "IpTables"}}}}}',
+], ids=["syntax", "list", "intents-list", "entry-string", "devices-list",
+        "control-type", "control-not-an-id", "device-not-an-id", "layer-not-an-id"])
 def test_malformed_kb_treated_as_absent(tmp_path, caplog, document):
     path = tmp_path / "kb.json"
     path.write_text(document)
@@ -878,7 +894,6 @@ def test_kb_record_for_disconnected_endpoints_discards_the_kb(
     )
     assert list(topology.enumerate_paths(broken, "Eve", "Bob")) == []
     kb = refiner.KnowledgeBase(
-        digest=refiner.kb_digest(broken, catalog),
         intents={"hspl1": scenario1_intent},
         placements={"hspl1": {"network": {"FW1": "IpTables"}}},
     )

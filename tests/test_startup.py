@@ -5,9 +5,10 @@ namedtuples instead. `yaml` reads only a topology that is not in the
 one-line-per-entry layout the fixtures use (see README, "Install").
 `xml.etree`, `hashlib`, the extractor and `fcntl` are imported by the
 functions that use them, so a command that calls none of those functions
-loads none of them (see README, "Start-up"). The command line is read from
-one table in `cli`, so no process, `--help` included, loads `argparse` or
-the `gettext` it imports. Importing the CLI registers an
+loads none of them (see README, "Start-up"); `hashlib` only writes `run`'s
+manifest, so `refine`, even with a KB, does not load it. The command line
+is read from one table in `cli`, so no process, `--help` included, loads
+`argparse` or the `gettext` it imports. Importing the CLI registers an
 exit hook that freezes the garbage collector, so that the interpreter's final
 collection scans none of the objects left at exit.
 
@@ -89,6 +90,14 @@ COMMANDS = {
     "run": (lambda out, s2: _run(
         "scenario2", out, "--knowledge", SCENARIO2 / "knowledge.json"),
         ("fcntl", "intentrefine.extractor"), "WAF.rules"),
+    "refine-kb": (lambda out, s2: [
+        "refine",
+        "--topology", FIXTURES / "scenario1" / "topology.yaml",
+        "--hspl", FIXTURES / "scenario1" / "hspl.xml",
+        "--knowledge", FIXTURES / "scenario1" / "knowledge.json",
+        "--catalog", FIXTURES / "catalog.json",
+        "--out", out, "--kb", out.parent / "kb.json"],
+        ("hashlib", "intentrefine.extractor"), "artifacts.json"),
     "run-cti-kb": (lambda out, s2: _run(
         "scenario1", out, "--knowledge", FIXTURES / "scenario1" / "knowledge.json",
         "--cti", FIXTURES / "scenario1" / "cti.txt", "--kb", out.parent / "kb.json"),

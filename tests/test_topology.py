@@ -14,17 +14,18 @@ from intentrefine.errors import (
 
 from conftest import FIXTURES, read_fixture
 from randomtopo import (
-    one_line_layout, oracle_simple_paths, random_topology, series_parallel_topology)
+    link_set, one_line_layout, oracle_simple_paths, random_topology,
+    series_parallel_topology)
 
 
 def test_scenario2_parse_counts(scenario2_topology):
     assert len(scenario2_topology.nodes) == 9
-    assert len(scenario2_topology.links) == 9
+    assert len(link_set(scenario2_topology)) == 9
 
 
 def test_empty_document_is_valid():
     t = topology.parse_topology("")
-    assert t.nodes == {} and not t.links
+    assert t.nodes == {} and not link_set(t)
 
 
 def test_dangling_link_rejected():
@@ -85,7 +86,7 @@ def test_declaration_order_is_irrelevant():
         + list(reversed(lines[14:]))
     )
     t2 = topology.parse_topology("\n".join(shuffled))
-    assert t1.canonical() == t2.canonical()
+    assert t1 == t2
 
 
 def test_resolve_endpoint(scenario1_topology):
@@ -135,7 +136,7 @@ def test_paths_are_simple_and_link_consistent(scenario1_topology):
         seq = ("Eve",) + path.intermediate + ("Bob",)
         assert len(set(seq)) == len(seq)
         for a, b in zip(seq, seq[1:]):
-            assert frozenset((a, b)) in t.links
+            assert frozenset((a, b)) in link_set(t)
 
 
 def test_path_symmetry_up_to_reversal(scenario1_topology):
@@ -213,6 +214,15 @@ def _topology(kinds, links):
     ]))
 
 
+def _assert_no_other_endpoint_searched(t, subject, obj):
+    """_blocks' tree holds no endpoint but the subject and, when some path
+    reaches it, the object."""
+    parent, _ = topology._blocks(t, subject, obj)
+    endpoints = {n for n in parent if t.nodes[n].kind == topology.ENDPOINT}
+    reached = {obj} if oracle_simple_paths(t, subject, obj) else set()
+    assert endpoints == {subject, *reached}
+
+
 def _assert_matches_oracle(t, subject, obj, anchors, monkeypatch):
     """enumerate_paths gives the oracle's paths, in route_segments' shape.
     An 8-stage dead-end ladder hung off a node drawn from `anchors` (no
@@ -223,12 +233,13 @@ def _assert_matches_oracle(t, subject, obj, anchors, monkeypatch):
     plain = len(calls)
     assert [p.intermediate for p in paths] == oracle_simple_paths(t, subject, obj)
     _assert_segment_shape(t, subject, obj, paths.segments)
+    _assert_no_other_endpoint_searched(t, subject, obj)
 
     anchor = anchors.choice(
         sorted(n for n, node in t.nodes.items() if node.kind != topology.ENDPOINT))
     kinds, links = _ladder(anchor, "XEnd", 8, "X")
     kinds.update((n, node.kind) for n, node in t.nodes.items())
-    hung = _topology(kinds, [*map(sorted, t.links), *links])
+    hung = _topology(kinds, [*map(sorted, link_set(t)), *links])
     calls.clear()
     assert topology.route_segments(hung, subject, obj) == paths.segments
     assert len(calls) - plain <= 2 * (len(hung.nodes) - len(t.nodes))
@@ -267,6 +278,21 @@ def test_each_stage_of_a_ladder_is_walked_on_its_own(monkeypatch):
     assert len(calls) <= 4 * len(t.nodes)
     monkeypatch.undo()
     assert [p.intermediate for p in paths] == oracle_simple_paths(t, "A", "B")
+
+
+def test_no_other_endpoint_is_searched():
+    """50 more endpoints, half on each end's subnet, lie on no route: the
+    search for the segments enters none of them."""
+    kinds = {"A": "endpoint", "B": "endpoint", "SA": "subnet", "SB": "subnet",
+             "FW1": "device", "FW2": "device"}
+    kinds.update((f"E{i}", "endpoint") for i in range(50))
+    links = [("A", "SA"), ("SA", "FW1"), ("SA", "FW2"), ("FW1", "SB"), ("FW2", "SB"),
+             ("SB", "B"), *((f"E{i}", "SA" if i % 2 else "SB") for i in range(50))]
+    t = _topology(kinds, links)
+    for subject, obj in (("A", "B"), ("B", "A"), ("E1", "E0"), ("E1", "E3"), ("A", "E3")):
+        _assert_no_other_endpoint_searched(t, subject, obj)
+        assert [p.intermediate for p in topology.enumerate_paths(t, subject, obj)] == (
+            oracle_simple_paths(t, subject, obj))
 
 
 def _scenario2_with_domain(domain):
