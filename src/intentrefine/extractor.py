@@ -23,7 +23,9 @@ KIND_SOURCE_IP = "source-ip-address"
 KIND_DESTINATION_IP = "destination-ip-address"
 KIND_URL = "url"
 
-IPV4_RE = re.compile(r"\b(\d{1,3}(?:\.\d{1,3}){3})\b")
+# Four dotted numbers that are not part of a longer dotted run, such as an
+# OID (1.3.6.1.4.1.311) or a version (2.4.10.1.7).
+IPV4_RE = re.compile(r"(?<!\d\.)\b(\d{1,3}(?:\.\d{1,3}){3})\b(?!\.\d)")
 FQDN_RE = re.compile(r"\b((?:[a-z0-9-]+\.)+[a-z]{2,})\b", re.IGNORECASE)
 # the tokens str.split() separates: re's \s is the same set of characters
 TOKEN_RE = re.compile(r"\S+")

@@ -502,28 +502,70 @@ def _kb_id(value: object) -> str:
 
 # --- knowledge base ---------------------------------------------------------
 
+def _placement_key(placement: Placement) -> tuple:
+    """The placement's sorted `(layer, device, control)` entries, then its
+    sorted layers (which tell an empty layer from none): equal exactly for
+    equal placements, and the order of kb_to_json's groups."""
+    entries = sorted(
+        (layer, device, control)
+        for layer, controls in placement.items()
+        for device, control in controls.items()
+    )
+    return tuple(entries), tuple(sorted(placement))
+
+
 def kb_to_json(kb: KnowledgeBase) -> str:
-    doc = {
-        "intents": {
-            i.id: {
-                "subject": i.subject,
-                "action": i.action,
-                "object": i.object,
-                "placement": kb.placements[i.id],
-            }
-            for i in kb.intents.values()
-        },
-    }
+    """One group per distinct placement, holding each intent that has it as
+    `id: [subject, action, object]`: compact JSON with sorted keys and the
+    groups in _placement_key order, so equal KBs give equal text."""
+    groups: dict[tuple, dict] = {}
+    for i in kb.intents.values():
+        placement = kb.placements[i.id]
+        key = _placement_key(placement)
+        if key not in groups:
+            groups[key] = {"intents": {}, "placement": placement}
+        groups[key]["intents"][i.id] = [i.subject, i.action, i.object]
+    doc = {"placements": [groups[key] for key in sorted(groups)]}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _kb_placement(raw: object) -> Placement:
+    """A recorded placement: a mapping of ids to mappings of ids to ids."""
+    return {
+        _kb_id(layer): {_kb_id(d): _kb_id(c) for d, c in controls.items()}
+        for layer, controls in raw.items()
+    }
+
+
+def _kb_groups(raw: dict):
+    """`(intent id, [subject, action, object], placement)` for each record
+    of a KB document: kb_to_json's grouped layout, or the earlier one that
+    held each intent's placement beside its strings. Intents of a group
+    share one Placement."""
+    if "placements" not in raw:
+        for hid, entry in raw["intents"].items():
+            record = [entry["subject"], entry["action"], entry["object"]]
+            yield hid, record, _kb_placement(entry["placement"])
+        return
+    groups = raw["placements"]
+    if not isinstance(groups, list):
+        raise TypeError(f"placements is not a list: {groups!r}")
+    for group in groups:
+        placement = _kb_placement(group["placement"])
+        for hid, record in group["intents"].items():
+            if type(record) is not list or len(record) != 3:
+                raise ValueError(f"intent {hid!r}: not a record: {record!r}")
+            yield hid, record, placement
 
 
 def load_kb(path: str) -> tuple[KnowledgeBase | None, str | None]:
     """Read a persisted knowledge base: the KB, and the file's text for
-    save_kb to compare with. One that is not UTF-8 text or not in
-    kb_to_json's shape is corrupt: it is treated as absent, with a warning.
-    A key that kb_to_json does not write, such as one an earlier version
-    wrote, is ignored. The text is None when the file does not exist or is
-    no UTF-8 text."""
+    save_kb to compare with. The file may hold kb_to_json's grouped layout
+    or the earlier per-intent one, compact or indented. One that is not
+    UTF-8 text or in neither shape, or that names an intent twice, is
+    corrupt: it is treated as absent, with a warning. A key that kb_to_json
+    does not write, such as one an earlier version wrote, is ignored. The
+    text is None when the file does not exist or is no UTF-8 text."""
     if not os.path.exists(path):
         return None, None
     text = None
@@ -532,17 +574,12 @@ def load_kb(path: str) -> tuple[KnowledgeBase | None, str | None]:
             text = fh.read()
         raw = json.loads(text)
         kb = KnowledgeBase({}, {})
-        for hid, entry in raw["intents"].items():
+        for hid, (subject, action, obj), placement in _kb_groups(raw):
+            if hid in kb.intents:
+                raise ValueError(f"intent {hid!r} is recorded twice")
             kb.intents[hid] = HsplPolicy(
-                id=hid,
-                subject=_string(entry["subject"]),
-                action=_string(entry["action"]),
-                object=_string(entry["object"]),
-            )
-            kb.placements[hid] = {
-                _kb_id(layer): {_kb_id(d): _kb_id(c) for d, c in controls.items()}
-                for layer, controls in entry["placement"].items()
-            }
+                hid, _string(subject), _string(action), _string(obj))
+            kb.placements[hid] = placement
     except UnicodeDecodeError as exc:
         problem = str(exc)
     except (ValueError, RecursionError, KeyError, TypeError,
@@ -570,7 +607,7 @@ def _attachments(t: Topology, intent: HsplPolicy) -> tuple:
 
 
 def kb_reconcile(
-    kb: KnowledgeBase | None, t: Topology, catalog: Catalog, intents: list[HsplPolicy]
+    kb: KnowledgeBase | None, t: Topology, intents: list[HsplPolicy]
 ) -> tuple[KnowledgeBase, dict[str, topo.Paths], ReuseReport]:
     """The knowledge base this run builds on, every intent's paths (as
     enumerate_paths holds them: route segments, no path built), and which
@@ -578,10 +615,10 @@ def kb_reconcile(
 
     Whatever changed in the topology or catalog, the run builds on `kb`, or
     on an empty KB when there is none: a record is judged by its placement
-    alone, so `catalog` is not read here. An intent equal to its record is a
-    hit until refine has compared the record with its placement; any other
-    intent is a miss. Paths are enumerated once per distinct pair of
-    attachment subnets; intents sharing the pair share one Paths.
+    alone. An intent equal to its record is a hit until refine has compared
+    the record with its placement; any other intent is a miss. Paths are
+    enumerated once per distinct pair of attachment subnets; intents
+    sharing the pair share one Paths.
     """
     kb = kb or KnowledgeBase({}, {})
 
@@ -640,7 +677,7 @@ def refine(
     A hit whose record differs from the intent's placement becomes stale: it
     moves to the report's misses, and `report.stale` holds what changed.
     """
-    base, paths, report = kb_reconcile(kb, t, catalog, intents)
+    base, paths, report = kb_reconcile(kb, t, intents)
     for fact, required in zip(k.facts, _fact_index(k)[1]):
         if not required:
             logger.warning("skipping fact with no derivable requirement: %s", fact)

@@ -214,6 +214,9 @@ def test_criterion_6_determinism_and_reuse(tmp_path, caplog):
     assert run_pipeline("scenario1", out, kb_path=kb) == 0
     first = read_tree(out)
     first_kb = kb.read_text()
+    assert first_kb == (
+        '{"placements":[{"intents":{"hspl1":["Eve","deny-access","Bob"]},'
+        '"placement":{"network":{"FW1":"IpTables","FW3":"IpTables"}}}]}\n')
 
     with caplog.at_level("INFO"):
         assert run_pipeline("scenario1", out, kb_path=kb) == 0

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from intentrefine import cli, converter, errors, factbase, topology
+from intentrefine import cli, converter, errors, factbase, refiner, topology
 from intentrefine.converter import MsplPolicy, MsplRule
 from intentrefine.refiner import CapabilityInstance
 
@@ -44,6 +44,22 @@ def read_tree(out_dir):
         for p in sorted(pathlib.Path(out_dir).iterdir())
         if not p.name.startswith(".")
     }
+
+
+def kb_records(path):
+    """Each intent's record in the KB file at `path`: its
+    `[subject, action, object]` and its group's placement."""
+    return {hid: (record, group["placement"])
+            for group in json.loads(path.read_text())["placements"]
+            for hid, record in group["intents"].items()}
+
+
+def per_intent_layout(kb_path):
+    """The KB at `kb_path` as earlier versions wrote it: one entry per intent
+    holding its strings and its placement."""
+    return {"intents": {
+        hid: {"subject": subject, "action": action, "object": obj, "placement": placement}
+        for hid, ([subject, action, obj], placement) in kb_records(kb_path).items()}}
 
 
 def test_run_scenario1_outputs(tmp_path):
@@ -231,8 +247,8 @@ def test_topology_change_forces_recompute(tmp_path, caplog):
     reuse = [r.message for r in caplog.records if "event=kb_reuse" in r.message]
     assert reuse == ["stage=refiner event=kb_reuse intent=hspl1 "
                      "result=stale added= removed=network:FW3:IpTables"]
-    kb = json.loads((tmp_path / "kb.json").read_text())
-    assert kb["intents"]["hspl1"]["placement"] == {"network": {"FW1": "IpTables"}}
+    assert kb_records(tmp_path / "kb.json") == {
+        "hspl1": (["Eve", "deny-access", "Bob"], {"network": {"FW1": "IpTables"}})}
 
 
 def test_topology_edit_off_every_route_is_a_hit_with_the_same_outputs(tmp_path, caplog):
@@ -265,11 +281,11 @@ def test_records_of_other_intents_survive_a_topology_change(tmp_path, caplog):
     kb = tmp_path / "kb.json"
     assert run_cli("run", *scenario_flags("scenario2", tmp_path / "s2", kb=False),
                    "--kb", kb) == 0
-    hspl2 = json.loads(kb.read_text())["intents"]["hspl2"]
+    hspl2 = kb_records(kb)["hspl2"]
     assert run_cli("run", *scenario_flags("scenario1", tmp_path / "s1", kb=False),
                    "--kb", kb) == 0
-    intents = json.loads(kb.read_text())["intents"]
-    assert sorted(intents) == ["hspl1", "hspl2"] and intents["hspl2"] == hspl2
+    records = kb_records(kb)
+    assert sorted(records) == ["hspl1", "hspl2"] and records["hspl2"] == hspl2
 
     caplog.clear()
     with caplog.at_level("INFO"):
@@ -285,7 +301,7 @@ def test_kb_with_a_digest_entry_is_reused_and_rewritten_without_it(
     the records. Such a KB still loads: the key is ignored, the unchanged
     intent is a hit, and the run rewrites the KB without the key."""
     def with_digest(kb_path):
-        doc = {"digest": "0123456789abcdef" * 4, **json.loads(kb_path.read_text())}
+        doc = {"digest": "0123456789abcdef" * 4, **per_intent_layout(kb_path)}
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     messages = _rerun_on_kb(tmp_path, caplog, capsys, with_digest)
@@ -757,7 +773,9 @@ def test_tampered_kb_record_is_treated_as_absent(tmp_path, caplog, capsys, tampe
 
     def tamper(kb_path):
         kb = json.loads(kb_path.read_text())
-        kb["intents"]["hspl1"]["placement"]["network"] = placement
+        [group] = kb["placements"]
+        assert list(group["intents"]) == ["hspl1"]
+        group["placement"]["network"] = placement
         return kb
 
     messages = _rerun_on_kb(tmp_path, caplog, capsys, tamper)
@@ -768,17 +786,55 @@ def test_tampered_kb_record_is_treated_as_absent(tmp_path, caplog, capsys, tampe
 
 def test_kb_in_the_earlier_indented_layout_is_reused_and_rewritten_compact(
         tmp_path, caplog, capsys):
-    """A KB is written as compact JSON with sorted keys. One written in the
-    earlier layout, indented by two spaces, holds the same document: every
-    intent is a hit, and the run rewrites the KB in the compact layout."""
+    """A KB is written as compact JSON with sorted keys. One written in an
+    earlier layout, one entry per intent indented by two spaces, holds the
+    same records: every intent is a hit, and the run rewrites the KB in the
+    compact grouped layout."""
     def indented(kb_path):
-        return json.dumps(json.loads(kb_path.read_text()), indent=2, sort_keys=True) + "\n"
+        return json.dumps(per_intent_layout(kb_path), indent=2, sort_keys=True) + "\n"
 
     messages = _rerun_on_kb(tmp_path, caplog, capsys, indented)
     reuse = [m for m in messages if "event=kb_reuse" in m]
     assert reuse == ["stage=refiner event=kb_reuse intent=hspl1 result=hit"]
     text = (tmp_path / "kb.json").read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# The KB of scenario 2 then scenario 1 on one file, as the per-intent layout
+# wrote it, and as the grouped layout writes it.
+PER_INTENT_KB = (
+    '{"intents":{"hspl1":{"action":"deny-access","object":"Bob","placement":'
+    '{"network":{"FW1":"IpTables","FW3":"IpTables"}},"subject":"Eve"},'
+    '"hspl2":{"action":"deny-access","object":"WebServer","placement":'
+    '{"application":{"WAF":"ModSecurity"}},"subject":"Alice"}}}\n')
+GROUPED_KB = (
+    '{"placements":[{"intents":{"hspl2":["Alice","deny-access","WebServer"]},'
+    '"placement":{"application":{"WAF":"ModSecurity"}}},'
+    '{"intents":{"hspl1":["Eve","deny-access","Bob"]},'
+    '"placement":{"network":{"FW1":"IpTables","FW3":"IpTables"}}}]}\n')
+
+
+def test_kb_in_the_per_intent_layout_is_reused_and_rewritten_grouped(tmp_path, caplog):
+    """A KB an earlier version wrote, one entry per intent, loads as it was:
+    scenario 1's intent is a hit with a cold run's outputs, and the run
+    rewrites the KB, scenario 2's record kept, one group per placement."""
+    kb = tmp_path / "kb.json"
+    for scenario in ("scenario2", "scenario1"):
+        assert run_cli("run", *scenario_flags(scenario, tmp_path / scenario, kb=False),
+                       "--kb", kb) == 0
+    assert kb.read_text() == GROUPED_KB
+    assert per_intent_layout(kb) == json.loads(PER_INTENT_KB)
+
+    kb.write_text(PER_INTENT_KB)
+    with caplog.at_level("INFO"):
+        assert run_cli("run", *scenario_flags("scenario1", tmp_path / "warm", kb=False),
+                       "--kb", kb) == 0
+    messages = [r.message for r in caplog.records]
+    assert [m for m in messages if "event=kb_reuse" in m] == [
+        "stage=refiner event=kb_reuse intent=hspl1 result=hit"]
+    assert not any("corrupt" in m for m in messages)
+    assert read_tree(tmp_path / "warm" / "out") == read_tree(tmp_path / "scenario1" / "out")
+    assert kb.read_text() == GROUPED_KB
 
 
 def test_kb_in_the_path_cache_format_is_treated_as_absent(tmp_path, caplog, capsys):
@@ -1636,10 +1692,14 @@ def test_a_write_cut_short_exits_persist_and_leaves_no_temporary_file(tmp_path, 
         outputs = read_tree(tmp_path / "out")
         assert max(len(text.encode()) for text in outputs.values()) < size
         record = json.loads((tmp_path / "kb.json").read_text())
-        [entry, *_] = record["intents"].values()
-        record["intents"] = {f"other{i}": entry for i in range(100)}
+        [group] = record["placements"]
+        [entry] = group["intents"].values()
+        group["intents"] = {f"other{i}": entry for i in range(200)}
         (tmp_path / "kb.json").write_text(json.dumps(record))
         assert (tmp_path / "kb.json").stat().st_size > size
+        # all 201 intents share one placement: the rewrite is longer still
+        loaded, _ = refiner.load_kb(str(tmp_path / "kb.json"))
+        assert len(refiner.kb_to_json(loaded)) > size
         for p in (tmp_path / "out").iterdir():
             p.unlink()
 

@@ -47,6 +47,26 @@ def test_invalid_ip_octets_skipped():
     assert extract_indicators("contacted 999.1.2.3 yesterday") == []
 
 
+@pytest.mark.parametrize("text", [
+    "signed with certificate OID 1.3.6.1.4.1.311.10.3.3",
+    "affects version 2.4.10.1.7 and later",
+    "affects version 2.4.10.1.7.",
+])
+def test_no_address_is_read_out_of_a_longer_dotted_run(text):
+    assert extract_indicators(text) == []
+
+
+@pytest.mark.parametrize("text, values", [
+    ("beacons went out from 10.0.0.1.", ["10.0.0.1"]),
+    ("listening on 1.2.3.4:80", ["1.2.3.4"]),
+    ("the server (80.71.158.96) answered", ["80.71.158.96"]),
+    ("scanned 1.2.3.4-1.2.3.9 overnight", ["1.2.3.4", "1.2.3.9"]),
+])
+def test_address_beside_punctuation_is_read(text, values):
+    assert kinds_and_values(extract_indicators(text)) == [
+        (KIND_DESTINATION_IP, value) for value in values]
+
+
 def test_ip_fragments_not_matched_as_domains():
     inds = extract_indicators("the host at 10.20.30.40 was flagged")
     assert all(i.kind != KIND_URL for i in inds)

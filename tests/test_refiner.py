@@ -674,7 +674,7 @@ def test_kb_cycle(scenario1_topology, scenario1_intent, scenario1_knowledge, cat
     t = scenario1_topology
     intents = [scenario1_intent]
 
-    empty, paths, report = kb_reconcile(None, t, catalog, intents)
+    empty, paths, report = kb_reconcile(None, t, intents)
     assert report.misses == ["hspl1"] and not report.hits
     assert len(paths["hspl1"]) == 3
     assert not empty.intents and not empty.placements
@@ -684,7 +684,7 @@ def test_kb_cycle(scenario1_topology, scenario1_intent, scenario1_knowledge, cat
     assert kb.placements == {"hspl1": SCENARIO1_PLACEMENT}
     assert kb_update(empty, intents, {"hspl1": SCENARIO1_PLACEMENT}) == kb
 
-    kept, paths2, report2 = kb_reconcile(kb, t, catalog, intents)
+    kept, paths2, report2 = kb_reconcile(kb, t, intents)
     assert report2.hits == ["hspl1"] and not report2.misses
     assert len(paths2["hspl1"]) == 3 and kept.placements == kb.placements
 
@@ -722,7 +722,7 @@ def test_kb_topology_change_forces_recompute(
     modified = topology.parse_topology(
         read_fixture("scenario1", "topology.yaml").replace("  - [FW2, FW3]\n", "")
     )
-    kept, paths2, report = kb_reconcile(kb, modified, catalog, intents)
+    kept, paths2, report = kb_reconcile(kb, modified, intents)
     assert report.hits == ["hspl1"] and not report.misses
     assert kept == kb and len(paths2["hspl1"]) == 2
 
@@ -777,6 +777,61 @@ def test_kb_persistence_roundtrip(
     assert refiner.kb_to_json(loaded) == refiner.kb_to_json(kb) == text
 
 
+KB_PLACEMENTS = st.dictionaries(
+    st.sampled_from(["network", "application", "transport"]),
+    st.dictionaries(st.sampled_from(["FW1", "FW2", "WAF", "a.b-c_9"]),
+                    st.sampled_from(["IpTables", "ModSecurity"]), max_size=3),
+    max_size=2)
+
+
+def _reordered(placement):
+    """An equal placement built in reverse key order."""
+    return {layer: dict(reversed(placement[layer].items())) for layer in reversed(placement)}
+
+
+@st.composite
+def pooled_kbs(draw):
+    """A KB whose intents draw their placements from a pool of at most three
+    (equal ones among them): as the pool's object, or as an equal copy."""
+    pool = draw(st.lists(KB_PLACEMENTS, min_size=1, max_size=3))
+    placement = st.sampled_from(pool) | st.sampled_from(pool).map(_reordered)
+    ids = draw(st.lists(st.text("Az09_.-", min_size=1, max_size=4), unique=True, max_size=8))
+    kb = refiner.KnowledgeBase({}, {})
+    for hid in ids:
+        kb.intents[hid] = refiner.HsplPolicy(
+            hid, draw(json_text), draw(st.sampled_from(["deny-access", ""]) | json_text),
+            draw(json_text))
+        kb.placements[hid] = draw(placement)
+    return kb
+
+
+@given(kb=pooled_kbs(), order=st.randoms(use_true_random=False))
+@example(kb=refiner.KnowledgeBase(
+    {"a": refiner.HsplPolicy("a", "A", "deny-access", "B"),
+     "b": refiner.HsplPolicy("b", "B", "deny-access", "A")},
+    {"a": {}, "b": {"network": {}}}), order=random.Random(0))
+def test_kb_reads_back_as_written_one_group_per_placement(tmp_path_factory, kb, order):
+    text = refiner.kb_to_json(kb)
+    path = tmp_path_factory.mktemp("kb") / "kb.json"
+    path.write_text(text, encoding="utf-8")
+    assert refiner.load_kb(str(path)) == (kb, text)
+
+    # neither the order of the intents nor that of a placement's keys shows
+    ids = list(kb.intents)
+    order.shuffle(ids)
+    shuffled = refiner.KnowledgeBase(
+        {hid: kb.intents[hid] for hid in ids},
+        {hid: _reordered(kb.placements[hid]) for hid in ids})
+    assert refiner.kb_to_json(shuffled) == text
+
+    groups = json.loads(text)["placements"]
+    placements = [g["placement"] for g in groups]
+    assert all(placements.count(p) == 1 for p in placements)
+    assert all(p in placements for p in kb.placements.values())
+    assert sorted(hid for g in groups for hid in g["intents"]) == sorted(kb.intents)
+    assert all(g["intents"] for g in groups)
+
+
 def test_corrupt_kb_treated_as_absent(tmp_path, caplog):
     path = tmp_path / "kb.json"
     path.write_text('{"intents": {"hspl1": {"subject": "Eve", "action": '
@@ -801,8 +856,32 @@ def test_corrupt_kb_treated_as_absent(tmp_path, caplog):
     ' "object": "B", "placement": {"network": {"FW1\\n": "IpTables"}}}}}',
     '{"intents": {"h": {"subject": "A", "action": "deny-access",'
     ' "object": "B", "placement": {"net=work": {"FW1": "IpTables"}}}}}',
+    '{"placements": {}}',
+    '{"placements": "x"}',
+    '{"placements": [["h"]]}',
+    '{"placements": [{"intents": [["h", "A", "deny-access", "B"]],'
+    ' "placement": {}}]}',
+    '{"placements": [{"intents": {"h": ["A", "deny-access"]}, "placement": {}}]}',
+    '{"placements": [{"intents": {"h": ["A", 1, "B"]}, "placement": {}}]}',
+    '{"placements": [{"intents": {"h": "ABC"}, "placement": {}}]}',
+    '{"placements": [{"intents": {"h": {"A": 1, "B": 2, "C": 3}}, "placement": {}}]}',
+    '{"placements": [{"intents": {"h": ["A", "deny-access", "B"]}, "placement": {}},'
+    ' {"intents": {"h": ["A", "deny-access", "B"]},'
+    ' "placement": {"network": {"FW1": "IpTables"}}}]}',
+    '{"placements": [{"intents": {"h": ["A", "deny-access", "B"]},'
+    ' "placement": {"net=work": {"FW1": "IpTables"}}}]}',
+    '{"placements": [{"intents": {"h": ["A", "deny-access", "B"]},'
+    ' "placement": {"network": {"FW1\\n": "IpTables"}}}]}',
+    '{"placements": [{"intents": {"h": ["A", "deny-access", "B"]},'
+    ' "placement": {"network": {"FW1": "Ip Tables"}}}]}',
+    '{"placements": [{"intents": {"h": ["A", "deny-access", "B"]},'
+    ' "placement": {"network": {"FW1": null}}}]}',
 ], ids=["syntax", "list", "intents-list", "entry-string", "devices-list",
-        "control-type", "control-not-an-id", "device-not-an-id", "layer-not-an-id"])
+        "control-type", "control-not-an-id", "device-not-an-id", "layer-not-an-id",
+        "placements-mapping", "placements-string", "group-list", "group-intents-list",
+        "record-two-strings", "record-number", "record-string", "record-mapping",
+        "intent-in-two-groups", "group-layer-not-an-id", "group-device-not-an-id",
+        "group-control-not-an-id", "group-control-type"])
 def test_malformed_kb_treated_as_absent(tmp_path, caplog, document):
     path = tmp_path / "kb.json"
     path.write_text(document)
@@ -851,7 +930,9 @@ def test_kb_record_failing_the_check_discards_the_kb(
     (tmp_path / "cold").mkdir()
     assert run("cold") == 0
     kb = json.loads((tmp_path / "cold" / "kb.json").read_text())
-    kb["intents"]["hspl1"]["placement"] = placement
+    [group] = kb["placements"]
+    assert list(group["intents"]) == ["hspl1"]
+    group["placement"] = placement
     (tmp_path / "warm").mkdir()
     (tmp_path / "warm" / "kb.json").write_text(json.dumps(kb))
 
