@@ -12,7 +12,6 @@ import atexit
 import contextlib
 import gc
 import json
-import logging
 import os
 import re
 import sys
@@ -23,7 +22,7 @@ from . import capability as cap
 from . import topology as topo
 from . import errors
 
-logger = logging.getLogger("intentrefine")
+logger = errors.LazyLogger("intentrefine")
 
 # The OS reclaims the process's memory at exit, so the final collection's scan
 # and free of every module's reference cycles is wasted (README, "Start-up").
@@ -356,8 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     if isinstance(args, int):  # a help or a usage error
         return args
-    logging.basicConfig(stream=sys.stderr, format="%(message)s",
-                        level=logging.DEBUG if args.verbose else logging.INFO)
+    errors.log_to_stderr("DEBUG" if args.verbose else "INFO")
     try:
         return args.func(args)
     except errors.PipelineError as exc:
@@ -366,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        errors.log_to_stderr(None)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all pipeline stages, the shape check that
-input documents run through at their boundaries, and the one way a file is
-written out.
+input documents run through at their boundaries, the one way a file is
+written out, and the loggers every module logs through.
 
 Every error class is a direct subclass of PipelineError that some input
 raises, with its own CLI exit code (see cli.EXIT_CODES).
@@ -10,6 +10,7 @@ import contextlib
 import os
 import re
 import reprlib
+import sys
 
 # At most 4 items of a collection, 2 levels deep, and 30 characters of a
 # string or other value: a few hundred characters in all.
@@ -22,6 +23,10 @@ _SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 30
 # Node, device, control and intent ids: safe in a file name and as a value
 # of a `key=value` log line.
 ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
+
+# The level of the stderr handler that the next logged line installs
+# (log_to_stderr); None when there is none to install.
+_stderr_level = None
 
 
 class PipelineError(Exception):
@@ -134,3 +139,55 @@ def write_atomic(path: str, content: str, what: str) -> None:
             raise
     except OSError as exc:
         raise PersistError(f"cannot {what}: {exc}")
+
+
+def log_to_stderr(level: str | None) -> None:
+    """Log each record at `level` ("DEBUG", "INFO", …) and above to stderr,
+    as its bare message, through the handler logging.basicConfig installs.
+    If `logging` is loaded, the handler is installed at once; otherwise the
+    first logged line imports `logging` and installs it, bound to the
+    sys.stderr of that moment, so a process that logs nothing never imports
+    it. None withdraws a handler not yet installed."""
+    global _stderr_level
+    _stderr_level = level
+    if "logging" in sys.modules:
+        _install_stderr_handler()
+
+
+def _install_stderr_handler() -> None:
+    global _stderr_level
+    if _stderr_level is not None:
+        import logging
+
+        logging.basicConfig(stream=sys.stderr, format="%(message)s", level=_stderr_level)
+        _stderr_level = None
+
+
+class LazyLogger:
+    """logging.getLogger(name), imported and looked up at its first logged
+    line. That line keeps the Logger's own debug, info and warning on this
+    object, so every later call goes straight to them."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def _resolve(self) -> None:
+        import logging
+
+        _install_stderr_handler()
+        logger = logging.getLogger(self.name)
+        self.debug, self.info, self.warning = logger.debug, logger.info, logger.warning
+
+    # Each logs its first line one frame further down: stacklevel=2 names
+    # the caller as the line's origin, as a later call does.
+    def debug(self, *args, **kwargs) -> None:
+        self._resolve()
+        self.debug(*args, stacklevel=2, **kwargs)
+
+    def info(self, *args, **kwargs) -> None:
+        self._resolve()
+        self.info(*args, stacklevel=2, **kwargs)
+
+    def warning(self, *args, **kwargs) -> None:
+        self._resolve()
+        self.warning(*args, stacklevel=2, **kwargs)

@@ -14,12 +14,12 @@ stays valid after.
 from __future__ import annotations
 
 import json
-import logging
 from collections import namedtuple
 from types import MappingProxyType
 
 from .errors import (
     DocumentSyntaxError,
+    LazyLogger,
     UnknownSlot,
     UnknownTemplate,
     ValidationError,
@@ -27,7 +27,7 @@ from .errors import (
     shown,
 )
 
-logger = logging.getLogger(__name__)
+logger = LazyLogger(__name__)
 
 SLOT_TYPE_STRING = "STRING"
 

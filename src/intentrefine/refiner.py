@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import math
 import os
 from collections import deque, namedtuple
@@ -28,6 +27,7 @@ from .capability import (
 from .errors import (
     ID_RE,
     DocumentSyntaxError,
+    LazyLogger,
     NothingToEnforce,
     Unenforceable,
     UnsupportedAction,
@@ -38,7 +38,7 @@ from .errors import (
 from .factbase import Fact, Knowledge
 from .topology import Path, Topology
 
-logger = logging.getLogger(__name__)
+logger = LazyLogger(__name__)
 
 ACTION_DENY_ACCESS = "deny-access"
 ACTION_SURFACE = "is not authorized to access"

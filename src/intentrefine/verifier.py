@@ -16,18 +16,17 @@ costs time in proportion to what it prints.
 
 from __future__ import annotations
 
-import logging
 from collections import namedtuple
 
 from . import converter, translator
 from . import topology as topo
 from .capability import Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION
 from .converter import MatchOperator, MsplCondition, ip_key
-from .errors import UnknownControl, ValidationError
+from .errors import LazyLogger, UnknownControl, ValidationError
 from .refiner import RuleArtifact
 from .topology import Topology
 
-logger = logging.getLogger(__name__)
+logger = LazyLogger(__name__)
 
 
 class FlowSpec(namedtuple("FlowSpec", "src_ip dst_ip l7_host")):
