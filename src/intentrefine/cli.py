@@ -352,6 +352,13 @@ def _parse(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Python sets a stream to None when its descriptor was closed at start,
+    # and print(file=None) writes to stdout. Write to devnull instead, as to
+    # a reader that left.
+    if sys.stdout is None:
+        sys.stdout = open(os.devnull, "w")
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
     args = _parse(sys.argv[1:] if argv is None else argv)
     if isinstance(args, int):  # a help or a usage error
         return args

@@ -10,12 +10,17 @@ Each path is blocked at its first blocking device.
 Paths are never built. Every path is a product of segment routes
 (topology.route_segments), so each segment route is formatted once, as the
 ids' reprs joined by ", ", and decided once, at its first blocking node. The
-report is their product, which route_segments yields in path order: verify
-costs time in proportion to what it prints.
+verdict comes from the segments alone: some path passes unless some segment
+has no route that passes. The report is the routes' product, which
+route_segments yields in path order, joined and formatted one line at a
+time as it is read. So verify costs time in proportion to what it prints,
+and holds no list of paths, verdicts or lines: beside the segments, only
+about the square root of the paths' joined routes (README, "Verify").
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from . import converter, translator
@@ -54,17 +59,68 @@ def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec) -> bool:
     return ip in cond.values
 
 
-def _joined(parts: list[list[tuple]]) -> list[tuple]:
-    """Every joining of one (route, device) of each of `parts`, in order,
-    halves first, so each joined route is built by one concatenation. A
-    joined route's device is its head's, or its tail's when the head has
-    none."""
+def _joined(parts: list[list[tuple]]):
+    """Every joining of one (route, device) of each of `parts`, in order. A
+    joined route's device is its head's, or its tail's when the head has none.
+
+    The tails are the joinings of the longest suffix of `parts` (at least the
+    last part) that has no more joinings than the rest. They are held in a
+    list and joined to each head in turn, by one concatenation each, while
+    the heads are read one at a time. So about the square root of the
+    joinings is held at once."""
     if len(parts) == 1:
         return parts[0]
-    half = len(parts) // 2
-    heads, tails = _joined(parts[:half]), _joined(parts[half:])
-    return [(f"{head}, {tail}", device or at)
-            for head, device in heads for tail, at in tails]
+    total = math.prod(map(len, parts))
+    if total == 1:  # a chain, joined at once: halving would recurse per part
+        return [(", ".join(route for [(route, _)] in parts),
+                 next((device for [(_, device)] in parts if device), None))]
+    half, count = len(parts) - 1, len(parts[-1])
+    while half > 1 and (count * len(parts[half - 1])) ** 2 <= total:
+        half -= 1
+        count *= len(parts[half])
+    tails = list(_joined(parts[half:]))
+    return ((f"{head}, {tail}", device or at)
+            for head, device in _joined(parts[:half]) for tail, at in tails)
+
+
+class Verdicts:
+    """Each path's route with its first blocking device, or None when the
+    flow passes it, held as the verdicts of each segment's routes, as
+    topology.Paths holds the paths. Iterating joins them, in path order."""
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments: list[list[tuple[str, str | None]]]):
+        self.segments = segments
+
+    def __bool__(self) -> bool:
+        """Whether the endpoints are connected, at any number of paths."""
+        return bool(self.segments)
+
+    def __len__(self) -> int:
+        """The number of paths: the product of the segments' route counts."""
+        return math.prod(map(len, self.segments)) if self.segments else 0
+
+    def __iter__(self):
+        return iter(_joined(self.segments) if self.segments else ())
+
+
+class Report:
+    """`verify`'s report: one line for each path, in path order, or one
+    warning when there is no path. The lines are formatted as they are
+    read, anew on each iteration, so none is held."""
+
+    __slots__ = ("verdicts", "subject", "obj")
+
+    def __init__(self, verdicts: Verdicts, subject: str, obj: str):
+        self.verdicts, self.subject, self.obj = verdicts, subject, obj
+
+    def __iter__(self):
+        if not self.verdicts:
+            yield f"warning: no paths between {self.subject} and {self.obj}"
+        for route, device in self.verdicts:
+            yield (f"ALLOWED (bypass) path [{route}]" if device is None
+                   else f"BLOCKED path [{route}] at {device}")
 
 
 def evaluate_flow(
@@ -74,10 +130,11 @@ def evaluate_flow(
     f: FlowSpec,
     subject: str,
     obj: str,
-) -> list[tuple[str, str | None]]:
+) -> Verdicts:
     """Each path's route with its first blocking device, or None when the
-    flow passes it, in path order. A route is the path's node ids' reprs
-    joined by ", ", as `repr(list(path))` shows them between its brackets.
+    flow passes it, in path order, as Verdicts. A route is the path's node
+    ids' reprs joined by ", ", as `repr(list(path))` shows them between its
+    brackets.
 
     The deployment is read with the stages' own checks before any device is
     decided: converter.build_mspl, as `convert` runs it, then
@@ -115,9 +172,7 @@ def evaluate_flow(
         if any(all(_admits(c, f, control) for c in conditions)
                for conditions, _ in shapes[device]):
             blocking.add(device)
-    if not segments:
-        return []
-    return _joined([
+    return Verdicts([
         [(", ".join(map(repr, route)), next(filter(blocking.__contains__, route), None))
          for route in routes]
         for routes in segments
@@ -131,15 +186,14 @@ def verify_deployment(
     f: FlowSpec,
     subject: str,
     obj: str,
-) -> tuple[bool, list[str]]:
-    """True iff the flow is blocked on every path; report lists bypasses."""
+) -> tuple[bool, Report]:
+    """True iff the flow is blocked on every path, decided from the segments
+    before any line is formatted, and the report, which shows any bypass."""
     verdicts = evaluate_flow(t, artifacts, catalog, f, subject, obj)
     if not verdicts:
         logger.warning("no paths between %s and %s; vacuously blocked", subject, obj)
-        return True, [f"warning: no paths between {subject} and {obj}"]
-    report = [
-        f"ALLOWED (bypass) path [{route}]" if device is None
-        else f"BLOCKED path [{route}] at {device}"
-        for route, device in verdicts
-    ]
-    return all(device is not None for _, device in verdicts), report
+    # A path passes exactly when each of its segment routes does, so some
+    # path passes unless some segment has no route that passes.
+    blocked = not verdicts or any(
+        all(device is not None for _, device in routes) for routes in verdicts.segments)
+    return blocked, Report(verdicts, subject, obj)

@@ -202,9 +202,9 @@ def test_criterion_5_verifier_behavioral_suite(
     with_host = FlowSpec(
         src_ip="80.71.158.96", dst_ip="172.19.0.3", l7_host="any.example.com"
     )
-    assert verifier.evaluate_flow(
+    assert list(verifier.evaluate_flow(
         scenario1_topology, s1_artifacts, catalog, with_host, "Eve", "Bob"
-    ) == verdicts
+    )) == list(verdicts)
     print("criterion 5 (verifier behavioral suite): PASS")
 
 

@@ -12,6 +12,8 @@ import json
 import pathlib
 import sys
 
+import pytest
+
 from intentrefine import cli, topology
 
 from conftest import FIXTURES
@@ -119,14 +121,38 @@ def test_traced_run_with_a_stale_intent_measures_every_metric(tmp_path, monkeypa
     assert stale["refiner.place_calls"] == 2
 
 
-def test_traced_verify_measures_every_per_layer_metric(tmp_path, monkeypatch, capsys):
+def _ladder_topology(path, stages):
+    """Scenario 1's Eve and Bob joined by `stages` stages of two devices in
+    parallel between subnets: 2**stages paths."""
+    nodes = ["  - {id: Eve, kind: endpoint, ip: 80.71.158.96}",
+             "  - {id: Bob, kind: endpoint, ip: 172.19.0.3}"]
+    nodes += [f"  - {{id: S{i}, kind: subnet}}" for i in range(stages + 1)]
+    links = ["  - [Eve, S0]", f"  - [Bob, S{stages}]"]
+    for i in range(stages):
+        for side in "ab":
+            nodes.append(f"  - {{id: L{i}{side}, kind: device, controls: [IpTables]}}")
+            links += [f"  - [S{i}, L{i}{side}]", f"  - [L{i}{side}, S{i + 1}]"]
+    path.write_text("\n".join(["nodes:", *nodes, "links:", *links, ""]))
+    return path
+
+
+# A 4-stage ladder's report joins 4 heads to 4 tails each.
+@pytest.mark.parametrize("stages", [None, 4], ids=["scenario1", "ladder"])
+def test_traced_verify_measures_every_per_layer_metric(tmp_path, monkeypatch, capsys, stages):
+    """The counts of verify's lazy report, read after the op as the
+    benchmark reads them: len() of evaluate_flow's result, and the report
+    of verify_deployment iterated once more."""
     spans = _load_spans(monkeypatch)
+    topology_path = FIXTURES / "scenario1" / "topology.yaml"
+    if stages:
+        topology_path = _ladder_topology(tmp_path / "ladder.yaml", stages)
     argv = _run_argv("scenario1", tmp_path, FIXTURES / "scenario1" / "knowledge.json")
+    argv[argv.index("--topology") + 1] = str(topology_path)
     assert cli.main(argv) == 0
     capsys.readouterr()
     metrics = _traced_run(spans, spans.Tracer(), [
         "verify",
-        "--topology", str(FIXTURES / "scenario1" / "topology.yaml"),
+        "--topology", str(topology_path),
         "--catalog", str(FIXTURES / "catalog.json"),
         "--artifacts", str(tmp_path / "out" / "artifacts.json"),
         "--subject", "Eve", "--object", "Bob",
@@ -137,6 +163,6 @@ def test_traced_verify_measures_every_per_layer_metric(tmp_path, monkeypatch, ca
     assert _traced_metrics("verify") <= set(metrics)
     # verify joins segment routes and never enumerates paths
     assert metrics["topology.enumerate_calls"] == 0
-    assert metrics["verifier.paths"] == 3 == sum(
+    assert metrics["verifier.paths"] == (2 ** stages if stages else 3) == sum(
         line.startswith(("BLOCKED ", "ALLOWED ")) for line in out.splitlines())
     assert metrics["verifier.report_bytes"] == len(out.encode())

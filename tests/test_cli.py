@@ -1891,3 +1891,114 @@ def test_help_into_a_closed_pipe_exits_ok(argv, buffering):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+# A fresh process's environment: this checkout's src/, and nothing else
+CHILD_ENV = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+
+
+def _cli_process(argv, **kwargs):
+    """A fresh CLI process of this checkout, run to its end."""
+    return subprocess.run([sys.executable, "-m", "intentrefine.cli", *map(str, argv)],
+                          timeout=120, env=CHILD_ENV, **kwargs)
+
+
+def _verify_argv(topology_path, artifacts):
+    return ["verify", "--topology", topology_path,
+            "--catalog", FIXTURES / "catalog.json", "--artifacts", artifacts,
+            "--subject", "Eve", "--object", "Bob",
+            "--src-ip", "80.71.158.96", "--dst-ip", "172.19.0.3"]
+
+
+@pytest.mark.parametrize("case, code", [("blocked", 0), ("bypassed", cli.EXIT_BYPASS),
+                                        ("help", 0)])
+def test_a_stdout_closed_at_start_is_a_reader_that_left(tmp_path, case, code):
+    """Python starts with sys.stdout None when descriptor 1 is closed. verify
+    still exits with its verdict and --help with 0, and stderr stays empty."""
+    blocked = _scenario1_artifacts_with(tmp_path, lambda a: [a])
+    bypassed = tmp_path / "bypassed.json"
+    bypassed.write_text(json.dumps(
+        [a for a in json.loads(blocked.read_text()) if a["device"] != "FW3"]))
+    argv = {"blocked": _verify_argv(FIXTURES / "scenario1" / "topology.yaml", blocked),
+            "bypassed": _verify_argv(FIXTURES / "scenario1" / "topology.yaml", bypassed),
+            "help": ["--help"]}[case]
+    done = _cli_process(argv, stderr=subprocess.PIPE, text=True,
+                        preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (code, "")
+
+
+@pytest.mark.parametrize("argv", [
+    _verify_argv(FIXTURES / "scenario1" / "topology.yaml", "/nonexistent.json"),
+    ["verify", "--bogus"],
+], ids=["missing-file", "usage"])
+def test_a_stderr_closed_at_start_leaves_stdout_empty(argv):
+    """print(file=None) writes to stdout, and Python starts with sys.stderr
+    None when descriptor 2 is closed: the error line must not land on stdout.
+    The exit code stays that of the error."""
+    done = _cli_process(argv, stdout=subprocess.PIPE, text=True,
+                        preexec_fn=lambda: os.close(2))
+    assert (done.returncode, done.stdout) == (cli.EXIT_USAGE, "")
+
+
+def _ladder_verify_argv(tmp_path, rungs, bypass):
+    """verify's argv for scenario 1's flow on a `rungs`-rung ladder
+    (_ladder_flags) against the artifacts `run` placed there, without those
+    of L00a if `bypass`."""
+    flags, _ = _ladder_flags(tmp_path, rungs)
+    assert run_cli("run", *flags) == 0
+    artifacts = tmp_path / "out" / "artifacts.json"
+    if bypass:
+        kept = [a for a in json.loads(artifacts.read_text()) if a["device"] != "L00a"]
+        artifacts = tmp_path / "bypassed.json"
+        artifacts.write_text(json.dumps(kept))
+    return _verify_argv(flags[1], artifacts)
+
+
+@pytest.mark.parametrize("bypass, code", [(False, 0), (True, cli.EXIT_BYPASS)],
+                         ids=["blocked", "bypassed"])
+def test_verify_into_a_pipe_closed_mid_report_keeps_its_verdict(tmp_path, bypass, code):
+    """A reader that takes the first 64 KiB of a 12-rung ladder's 4 096-line
+    report, a few of its heads' lines, and then closes the pipe: verify
+    exits with its verdict, decided before the first line, and writes
+    nothing to stderr."""
+    argv = _ladder_verify_argv(tmp_path, 12, bypass)
+    with subprocess.Popen([sys.executable, "-m", "intentrefine.cli", *map(str, argv)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV) as proc:
+        head = proc.stdout.read(64 * 1024)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert len(head) == 64 * 1024
+    # the first path runs through L11a and L00a
+    assert head.startswith(b"ALLOWED (bypass) path ['S0', 'L11a', " if bypass
+                           else b"BLOCKED path ['S0', 'L11a', ")
+    assert (proc.returncode, stderr) == (code, b"")
+
+
+# The child reads its own peak resident memory as it exits: exec carries the
+# spawning process's peak into the child's ru_maxrss, so that cannot tell.
+PEAK_PROBE = """
+import atexit, re, sys
+out = sys.argv[1]
+def peak():
+    status = open("/proc/self/status").read()
+    open(out, "w").write(re.search(r"VmHWM:\\s*(\\d+) kB", status)[1])
+atexit.register(peak)
+from intentrefine import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_verify_memory_stays_bounded_on_a_17_rung_ladder(tmp_path):
+    """verify of a 17-rung ladder prints 131 072 lines (34 MiB). Held in
+    lists, with their routes and verdicts, they take the process past
+    100 MiB resident; it must peak under 40 MiB, holding no such list."""
+    argv = _ladder_verify_argv(tmp_path, 17, False)
+    peak = tmp_path / "peak_kib"
+    done = subprocess.run([sys.executable, "-c", PEAK_PROBE, peak, *map(str, argv)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=120, env=CHILD_ENV)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert int(peak.read_text()) < 40 * 1024

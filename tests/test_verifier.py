@@ -91,7 +91,7 @@ def test_network_devices_blind_to_l7_host(scenario1_topology, scenario1_artifact
         "Eve",
         "Bob",
     )
-    assert plain == with_host
+    assert list(plain) == list(with_host)
 
 
 def test_verify_deployment_true_for_full_deployment(scenario1_topology, scenario1_artifacts, catalog):
@@ -296,7 +296,7 @@ links:
     first, second = topology.enumerate_paths(t, "A", "B")
     assert first.intermediate == ("S.1", "FW-a_2", "SB")
     assert not blocked
-    assert report == [
+    assert list(report) == [
         f"BLOCKED path {repr(list(first.intermediate))} at FW-a_2",
         f"ALLOWED (bypass) path {repr(list(second.intermediate))}",
     ]
@@ -352,5 +352,50 @@ def test_report_equals_one_built_from_oracle_paths(catalog):
             else f"BLOCKED path {list(p)!r} at {d}"
             for p, d in zip(paths, devices)
         ] or [f"warning: no paths between {subject} and {obj}"]
-        assert (blocked, report) == (None not in devices, expected), seed
+        assert (blocked, list(report)) == (None not in devices, expected), seed
     assert prefixed
+
+
+def _stages_topology(widths):
+    """A to B through one stage of `widths[i]` devices in parallel between
+    consecutive subnets, for each i: a stage of one device is a link of a
+    chain, whose every node is a segment of one route."""
+    nodes = ["  - {id: A, kind: endpoint, ip: 10.0.0.1}",
+             "  - {id: B, kind: endpoint, ip: 10.0.0.9}"]
+    nodes += [f"  - {{id: S{i}, kind: subnet}}" for i in range(len(widths) + 1)]
+    links = ["  - [A, S0]", f"  - [B, S{len(widths)}]"]
+    for i, width in enumerate(widths):
+        for j in range(width):
+            nodes.append(f"  - {{id: D{i}x{j}, kind: device, controls: [IpTables]}}")
+            links += [f"  - [S{i}, D{i}x{j}]", f"  - [D{i}x{j}, S{i + 1}]"]
+    return topology.parse_topology("\n".join(["nodes:", *nodes, "links:", *links, ""]))
+
+
+@pytest.mark.parametrize("widths", [
+    [1] * 6, [1] * 5 + [2] * 5, [2] * 5 + [1] * 5, [3, 1, 1, 2, 2, 1, 2],
+    [2, 2, 7], [9, 2, 2], [2] * 9,
+], ids=["chain", "chain-ladder", "ladder-chain", "mixed", "wide-last", "wide-first",
+        "ladder"])
+def test_report_reads_twice_to_one_line_per_counted_path(catalog, widths):
+    """The report is formatted anew on each reading, to the same lines, one
+    for each path that len(evaluate_flow(...)) counts, whatever the shape of
+    the segments that the heads and the tails are joined from."""
+    t = _stages_topology(widths)
+    f = FlowSpec("10.0.0.1", "10.0.0.9")
+    rng = random.Random(str(widths))
+    # a device of a chain would block every path
+    blocking = {f"D{i}x{j}" for i, width in enumerate(widths) if width > 1
+                for j in range(width) if rng.random() < 0.3}
+    artifacts = [_drop_rule(d, f.src_ip, f.dst_ip) for d in sorted(blocking)]
+
+    paths = oracle_simple_paths(t, "A", "B")
+    devices = [next((n for n in p if n in blocking), None) for p in paths]
+    expected = [
+        f"ALLOWED (bypass) path {list(p)!r}" if d is None
+        else f"BLOCKED path {list(p)!r} at {d}"
+        for p, d in zip(paths, devices)
+    ]
+    blocked, report = verify_deployment(t, artifacts, catalog, f, "A", "B")
+    assert blocked == (None not in devices)
+    assert list(report) == list(report) == expected
+    assert len(evaluate_flow(t, artifacts, catalog, f, "A", "B")) == len(expected)
