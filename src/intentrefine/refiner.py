@@ -93,7 +93,7 @@ def parse_hspl(document: str) -> list[HsplPolicy]:
         except ET.ParseError as exc:
             raise DocumentSyntaxError(f"malformed HSPL document: {exc}")
 
-    elements = [root] if root.tag == "hspl" else list(root.iter("hspl"))
+    elements = list(root.iter("hspl"))  # the root too, when it is one
     if not elements:
         raise DocumentSyntaxError("no <hspl> elements found")
 

@@ -12,14 +12,18 @@ Paths are never built. Every path is a product of segment routes
 ids' reprs joined by ", ", and decided once, at its first blocking node. The
 verdict comes from the segments alone: some path passes unless some segment
 has no route that passes. The report is the routes' product, which
-route_segments yields in path order, joined and formatted one line at a
-time as it is read. So verify costs time in proportion to what it prints,
-and holds no list of paths, verdicts or lines: beside the segments, only
-about the square root of the paths' joined routes (README, "Verify").
+route_segments yields in path order, split once into heads and tails. It
+is formatted as it is read, one block of lines at a time: each head's
+lines are one join of the head's route into text built once from the
+tails. So verify costs time in proportion to what it prints, and holds no
+list of paths, verdicts or lines: beside the segments, only about the
+square root of the paths' joined routes, and one block of about as many
+lines (README, "Verify").
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -59,28 +63,36 @@ def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec) -> bool:
     return ip in cond.values
 
 
-def _joined(parts: list[list[tuple]]):
-    """Every joining of one (route, device) of each of `parts`, in order. A
-    joined route's device is its head's, or its tail's when the head has none.
+def _split(parts: list[list[tuple]]):
+    """The joinings of `parts`, one of each part's (route, device), as heads
+    read one at a time and a list of tails: each joining, in order, is a
+    head's route followed by a tail's text, and has the head's device, or
+    the tail's when the head has none.
 
     The tails are the joinings of the longest suffix of `parts` (at least the
-    last part) that has no more joinings than the rest. They are held in a
-    list and joined to each head in turn, by one concatenation each, while
-    the heads are read one at a time. So about the square root of the
-    joinings is held at once."""
+    last part) that has no more joinings than the rest, each as ", " and its
+    route. So about the square root of the joinings is held at once. One part,
+    or a chain, is its own heads, with the one empty tail."""
     if len(parts) == 1:
-        return parts[0]
+        return parts[0], [("", None)]
     total = math.prod(map(len, parts))
     if total == 1:  # a chain, joined at once: halving would recurse per part
         return [(", ".join(route for [(route, _)] in parts),
-                 next((device for [(_, device)] in parts if device), None))]
+                 next((device for [(_, device)] in parts if device), None))], [("", None)]
     half, count = len(parts) - 1, len(parts[-1])
     while half > 1 and (count * len(parts[half - 1])) ** 2 <= total:
         half -= 1
         count *= len(parts[half])
-    tails = list(_joined(parts[half:]))
-    return ((f"{head}, {tail}", device or at)
-            for head, device in _joined(parts[:half]) for tail, at in tails)
+    return _joined(parts[:half]), [(f", {tail}", at) for tail, at in _joined(parts[half:])]
+
+
+def _joined(parts: list[list[tuple]]):
+    """Every joining of one (route, device) of each of `parts`, in order,
+    joined from _split's heads and tails by one concatenation each."""
+    if len(parts) == 1:
+        return parts[0]
+    heads, tails = _split(parts)
+    return ((head + tail, device or at) for head, device in heads for tail, at in tails)
 
 
 class Verdicts:
@@ -107,8 +119,13 @@ class Verdicts:
 
 class Report:
     """`verify`'s report: one line for each path, in path order, or one
-    warning when there is no path. The lines are formatted as they are
-    read, anew on each iteration, so none is held."""
+    warning when there is no path. It is read as blocks of whole lines
+    joined by newlines, formatted as they are read, anew on each iteration.
+    A block holds a head's lines (_split), or a run of heads' lines when the
+    tails are few, so that it holds at most about the square root of the
+    lines. A head's lines are one join of its route into glue text built
+    from the tails once for each device that blocks a head, and once for
+    the heads that pass."""
 
     __slots__ = ("verdicts", "subject", "obj")
 
@@ -118,9 +135,25 @@ class Report:
     def __iter__(self):
         if not self.verdicts:
             yield f"warning: no paths between {self.subject} and {self.obj}"
-        for route, device in self.verdicts:
-            yield (f"ALLOWED (bypass) path [{route}]" if device is None
-                   else f"BLOCKED path [{route}] at {device}")
+            return
+        heads, tails = _split(self.verdicts.segments)
+
+        def glue(device):
+            """The text between the routes in the lines of a head blocked at
+            `device`, or passing when it is None: one line's start, then a
+            tail's text and that line's end."""
+            ats = [device or at for _, at in tails]
+            starts = ["BLOCKED path [" if at else "ALLOWED (bypass) path [" for at in ats]
+            ends = [f"{text}] at {at}" if at else f"{text}]" for (text, _), at in zip(tails, ats)]
+            return [starts[0], *(f"{end}\n{start}" for end, start in zip(ends, starts[1:])),
+                    ends[-1]]
+
+        glues = {}  # by the head's device
+        heads = iter(heads)
+        per_block = max(1, math.isqrt(len(self.verdicts)) // len(tails))
+        while run := list(itertools.islice(heads, per_block)):
+            yield "\n".join([head.join(glues.get(device) or glues.setdefault(device, glue(device)))
+                             for head, device in run])
 
 
 def evaluate_flow(

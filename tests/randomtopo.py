@@ -126,6 +126,25 @@ def one_line_layout(name, nodes, links):
     return "".join(f"{line}\n" for line in lines)
 
 
+def grid_document(columns, subject, obj):
+    """A topology document: a grid of two rows of `columns` capable devices,
+    G<row>x<column>, each linked to its row's next device and to the other
+    row's device of its column, from the subnet SA of `subject` to the
+    subnet SB of `obj`, each an (id, ip) pair. The grid is one block of
+    2 ** (columns + 1) routes."""
+    last = columns - 1
+    nodes = [[("id", node), ("kind", "endpoint"), ("ip", ip)] for node, ip in (subject, obj)]
+    nodes += [[("id", subnet), ("kind", "subnet")] for subnet in ("SA", "SB")]
+    nodes += [[("id", f"G{row}x{column}"), ("kind", "device"), ("controls", ["IpTables"])]
+              for column in range(columns) for row in range(2)]
+    links = [[subject[0], "SA"], [obj[0], "SB"]]
+    for row in range(2):
+        links += [["SA", f"G{row}x0"], [f"G{row}x{last}", "SB"]]
+        links += [[f"G{row}x{column}", f"G{row}x{column + 1}"] for column in range(last)]
+    links += [[f"G0x{column}", f"G1x{column}"] for column in range(columns)]
+    return one_line_layout(None, nodes, links)
+
+
 def _parsed_both_ways(doc):
     """`doc` parsed from `yaml.safe_dump`'s block style, which PyYAML reads,
     and from the one-line layout, which parse_topology reads without it. The

@@ -18,7 +18,7 @@ from intentrefine.converter import MsplPolicy, MsplRule
 from intentrefine.refiner import CapabilityInstance
 
 from conftest import EXIT_CODES_BY_NAME, FIXTURES
-from randomtopo import link_set
+from randomtopo import grid_document, link_set
 
 
 def run_cli(*args):
@@ -1989,16 +1989,33 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+def _grid_verify_argv(tmp_path, columns):
+    """verify's argv for scenario 1's flow across a 2x`columns` grid
+    (grid_document) from Eve's subnet to Bob's, against the artifacts `run`
+    placed there."""
+    document = tmp_path / "topology.yaml"
+    document.write_text(grid_document(columns, ("Eve", "80.71.158.96"), ("Bob", "172.19.0.3")))
+    flags = scenario_flags("scenario1", tmp_path, kb=False)
+    flags[1] = document
+    assert run_cli("run", *flags) == 0
+    return _verify_argv(document, tmp_path / "out" / "artifacts.json")
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads VmHWM from /proc/self/status")
 def test_verify_memory_stays_bounded_on_a_17_rung_ladder(tmp_path):
     """verify of a 17-rung ladder prints 131 072 lines (34 MiB). Held in
     lists, with their routes and verdicts, they take the process past
-    100 MiB resident; it must peak under 40 MiB, holding no such list."""
-    argv = _ladder_verify_argv(tmp_path, 17, False)
-    peak = tmp_path / "peak_kib"
-    done = subprocess.run([sys.executable, "-c", PEAK_PROBE, peak, *map(str, argv)],
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                          timeout=120, env=CHILD_ENV)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert int(peak.read_text()) < 40 * 1024
+    100 MiB resident; it must peak under 40 MiB, holding no such list. So
+    must verify of a 2x14 grid, whose 32 768 lines join one segment's
+    routes to one tail: the report holds a bounded run of them at a time."""
+    (tmp_path / "ladder").mkdir()
+    (tmp_path / "grid").mkdir()
+    for argv in (_ladder_verify_argv(tmp_path / "ladder", 17, False),
+                 _grid_verify_argv(tmp_path / "grid", 14)):
+        peak = tmp_path / "peak_kib"
+        done = subprocess.run([sys.executable, "-c", PEAK_PROBE, peak, *map(str, argv)],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=CHILD_ENV)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert int(peak.read_text()) < 40 * 1024

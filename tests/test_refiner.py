@@ -49,6 +49,20 @@ def test_parse_multiple_hspl_elements():
     assert [i.id for i in intents] == ["hspl1", "hspl2"]
 
 
+def test_nested_hspl_read_alike_as_root_wrapped_or_with_a_sibling():
+    """An <hspl> nested in another is read, in document order, whether the
+    outer one is the document's root, is wrapped in <hspls>, or has a
+    sibling, which makes the document a fragment."""
+    def intent(hspl_id, inner=""):
+        return (f'<hspl id="{hspl_id}"><subject>A</subject><action>is not authorized to access'
+                f'</action><object>B</object>{inner}</hspl>')
+
+    nested = intent("a", intent("b"))
+    assert [i.id for i in parse_hspl(nested)] == ["a", "b"]
+    assert [i.id for i in parse_hspl(f"<hspls>{nested}</hspls>")] == ["a", "b"]
+    assert [i.id for i in parse_hspl(nested + intent("c"))] == ["a", "b", "c"]
+
+
 def test_unsupported_action():
     doc = """<hspl id="h"><subject>A</subject><action>must log</action><object>B</object></hspl>"""
     with pytest.raises(UnsupportedAction):

@@ -1,19 +1,26 @@
 import ipaddress
 import itertools
+import math
 import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from intentrefine import capability, converter, refiner, topology, translator, verifier
+from intentrefine import capability, cli, converter, refiner, topology, translator, verifier
 from intentrefine.capability import CapabilityId
 from intentrefine.errors import UnknownEndpoint, ValidationError
 from intentrefine.verifier import FlowSpec, evaluate_flow, verify_deployment
 
-from randomtopo import oracle_simple_paths, random_topology, series_parallel_topology
+from conftest import FIXTURES
+from randomtopo import grid_document, oracle_simple_paths, random_topology, series_parallel_topology
 
 MALICIOUS_FLOW = FlowSpec(src_ip="80.71.158.96", dst_ip="172.19.0.3")
+
+
+def _lines(report):
+    """The report's lines, read from its blocks of lines."""
+    return "\n".join(report).split("\n")
 
 
 def _artifacts(t, intent, knowledge, catalog):
@@ -99,7 +106,7 @@ def test_verify_deployment_true_for_full_deployment(scenario1_topology, scenario
         scenario1_topology, scenario1_artifacts, catalog, MALICIOUS_FLOW, "Eve", "Bob"
     )
     assert blocked
-    assert all(line.startswith("BLOCKED") for line in report)
+    assert all(line.startswith("BLOCKED") for line in _lines(report))
 
 
 def test_removing_a_selected_device_creates_bypass(scenario1_topology, scenario1_artifacts, catalog):
@@ -352,11 +359,11 @@ def test_report_equals_one_built_from_oracle_paths(catalog):
             else f"BLOCKED path {list(p)!r} at {d}"
             for p, d in zip(paths, devices)
         ] or [f"warning: no paths between {subject} and {obj}"]
-        assert (blocked, list(report)) == (None not in devices, expected), seed
+        assert (blocked, _lines(report)) == (None not in devices, expected), seed
     assert prefixed
 
 
-def _stages_topology(widths):
+def _stages_document(widths):
     """A to B through one stage of `widths[i]` devices in parallel between
     consecutive subnets, for each i: a stage of one device is a link of a
     chain, whose every node is a segment of one route."""
@@ -368,7 +375,11 @@ def _stages_topology(widths):
         for j in range(width):
             nodes.append(f"  - {{id: D{i}x{j}, kind: device, controls: [IpTables]}}")
             links += [f"  - [S{i}, D{i}x{j}]", f"  - [D{i}x{j}, S{i + 1}]"]
-    return topology.parse_topology("\n".join(["nodes:", *nodes, "links:", *links, ""]))
+    return "\n".join(["nodes:", *nodes, "links:", *links, ""])
+
+
+def _stages_topology(widths):
+    return topology.parse_topology(_stages_document(widths))
 
 
 @pytest.mark.parametrize("widths", [
@@ -397,5 +408,61 @@ def test_report_reads_twice_to_one_line_per_counted_path(catalog, widths):
     ]
     blocked, report = verify_deployment(t, artifacts, catalog, f, "A", "B")
     assert blocked == (None not in devices)
-    assert list(report) == list(report) == expected
+    assert _lines(report) == _lines(report) == expected
     assert len(evaluate_flow(t, artifacts, catalog, f, "A", "B")) == len(expected)
+
+
+DISCONNECTED = """
+nodes:
+  - {id: A, kind: endpoint, ip: 10.0.0.1}
+  - {id: B, kind: endpoint, ip: 10.0.0.9}
+  - {id: S1, kind: subnet}
+  - {id: S2, kind: subnet}
+links:
+  - [A, S1]
+  - [B, S2]
+"""
+
+# The shapes of test_report_reads_twice_to_one_line_per_counted_path, each
+# with its blocking devices: a 2x4 grid, whose one tail groups its heads; a
+# ladder that nothing blocks, so no head carries a device; and no path.
+BLOCK_SHAPES = {
+    **{f"stages-{name}": (_stages_document(widths), 0.3) for name, widths in [
+        ("chain", [1] * 6), ("chain-ladder", [1] * 5 + [2] * 5),
+        ("ladder-chain", [2] * 5 + [1] * 5), ("mixed", [3, 1, 1, 2, 2, 1, 2]),
+        ("wide-last", [2, 2, 7]), ("wide-first", [9, 2, 2]), ("ladder", [2] * 9)]},
+    "grid-2x4": (grid_document(4, ("A", "10.0.0.1"), ("B", "10.0.0.9")), 0.3),
+    "bypass": (_stages_document([2] * 9), 0),
+    "no-path": (DISCONNECTED, 0),
+}
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_report_blocks_are_bounded_and_written_one_a_line(tmp_path, capsys, shape, catalog):
+    """Each item of the report is a non-empty block of whole lines joined by
+    "\\n", of at most about the square root of the paths' count, and verify
+    writes each followed by one newline: so the block bytes, counted as
+    bench/spans.py counts them, are verify's stdout."""
+    document, share = BLOCK_SHAPES[shape]
+    t = topology.parse_topology(document)
+    f = FlowSpec("10.0.0.1", "10.0.0.9")
+    rng = random.Random(shape)
+    blocking = [d for d in sorted(t.nodes) if t.nodes[d].controls and rng.random() < share]
+    artifacts = [_drop_rule(d, f.src_ip, f.dst_ip) for d in blocking]
+
+    blocked, report = verify_deployment(t, artifacts, catalog, f, "A", "B")
+    bound = 2 * math.isqrt(len(evaluate_flow(t, artifacts, catalog, f, "A", "B"))) + 1
+    for block in report:
+        assert block and block[0] != "\n" and block[-1] != "\n"
+        assert block.count("\n") < bound
+
+    (tmp_path / "topology.yaml").write_text(document)
+    (tmp_path / "artifacts.json").write_text(refiner.artifacts_to_json(artifacts))
+    code = cli.main(["verify", "--topology", str(tmp_path / "topology.yaml"),
+                     "--catalog", str(FIXTURES / "catalog.json"),
+                     "--artifacts", str(tmp_path / "artifacts.json"),
+                     "--subject", "A", "--object", "B",
+                     "--src-ip", f.src_ip, "--dst-ip", f.dst_ip])
+    out = capsys.readouterr().out
+    assert code == (0 if blocked else cli.EXIT_BYPASS)
+    assert sum(len(block.encode()) + 1 for block in report) == len(out.encode())
