@@ -88,10 +88,18 @@ def parse_hspl(document: str) -> list[HsplPolicy]:
     try:
         root = ET.fromstring(document)
     except ET.ParseError:
+        wrapper = "<hspls>"  # a fragment of several roots is read wrapped in one
         try:
-            root = ET.fromstring(f"<hspls>{document}</hspls>")
+            root = ET.fromstring(f"{wrapper}{document}</hspls>")
         except ET.ParseError as exc:
-            raise DocumentSyntaxError(f"malformed HSPL document: {exc}")
+            from xml.parsers.expat import ErrorString
+
+            # the position in `document`, which the wrapper shifts on line 1
+            line, column = exc.position
+            if line == 1:
+                column -= len(wrapper)
+            raise DocumentSyntaxError(
+                f"malformed HSPL document: {ErrorString(exc.code)}: line {line}, column {column}")
 
     elements = list(root.iter("hspl"))  # the root too, when it is one
     if not elements:

@@ -1,8 +1,12 @@
-"""Render MSPL policies into each control's native configuration language.
+"""Render MSPL policies into each control's native configuration language,
+and say which flows each rendered rule matches.
 
 Renderers are registered per control name in RENDERERS; translation is a pure
 function of the policy, so equal input yields byte-equal output. Union
 conditions expand to one rendered rule per value combination before rendering.
+Each renderer's match test reads a rule from the same values its text is
+written from, so a rule matches a flow as the rendered rule reads it
+(rule_matches); `verify` asks nothing else.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from collections.abc import Sequence
 
 from .capability import Catalog, CapabilityId
 from .converter import (
-    CAPABILITY_BY_ACTION, MatchOperator, MsplCondition, MsplPolicy, MsplRule)
+    CAPABILITY_BY_ACTION, MatchOperator, MsplCondition, MsplPolicy, MsplRule, ip_key)
 from .errors import UnknownControl, UnsupportedCapability
 
 MODSEC_ESCAPE_RE = re.compile(r"[.\\+*?()\[\]{}|^$]")
@@ -47,6 +51,16 @@ def _address_flags(cond: MsplCondition, exact_flag: str, range_flag: str) -> lis
     return [exact_flag, cond.values[0]]
 
 
+def _address_matches(cond: MsplCondition | None, ip: str) -> bool:
+    """Whether `ip` matches the flags _address_flags writes of `cond`: its
+    exact address, or its range, inclusive; any address when it is absent."""
+    if cond is None:
+        return True
+    if cond.operator == MatchOperator.RANGE:
+        return ip_key(cond.values[0]) <= ip_key(ip) <= ip_key(cond.values[1])
+    return ip == cond.values[0]
+
+
 def _iptables_text(conditions: Sequence[MsplCondition]) -> str:
     """Single iptables command on the FORWARD chain, fixed flag order:
     conntrack state, source, destination, jump target."""
@@ -65,27 +79,54 @@ def _iptables_text(conditions: Sequence[MsplCondition]) -> str:
     return " ".join(parts)
 
 
+def _iptables_matches(conditions: Sequence[MsplCondition], src_ip: str, dst_ip: str,
+                      host: str | None) -> bool:
+    """Whether the command _iptables_text writes matches a flow from `src_ip`
+    to `dst_ip`. A flow carries no connection state, so `--ctstate` matches
+    any flow."""
+    by_capability = {c.capability: c for c in conditions}
+    return (_address_matches(by_capability.get(CapabilityId.IP_SOURCE), src_ip)
+            and _address_matches(by_capability.get(CapabilityId.IP_DESTINATION), dst_ip))
+
+
 def escape_modsecurity_regex(host: str) -> str:
     return MODSEC_ESCAPE_RE.sub(lambda m: "\\" + m.group(0), host)
 
 
+def _host_operand(host: str) -> str:
+    """The `@rx` operand that matches Host `host`: fully escaped, anchored."""
+    return f"^{escape_modsecurity_regex(host)}$"
+
+
 def _modsecurity_text(conditions: Sequence[MsplCondition]) -> str:
     """Anchored host-header SecRule, up to its id."""
-    escaped = escape_modsecurity_regex(conditions[0].values[0])
-    return f'SecRule REQUEST_HEADERS:Host "@rx ^{escaped}$" \\\n  "deny, id:'
+    operand = _host_operand(conditions[0].values[0])
+    return f'SecRule REQUEST_HEADERS:Host "@rx {operand}" \\\n  "deny, id:'
+
+
+def _modsecurity_matches(conditions: Sequence[MsplCondition], src_ip: str, dst_ip: str,
+                         host: str | None) -> bool:
+    """Whether the SecRule _modsecurity_text writes matches a request with
+    Host `host` (None for none). Between its anchors the operand holds only
+    literals and escapes, so, with `$` read as the end of the header, it
+    matches the one host it is built from, case-sensitively: the host whose
+    operand equals it, since the escaping is one-to-one."""
+    return host is not None and _host_operand(host) == _host_operand(conditions[0].values[0])
 
 
 # Per control: the capabilities every rule must carry (its action included),
 # those a rule may carry besides, the rule's text as far as its conditions
-# decide it, and the format of the text that follows, given the rule's 1-based
-# number in the policy. iptables rules carry no id; ModSecurity ids are
-# numbered per policy file.
+# decide it, the format of the text that follows, given the rule's 1-based
+# number in the policy, and the rule's match test: whether the rule with these
+# conditions matches a flow from a source to a destination address, with an
+# HTTP host or None. iptables rules carry no id; ModSecurity ids are numbered
+# per policy file.
 RENDERERS = {
     "IpTables": ({CapabilityId.DROP},
                  {CapabilityId.IP_SOURCE, CapabilityId.IP_DESTINATION, CapabilityId.STATE},
-                 _iptables_text, ""),
+                 _iptables_text, "", _iptables_matches),
     "ModSecurity": ({CapabilityId.HTTP_HOST, CapabilityId.DENY}, set(),
-                    _modsecurity_text, '{}"'),
+                    _modsecurity_text, '{}"', _modsecurity_matches),
 }
 
 
@@ -155,7 +196,7 @@ def translate_policy(p: MsplPolicy) -> list[str]:
     Raises what check_policy raises. Each distinct (conditions, action) of
     the policy is expanded and rendered once."""
     shapes = check_policy(p)
-    _, _, text, number = RENDERERS[p.nsf_name]
+    text, number = RENDERERS[p.nsf_name][2:4]
     # each shape's expanded rules, as far as their conditions decide them
     texts = {
         shape: [text(e.conditions) for e in _expand_unions(rule)]
@@ -163,6 +204,16 @@ def translate_policy(p: MsplPolicy) -> list[str]:
     }
     unnumbered = (t for rule in p.rules for t in texts[rule.conditions, rule.action])
     return [t + number.format(n) for n, t in enumerate(unnumbered, start=1)]
+
+
+def rule_matches(nsf_name: str, rule: MsplRule, src_ip: str, dst_ip: str,
+                 host: str | None) -> bool:
+    """Whether any rule that translate_policy renders of `rule` for control
+    `nsf_name` matches a flow from `src_ip` to `dst_ip` with HTTP host `host`
+    (None for none), as the control's match test reads it. `rule` must be
+    one check_policy accepts."""
+    matches = RENDERERS[nsf_name][4]
+    return any(matches(e.conditions, src_ip, dst_ip, host) for e in _expand_unions(rule))
 
 
 def rules_file_content(rules: list[str]) -> str:

@@ -1,11 +1,10 @@
 """Symbolic flow verifier: replay a synthetic flow against deployed artifacts.
 
-No packets are processed. A device blocks the flow when one of its rules, read
-as the converter's MSPL rule that the translator renders, admits the flow on
-every condition: an address by exact value, union member or range; the HTTP
-host only at a control that inspects the application layer, and
-case-sensitively, as the rendered `@rx` compares it; any connection state.
-Each path is blocked at its first blocking device.
+No packets are processed. A device blocks the flow when one of its rules
+matches it as its renderer's test reads the rendered rule
+(translator.rule_matches). The flow's HTTP host is shown only to a control
+that inspects the application layer. Each path is blocked at its first
+blocking device.
 
 Paths are never built. Every path is a product of segment routes
 (topology.route_segments), so each segment route is formatted once, as the
@@ -29,8 +28,7 @@ from collections import namedtuple
 
 from . import converter, translator
 from . import topology as topo
-from .capability import Catalog, CapabilityId, ControlSpec, LAYER_APPLICATION
-from .converter import MatchOperator, MsplCondition, ip_key
+from .capability import Catalog, LAYER_APPLICATION
 from .errors import LazyLogger, UnknownControl, ValidationError
 from .refiner import RuleArtifact
 from .topology import Topology
@@ -49,18 +47,6 @@ class FlowSpec(namedtuple("FlowSpec", "src_ip dst_ip l7_host")):
         if src_ip == dst_ip:
             raise ValidationError("flow source and destination must differ")
         return super().__new__(cls, src_ip, dst_ip, l7_host)
-
-
-def _admits(cond: MsplCondition, f: FlowSpec, control: ControlSpec) -> bool:
-    if cond.capability == CapabilityId.HTTP_HOST:
-        # the rendered SecRule's @rx compares the header case-sensitively
-        return control.layer == LAYER_APPLICATION and f.l7_host == cond.values[0]
-    if cond.capability == CapabilityId.STATE:
-        return True
-    ip = f.src_ip if cond.capability == CapabilityId.IP_SOURCE else f.dst_ip
-    if cond.operator == MatchOperator.RANGE:
-        return ip_key(cond.values[0]) <= ip_key(ip) <= ip_key(cond.values[1])
-    return ip in cond.values
 
 
 def _split(parts: list[list[tuple]]):
@@ -175,8 +161,8 @@ def evaluate_flow(
     reads their files. So a deployment that `convert` or `translate` would
     reject raises their error whatever the flow. Only then must each control
     be in the catalog and each device a topology device listing its control.
-    Each device is decided from the distinct rule shapes check_policy
-    returned.
+    Each device is decided by asking translator.rule_matches about each
+    distinct rule shape check_policy returned.
     """
     segments = topo.route_segments(t, subject, obj)
     # The first artifact of each distinct (device, control, capabilities): a
@@ -202,8 +188,9 @@ def evaluate_flow(
                 f"rule {rules[0].id!r}: {device!r} is not a device of topology "
                 f"{t.name!r} listing control {nsf!r}"
             )
-        if any(all(_admits(c, f, control) for c in conditions)
-               for conditions, _ in shapes[device]):
+        host = f.l7_host if control.layer == LAYER_APPLICATION else None
+        if any(translator.rule_matches(nsf, rule, f.src_ip, f.dst_ip, host)
+               for rule in shapes[device].values()):
             blocking.add(device)
     return Verdicts([
         [(", ".join(map(repr, route)), next(filter(blocking.__contains__, route), None))

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from intentrefine import cli, converter, errors, factbase, refiner, topology
+from intentrefine import cli, converter, errors, factbase, refiner, topology, translator
 from intentrefine.converter import MsplPolicy, MsplRule
 from intentrefine.refiner import CapabilityInstance
 
@@ -1394,6 +1394,34 @@ def test_verify_rejects_what_convert_then_translate_reject(tmp_path, capsys, sce
         codes.append(code)
     # the mutations reach every check of convert and translate
     assert set(codes) >= {0, 3, 11, 12, 13, 14}
+
+
+@pytest.mark.parametrize("admits", [None, True, False])
+def test_verify_matches_rules_only_through_the_renderers(tmp_path, capsys, monkeypatch, admits):
+    """verify's verdicts follow the ModSecurity renderer's match test. As
+    rendered, scenario 2's rule blocks the malicious host and lets the
+    benign one pass; with a test swapped in that admits every host, or
+    none, both are blocked, or both pass."""
+    assert run_cli("run", *scenario_flags("scenario2", tmp_path, kb=False)) == 0
+    if admits is not None:
+        renderer = translator.RENDERERS["ModSecurity"]
+        monkeypatch.setitem(translator.RENDERERS, "ModSecurity",
+                            (*renderer[:4], lambda *_: admits))
+    verdicts = {}
+    for host in ("hadleyshope.3utilities.com", "allowed.utilities.com"):
+        capsys.readouterr()
+        code = run_cli("verify", "--topology", FIXTURES / "scenario2" / "topology.yaml",
+                       "--catalog", FIXTURES / "catalog.json",
+                       "--artifacts", tmp_path / "out" / "artifacts.json",
+                       *VERIFIED_FLOWS["scenario2"][:-1], host)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        verdicts[host] = code, {line.split(" path ")[0] for line in lines}
+    blocked, bypass = (0, {"BLOCKED"}), (cli.EXIT_BYPASS, {"ALLOWED (bypass)"})
+    assert verdicts == {
+        "hadleyshope.3utilities.com": bypass if admits is False else blocked,
+        "allowed.utilities.com": blocked if admits else bypass,
+    }
 
 
 # subcommand -> the inputs it reads: a flag, or "mspl" for the policies

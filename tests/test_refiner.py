@@ -78,6 +78,16 @@ def test_duplicate_hspl_id():
 def test_malformed_hspl():
     with pytest.raises(DocumentSyntaxError):
         parse_hspl("<hspl id='x'><subject>")
+    # positions are in the document as given, though a fragment is read
+    # wrapped in <hspls>: a single root, the second of two, and a later line
+    bad = '<hspl id="b"><subject>Bob</subjec></hspl>'
+    intent = ('<hspl id="a"><subject>A</subject><action>is not authorized to access'
+              '</action><object>B</object></hspl>')
+    for document, position in ((bad, "line 1, column 27"), (intent + bad, "line 1, column 129"),
+                               (intent + "\n" + bad, "line 2, column 27")):
+        with pytest.raises(DocumentSyntaxError, match=f"^malformed HSPL document: "
+                           f"mismatched tag: {position}$"):
+            parse_hspl(document)
 
 
 # --- bind_intent ------------------------------------------------------------

@@ -1,5 +1,6 @@
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,7 +46,7 @@ def _ip_rule(src="80.71.158.96", dst="172.19.0.3", states=("NEW", "ESTABLISHED")
 def render(nsf_name, rule, rule_number=1):
     """One rule, the `rule_number`-th of its policy, as translate_policy
     renders it for control `nsf_name`: the per-rule oracle."""
-    _, _, text, number = translator.RENDERERS[nsf_name]
+    _, _, text, number, _ = translator.RENDERERS[nsf_name]
     return text(rule.conditions) + number.format(rule_number)
 
 
@@ -103,6 +104,22 @@ def test_modsecurity_id_and_escaping():
 def test_modsecurity_escapes_all_metacharacters():
     escaped = translator.escape_modsecurity_regex(r"a.b\c+d*e?f(g)h[i]j{k}l|m^n$o")
     assert escaped == r"a\.b\\c\+d\*e\?f\(g\)h\[i\]j\{k\}l\|m\^n\$o"
+
+
+# RFC 1123 host names: dot-separated labels of letters, digits and inner hyphens
+host_labels = st.from_regex(r"[a-z0-9](?:[a-z0-9-]{0,8}[a-z0-9])?", fullmatch=True)
+host_names = st.lists(host_labels, min_size=1, max_size=4).map(".".join)
+
+
+@given(host=host_names)
+def test_modsecurity_operand_is_anchored_literals_and_escaped_dots(host):
+    """The `@rx` operand holds only literals and `\\.` between `^` and `$`,
+    which Python's `re` and PCRE read alike. So it matches the one host it is
+    built from, which is how the renderer's match test reads it."""
+    [text] = translate_policy(MsplPolicy("ModSecurity", (_host_rule(host),)))
+    operand = re.fullmatch(r'SecRule REQUEST_HEADERS:Host "@rx (.*)" \\\n  "deny, id:1"',
+                           text).group(1)
+    assert re.fullmatch(r"\^(?:[a-z0-9-]|\\\.)+\$", operand), operand
 
 
 def test_modsecurity_rejects_address_conditions():
