@@ -81,6 +81,13 @@ ReuseReport = namedtuple("ReuseReport", "hits misses stale")
 
 # --- HSPL parsing -----------------------------------------------------------
 
+def _expat_end(text: str) -> tuple[int, int]:
+    """The line and column at which expat's positions put the end of `text`:
+    a line ends at "\r\n", "\r" or "\n", and a column counts characters."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.count("\n") + 1, len(text) - text.rfind("\n") - 1
+
+
 def parse_hspl(document: str) -> list[HsplPolicy]:
     """Parse `<hspl id=...>` elements, in document order."""
     from xml.etree import ElementTree as ET
@@ -88,18 +95,25 @@ def parse_hspl(document: str) -> list[HsplPolicy]:
     try:
         root = ET.fromstring(document)
     except ET.ParseError:
-        wrapper = "<hspls>"  # a fragment of several roots is read wrapped in one
+        # a fragment of several roots is read wrapped in one, after any XML
+        # declaration, which must stay at the start
+        cut = document.index("?>") + 2 if document.startswith("<?xml") and "?>" in document else 0
+        wrapper = "<hspls>"
         try:
-            root = ET.fromstring(f"{wrapper}{document}</hspls>")
+            root = ET.fromstring(f"{document[:cut]}{wrapper}{document[cut:]}</hspls>")
         except ET.ParseError as exc:
-            from xml.parsers.expat import ErrorString
+            from xml.parsers.expat import ErrorString, errors
 
-            # the position in `document`, which the wrapper shifts on line 1
+            # the position in `document`: the wrapper shifts the rest of its line
             line, column = exc.position
-            if line == 1:
+            at_line, at_column = _expat_end(document[:cut])
+            if line == at_line and column >= at_column + len(wrapper):
                 column -= len(wrapper)
+            message, end = ErrorString(exc.code), _expat_end(document)
+            if (line, column) >= end:  # the closing wrapper met an element left open
+                message, (line, column) = errors.XML_ERROR_NO_ELEMENTS, end
             raise DocumentSyntaxError(
-                f"malformed HSPL document: {ErrorString(exc.code)}: line {line}, column {column}")
+                f"malformed HSPL document: {message}: line {line}, column {column}")
 
     elements = list(root.iter("hspl"))  # the root too, when it is one
     if not elements:

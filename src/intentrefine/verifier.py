@@ -8,16 +8,17 @@ blocking device.
 
 Paths are never built. Every path is a product of segment routes
 (topology.route_segments), so each segment route is formatted once, as the
-ids' reprs joined by ", ", and decided once, at its first blocking node. The
-verdict comes from the segments alone: some path passes unless some segment
-has no route that passes. The report is the routes' product, which
-route_segments yields in path order, split once into heads and tails. It
-is formatted as it is read, one block of lines at a time: each head's
-lines are one join of the head's route into text built once from the
-tails. So verify costs time in proportion to what it prints, and holds no
-list of paths, verdicts or lines: beside the segments, only about the
-square root of the paths' joined routes, and one block of about as many
-lines (README, "Verify").
+ids' reprs joined by ", ", and decided once, at its first blocking node.
+evaluate_flow returns these segment verdicts as the Report. The verdict
+comes from the segments alone: some path passes unless some segment has no
+route that passes. The report is the routes' product, which route_segments
+yields in path order, split once into heads and tails, each one str.join
+of its routes. It is formatted as it is read, one block of lines at a
+time: each head's lines are one join of the head's route into text built
+once from the tails. So verify costs time in proportion to what it prints,
+and holds no list of paths, verdicts or lines: beside the segments, only
+about the square root of the paths' joined routes, and one block of about
+as many lines (README, "Verify").
 """
 
 from __future__ import annotations
@@ -55,41 +56,41 @@ def _split(parts: list[list[tuple]]):
     head's route followed by a tail's text, and has the head's device, or
     the tail's when the head has none.
 
-    The tails are the joinings of the longest suffix of `parts` (at least the
-    last part) that has no more joinings than the rest, each as ", " and its
-    route. So about the square root of the joinings is held at once. One part,
-    or a chain, is its own heads, with the one empty tail."""
-    if len(parts) == 1:
-        return parts[0], [("", None)]
+    The tails are the joinings of the longest suffix of `parts`, short of
+    the first part, that has no more joinings than the rest, each as its
+    routes, each after ", ". So about the square root of the joinings is
+    held at once. The last part is the object's one subnet route, so it is
+    among the tails whenever there is more than one part."""
     total = math.prod(map(len, parts))
-    if total == 1:  # a chain, joined at once: halving would recurse per part
-        return [(", ".join(route for [(route, _)] in parts),
-                 next((device for [(_, device)] in parts if device), None))], [("", None)]
-    half, count = len(parts) - 1, len(parts[-1])
+    half, count = len(parts), 1
     while half > 1 and (count * len(parts[half - 1])) ** 2 <= total:
         half -= 1
         count *= len(parts[half])
-    return _joined(parts[:half]), [(f", {tail}", at) for tail, at in _joined(parts[half:])]
+    tails = [("".join(f", {route}" for route, _ in combo),
+              next((device for _, device in combo if device), None))
+             for combo in itertools.product(*parts[half:])]
+    if half == 1:  # one part is its own joinings: joining each route again copies it
+        return parts[0], tails
+    return ((", ".join(route for route, _ in combo),
+             next((device for _, device in combo if device), None))
+            for combo in itertools.product(*parts[:half])), tails
 
 
-def _joined(parts: list[list[tuple]]):
-    """Every joining of one (route, device) of each of `parts`, in order,
-    joined from _split's heads and tails by one concatenation each."""
-    if len(parts) == 1:
-        return parts[0]
-    heads, tails = _split(parts)
-    return ((head + tail, device or at) for head, device in heads for tail, at in tails)
+class Report:
+    """`verify`'s report on a flow, held as the verdicts of each segment's
+    routes: each route with its first blocking device, or None when the flow
+    passes it. It is read as blocks of whole lines joined by newlines, one
+    line for each path in path order, or one warning when there is no path,
+    formatted anew on each iteration. A block holds a head's lines (_split),
+    or a run of heads' lines when the tails are few, so at most about the
+    square root of the lines. A head's lines are one join of its route into
+    glue text built from the tails once for each device that blocks a head,
+    and once for the heads that pass."""
 
+    __slots__ = ("segments", "subject", "obj")
 
-class Verdicts:
-    """Each path's route with its first blocking device, or None when the
-    flow passes it, held as the verdicts of each segment's routes, as
-    topology.Paths holds the paths. Iterating joins them, in path order."""
-
-    __slots__ = ("segments",)
-
-    def __init__(self, segments: list[list[tuple[str, str | None]]]):
-        self.segments = segments
+    def __init__(self, segments: list[list[tuple[str, str | None]]], subject: str, obj: str):
+        self.segments, self.subject, self.obj = segments, subject, obj
 
     def __bool__(self) -> bool:
         """Whether the endpoints are connected, at any number of paths."""
@@ -100,29 +101,10 @@ class Verdicts:
         return math.prod(map(len, self.segments)) if self.segments else 0
 
     def __iter__(self):
-        return iter(_joined(self.segments) if self.segments else ())
-
-
-class Report:
-    """`verify`'s report: one line for each path, in path order, or one
-    warning when there is no path. It is read as blocks of whole lines
-    joined by newlines, formatted as they are read, anew on each iteration.
-    A block holds a head's lines (_split), or a run of heads' lines when the
-    tails are few, so that it holds at most about the square root of the
-    lines. A head's lines are one join of its route into glue text built
-    from the tails once for each device that blocks a head, and once for
-    the heads that pass."""
-
-    __slots__ = ("verdicts", "subject", "obj")
-
-    def __init__(self, verdicts: Verdicts, subject: str, obj: str):
-        self.verdicts, self.subject, self.obj = verdicts, subject, obj
-
-    def __iter__(self):
-        if not self.verdicts:
+        if not self.segments:
             yield f"warning: no paths between {self.subject} and {self.obj}"
             return
-        heads, tails = _split(self.verdicts.segments)
+        heads, tails = _split(self.segments)
 
         def glue(device):
             """The text between the routes in the lines of a head blocked at
@@ -136,7 +118,7 @@ class Report:
 
         glues = {}  # by the head's device
         heads = iter(heads)
-        per_block = max(1, math.isqrt(len(self.verdicts)) // len(tails))
+        per_block = max(1, math.isqrt(len(self)) // len(tails))
         while run := list(itertools.islice(heads, per_block)):
             yield "\n".join([head.join(glues.get(device) or glues.setdefault(device, glue(device)))
                              for head, device in run])
@@ -149,11 +131,11 @@ def evaluate_flow(
     f: FlowSpec,
     subject: str,
     obj: str,
-) -> Verdicts:
-    """Each path's route with its first blocking device, or None when the
-    flow passes it, in path order, as Verdicts. A route is the path's node
-    ids' reprs joined by ", ", as `repr(list(path))` shows them between its
-    brackets.
+) -> Report:
+    """The Report of the flow from `subject` to `obj`: each segment route
+    with its first blocking device, or None when the flow passes it. A
+    route is its node ids' reprs joined by ", ", as `repr(list(path))` shows
+    a path's between its brackets.
 
     The deployment is read with the stages' own checks before any device is
     decided: converter.build_mspl, as `convert` runs it, then
@@ -192,11 +174,11 @@ def evaluate_flow(
         if any(translator.rule_matches(nsf, rule, f.src_ip, f.dst_ip, host)
                for rule in shapes[device].values()):
             blocking.add(device)
-    return Verdicts([
+    return Report([
         [(", ".join(map(repr, route)), next(filter(blocking.__contains__, route), None))
          for route in routes]
         for routes in segments
-    ])
+    ], subject, obj)
 
 
 def verify_deployment(
@@ -209,11 +191,11 @@ def verify_deployment(
 ) -> tuple[bool, Report]:
     """True iff the flow is blocked on every path, decided from the segments
     before any line is formatted, and the report, which shows any bypass."""
-    verdicts = evaluate_flow(t, artifacts, catalog, f, subject, obj)
-    if not verdicts:
+    report = evaluate_flow(t, artifacts, catalog, f, subject, obj)
+    if not report:
         logger.warning("no paths between %s and %s; vacuously blocked", subject, obj)
     # A path passes exactly when each of its segment routes does, so some
     # path passes unless some segment has no route that passes.
-    blocked = not verdicts or any(
-        all(device is not None for _, device in routes) for routes in verdicts.segments)
-    return blocked, Report(verdicts, subject, obj)
+    blocked = not report or any(
+        all(device is not None for _, device in routes) for routes in report.segments)
+    return blocked, report

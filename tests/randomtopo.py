@@ -185,6 +185,17 @@ def oracle_simple_paths(topo, subject, obj):
     return sorted(results)
 
 
+def oracle_verdicts(report):
+    """Each path's (route, first blocking device) of verify's report, in path
+    order, by a plain product of its segments' verdicts; [] when there is no
+    path."""
+    if not report.segments:
+        return []
+    return [(", ".join(route for route, _ in combo),
+             next((device for _, device in combo if device is not None), None))
+            for combo in itertools.product(*report.segments)]
+
+
 def oracle_min_cover(capable_per_path):
     """Smallest device subset hitting every path's capable set, or None."""
     if any(not s for s in capable_per_path):

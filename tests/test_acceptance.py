@@ -26,7 +26,7 @@ from intentrefine.errors import Unenforceable, UnknownSlot
 from intentrefine.verifier import FlowSpec
 
 from conftest import EXIT_CODES_BY_NAME, FIXTURES, read_fixture
-from randomtopo import oracle_min_cover, random_topology
+from randomtopo import oracle_min_cover, oracle_verdicts, random_topology
 
 GOLDEN_IPTABLES = (
     "iptables -A FORWARD -m conntrack --ctstate NEW,ESTABLISHED "
@@ -175,9 +175,9 @@ def test_criterion_5_verifier_behavioral_suite(
         scenario1_topology, [scenario1_intent], scenario1_knowledge, catalog
     )
     malicious = FlowSpec(src_ip="80.71.158.96", dst_ip="172.19.0.3")
-    verdicts = verifier.evaluate_flow(
+    verdicts = oracle_verdicts(verifier.evaluate_flow(
         scenario1_topology, s1_artifacts, catalog, malicious, "Eve", "Bob"
-    )
+    ))
     assert [device for _, device in verdicts] == ["FW1", "FW1", "FW3"]
 
     s2_artifacts, _, _ = refiner.refine(
@@ -189,12 +189,12 @@ def test_criterion_5_verifier_behavioral_suite(
     good_host = FlowSpec(
         src_ip="172.20.0.2", dst_ip="172.20.0.3", l7_host="allowed.utilities.com"
     )
-    bad = verifier.evaluate_flow(
+    bad = oracle_verdicts(verifier.evaluate_flow(
         scenario2_topology, s2_artifacts, catalog, bad_host, "Alice", "WebServer"
-    )
-    good = verifier.evaluate_flow(
+    ))
+    good = oracle_verdicts(verifier.evaluate_flow(
         scenario2_topology, s2_artifacts, catalog, good_host, "Alice", "WebServer"
-    )
+    ))
     assert [device for _, device in bad] == ["WAF"] * 2
     assert [device for _, device in good] == [None] * 2
 
@@ -202,9 +202,9 @@ def test_criterion_5_verifier_behavioral_suite(
     with_host = FlowSpec(
         src_ip="80.71.158.96", dst_ip="172.19.0.3", l7_host="any.example.com"
     )
-    assert list(verifier.evaluate_flow(
+    assert oracle_verdicts(verifier.evaluate_flow(
         scenario1_topology, s1_artifacts, catalog, with_host, "Eve", "Bob"
-    )) == list(verdicts)
+    )) == verdicts
     print("criterion 5 (verifier behavioral suite): PASS")
 
 

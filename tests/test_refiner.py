@@ -76,8 +76,14 @@ def test_duplicate_hspl_id():
 
 
 def test_malformed_hspl():
-    with pytest.raises(DocumentSyntaxError):
-        parse_hspl("<hspl id='x'><subject>")
+    # an element left open is reported at the document's end, as ElementTree
+    # reports it, not at the wrapper's closing tag past that end
+    for document, position in (("<hspl id='x'><subject>", "line 1, column 22"),
+                               ("<hspl id='x'>\n<subject>", "line 2, column 9"),
+                               ("<hspl id='x'>\r\n<subject>", "line 2, column 9")):
+        with pytest.raises(DocumentSyntaxError, match=f"^malformed HSPL document: "
+                           f"no element found: {position}$"):
+            parse_hspl(document)
     # positions are in the document as given, though a fragment is read
     # wrapped in <hspls>: a single root, the second of two, and a later line
     bad = '<hspl id="b"><subject>Bob</subjec></hspl>'
@@ -87,6 +93,25 @@ def test_malformed_hspl():
                                (intent + "\n" + bad, "line 2, column 27")):
         with pytest.raises(DocumentSyntaxError, match=f"^malformed HSPL document: "
                            f"mismatched tag: {position}$"):
+            parse_hspl(document)
+
+
+def test_hspl_fragment_after_an_xml_declaration():
+    """A fragment of several roots may start with an XML declaration: the
+    wrapper goes after it, and only the positions after the wrapper shift."""
+    intent = ('<hspl id="{}"><subject>A</subject><action>is not authorized to access'
+              '</action><object>B</object></hspl>')
+    declaration = '<?xml version="1.0"?>'
+    for between in ("", "\n"):
+        document = declaration + between + intent.format("a") + intent.format("b")
+        assert [p.id for p in parse_hspl(document)] == ["a", "b"]
+    bad = '<hspl id="b"><subject>Bob</subjec></hspl>'
+    for document, error in (
+            (declaration + intent.format("a") + bad, "mismatched tag: line 1, column 150"),
+            (declaration + "\n" + intent.format("a") + bad, "mismatched tag: line 2, column 129"),
+            ('<?xml version="1.0" x?>' + intent.format("a") + bad,
+             "XML declaration not well-formed: line 1, column 21")):
+        with pytest.raises(DocumentSyntaxError, match=f"^malformed HSPL document: {error}$"):
             parse_hspl(document)
 
 

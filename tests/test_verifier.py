@@ -13,7 +13,8 @@ from intentrefine.errors import UnknownEndpoint, ValidationError
 from intentrefine.verifier import FlowSpec, evaluate_flow, verify_deployment
 
 from conftest import FIXTURES
-from randomtopo import grid_document, oracle_simple_paths, random_topology, series_parallel_topology
+from randomtopo import (grid_document, oracle_simple_paths, oracle_verdicts, random_topology,
+                        series_parallel_topology)
 
 MALICIOUS_FLOW = FlowSpec(src_ip="80.71.158.96", dst_ip="172.19.0.3")
 
@@ -39,16 +40,16 @@ def scenario2_artifacts(scenario2_topology, scenario2_intent, scenario2_knowledg
 
 
 def test_scenario1_flow_blocked_everywhere(scenario1_topology, scenario1_artifacts, catalog):
-    verdicts = evaluate_flow(
+    verdicts = oracle_verdicts(evaluate_flow(
         scenario1_topology, scenario1_artifacts, catalog, MALICIOUS_FLOW, "Eve", "Bob"
-    )
+    ))
     assert [device for _, device in verdicts] == ["FW1", "FW1", "FW3"]
 
 
 def test_blocking_device_lies_on_its_path(scenario1_topology, scenario1_artifacts, catalog):
-    verdicts = evaluate_flow(
+    verdicts = oracle_verdicts(evaluate_flow(
         scenario1_topology, scenario1_artifacts, catalog, MALICIOUS_FLOW, "Eve", "Bob"
-    )
+    ))
     paths = topology.enumerate_paths(scenario1_topology, "Eve", "Bob")
     assert [route for route, _ in verdicts] == [
         repr(list(p.intermediate))[1:-1] for p in paths
@@ -58,9 +59,9 @@ def test_blocking_device_lies_on_its_path(scenario1_topology, scenario1_artifact
 
 
 def test_no_artifacts_allows_everything(scenario1_topology, catalog):
-    verdicts = evaluate_flow(
+    verdicts = oracle_verdicts(evaluate_flow(
         scenario1_topology, [], catalog, MALICIOUS_FLOW, "Eve", "Bob"
-    )
+    ))
     assert [device for _, device in verdicts] == [None] * 3
 
 
@@ -68,9 +69,9 @@ def test_scenario2_malicious_host_blocked_at_waf(scenario2_topology, scenario2_a
     flow = FlowSpec(
         src_ip="172.20.0.2", dst_ip="172.20.0.3", l7_host="hadleyshope.3utilities.com"
     )
-    verdicts = evaluate_flow(
+    verdicts = oracle_verdicts(evaluate_flow(
         scenario2_topology, scenario2_artifacts, catalog, flow, "Alice", "WebServer"
-    )
+    ))
     assert [device for _, device in verdicts] == ["WAF"] * 2
 
 
@@ -78,26 +79,26 @@ def test_scenario2_benign_host_allowed(scenario2_topology, scenario2_artifacts, 
     flow = FlowSpec(
         src_ip="172.20.0.2", dst_ip="172.20.0.3", l7_host="allowed.utilities.com"
     )
-    verdicts = evaluate_flow(
+    verdicts = oracle_verdicts(evaluate_flow(
         scenario2_topology, scenario2_artifacts, catalog, flow, "Alice", "WebServer"
-    )
+    ))
     assert [device for _, device in verdicts] == [None, None]
 
 
 def test_network_devices_blind_to_l7_host(scenario1_topology, scenario1_artifacts, catalog):
     # flows differing only in the HTTP host get identical verdicts at
     # network-only devices
-    plain = evaluate_flow(
+    plain = oracle_verdicts(evaluate_flow(
         scenario1_topology, scenario1_artifacts, catalog, MALICIOUS_FLOW, "Eve", "Bob"
-    )
-    with_host = evaluate_flow(
+    ))
+    with_host = oracle_verdicts(evaluate_flow(
         scenario1_topology,
         scenario1_artifacts,
         catalog,
         FlowSpec(src_ip="80.71.158.96", dst_ip="172.19.0.3", l7_host="any.example.com"),
         "Eve",
         "Bob",
-    )
+    ))
     assert list(plain) == list(with_host)
 
 
@@ -228,7 +229,7 @@ def test_verifier_agrees_with_rendered_iptables_rules(catalog, artifacts, flow):
     f = FlowSpec(src_ip=flow[0], dst_ip=flow[1])
     policy = converter.build_mspl(artifacts)["FW"]
     rules = translator.rules_file_content(translator.translate_policy(policy))
-    [(_, device)] = evaluate_flow(t, artifacts, catalog, f, "A", "B")
+    [(_, device)] = oracle_verdicts(evaluate_flow(t, artifacts, catalog, f, "A", "B"))
     assert (device is not None) == _oracle_drops(rules, f)
 
 
@@ -271,7 +272,7 @@ def test_verifier_agrees_with_rendered_modsecurity_rules(catalog, artifacts, hos
     f = FlowSpec(src_ip="10.0.0.100", dst_ip="10.0.0.101", l7_host=host)
     policy = converter.build_mspl(artifacts)["FW"]
     rules = translator.rules_file_content(translator.translate_policy(policy))
-    [(_, device)] = evaluate_flow(t, artifacts, catalog, f, "A", "B")
+    [(_, device)] = oracle_verdicts(evaluate_flow(t, artifacts, catalog, f, "A", "B"))
     assert (device is not None) == _oracle_denies(rules, host)
 
 
@@ -410,6 +411,36 @@ def test_report_reads_twice_to_one_line_per_counted_path(catalog, widths):
     assert blocked == (None not in devices)
     assert _lines(report) == _lines(report) == expected
     assert len(evaluate_flow(t, artifacts, catalog, f, "A", "B")) == len(expected)
+
+
+@pytest.mark.parametrize("widths, blocking", [
+    ([2] + [1] * 3000 + [2], {"D0x1", "D3001x1"}),
+    ([1] * 3000, {"D1500x0"}),
+], ids=["chain-between-choices", "long-chain"])
+def test_report_of_a_long_chain_equals_the_oracle_join(catalog, widths, blocking):
+    """A chain of thousands of segments, alone or between two choices, is
+    reported as the oracle's plain product of the segment verdicts, in
+    blocks bounded as for any shape: no depth of recursion grows with it."""
+    t = _stages_topology(widths)
+    f = FlowSpec("10.0.0.1", "10.0.0.9")
+    artifacts = [_drop_rule(d, f.src_ip, f.dst_ip) for d in sorted(blocking)]
+    stages = [[f"D{i}x{j}" for j in range(width)] for i, width in enumerate(widths)]
+    paths = [[node for i, device in enumerate(devices) for node in (f"S{i}", device)]
+             + [f"S{len(widths)}"] for devices in itertools.product(*stages)]
+
+    blocked, report = verify_deployment(t, artifacts, catalog, f, "A", "B")
+    verdicts = oracle_verdicts(report)
+    assert [route for route, _ in verdicts] == [repr(p)[1:-1] for p in paths]
+    assert [device for _, device in verdicts] == [
+        next((n for n in p if n in blocking), None) for p in paths]
+    assert blocked == (None not in (device for _, device in verdicts))
+    assert _lines(report) == [
+        f"ALLOWED (bypass) path [{route}]" if device is None
+        else f"BLOCKED path [{route}] at {device}"
+        for route, device in verdicts
+    ]
+    bound = 2 * math.isqrt(len(report)) + 1
+    assert all(block.count("\n") < bound for block in report)
 
 
 DISCONNECTED = """
