@@ -4,20 +4,20 @@ Serialization is hand-rolled so the XML is byte-deterministic: fixed header,
 two-space indentation, canonical condition order (source address, destination
 address, state, host), a trailing action element, and XML-escaped values.
 parse_mspl is the exact inverse, so serialize-parse-serialize is a fixpoint,
-and it accepts only conditions build_mspl could have written. A rule carries
-each capability at most once and exactly one action (check_capabilities).
+and it accepts only elements and conditions build_mspl could have written,
+so it drops none. A rule carries each capability at most once and exactly
+one action (check_capabilities).
 """
 
 from __future__ import annotations
 
 import functools
-import ipaddress
 from collections import namedtuple
 
 from .capability import ACTION_CAPABILITIES, CapabilityId
 from .errors import DocumentSyntaxError, InconsistentNsf, NormalizationError
 from .refiner import CapabilityInstance, RuleArtifact
-from .topology import is_host_name
+from .topology import ipv4_int, is_host_name
 
 XML_HEADER = "<?xml version='1.0' encoding='utf-8'?>"
 
@@ -61,10 +61,10 @@ MsplPolicy = namedtuple("MsplPolicy", "nsf_name rules")
 # --- normalization ----------------------------------------------------------
 
 def ip_key(value: str) -> int:
-    try:
-        return int(ipaddress.IPv4Address(value))
-    except (ipaddress.AddressValueError, ValueError):
+    key = ipv4_int(value)
+    if key is None:
         raise NormalizationError(f"not an IPv4 address: {value!r}")
+    return key
 
 
 def _normalize_address(capability: CapabilityId, detail: str) -> MsplCondition:
@@ -226,6 +226,10 @@ def _checked(cond: MsplCondition) -> MsplCondition:
     return cond
 
 
+def _tags(el) -> list[str]:
+    return [child.tag for child in el]
+
+
 def parse_mspl(document: str) -> MsplPolicy:
     from xml.etree import ElementTree as ET
 
@@ -238,7 +242,9 @@ def parse_mspl(document: str) -> MsplPolicy:
 
     rules = []
     checked = functools.cache(_checked)  # each distinct condition is checked once
-    for rule_el in root.findall("rule"):
+    for rule_el in root:
+        if rule_el.tag != "rule":
+            raise DocumentSyntaxError(f"<policy> holds <{rule_el.tag}>, not a <rule>")
         conditions = []
         actions = []
         for el in rule_el:
@@ -253,25 +259,23 @@ def parse_mspl(document: str) -> MsplPolicy:
                 raise DocumentSyntaxError(
                     f"unknown operator on <{el.tag}>: {el.get('operator')!r}"
                 )
-            container = el.find(CONDITION_ELEMENTS[capability][1])
-            if container is None:
-                raise DocumentSyntaxError(f"<{el.tag}> missing its value container")
-            if capability == CapabilityId.STATE:
-                values = tuple(
-                    (s.text or "").strip() for s in container.findall("state")
-                )
-            elif operator == MatchOperator.RANGE:
-                rng = container.find("range")
-                if rng is None:
-                    raise DocumentSyntaxError("range operator without <range> element")
-                values = (
-                    (rng.findtext("begin") or "").strip(),
-                    (rng.findtext("end") or "").strip(),
-                )
+            container_tag = CONDITION_ELEMENTS[capability][1]
+            if _tags(el) != [container_tag]:
+                raise DocumentSyntaxError(f"<{el.tag}> must hold one <{container_tag}>")
+            [container] = el
+            if capability != CapabilityId.STATE and operator == MatchOperator.RANGE:
+                if _tags(container) != ["range"] or _tags(container[0]) != ["begin", "end"]:
+                    raise DocumentSyntaxError(
+                        f"<{container_tag}> must hold one <range> of <begin> then <end>"
+                    )
+                [container] = container
             else:
-                values = tuple(
-                    (m.text or "").strip() for m in container.findall("exactMatch")
-                )
+                value_tag = "state" if capability == CapabilityId.STATE else "exactMatch"
+                if set(_tags(container)) - {value_tag}:
+                    raise DocumentSyntaxError(
+                        f"<{container_tag}> may hold only <{value_tag}> elements"
+                    )
+            values = tuple((v.text or "").strip() for v in container)
             conditions.append(checked(MsplCondition(capability, operator, values)))
         rule_id = rule_el.get("id", "")
         if not actions or not set(actions) <= CAPABILITY_BY_ACTION.keys():

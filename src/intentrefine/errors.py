@@ -164,30 +164,20 @@ def _install_stderr_handler() -> None:
 
 
 class LazyLogger:
-    """logging.getLogger(name), imported and looked up at its first logged
-    line. That line keeps the Logger's own debug, info and warning on this
-    object, so every later call goes straight to them."""
+    """logging.getLogger(name), imported and looked up at the first lookup
+    of its debug, info or warning. That lookup keeps the Logger's own three
+    methods on this object and returns one of them, so every call, the first
+    too, goes straight to the Logger and names its caller as the origin."""
 
     def __init__(self, name: str):
         self.name = name
 
-    def _resolve(self) -> None:
+    def __getattr__(self, attr: str):
+        if attr not in ("debug", "info", "warning"):
+            raise AttributeError(attr)
         import logging
 
         _install_stderr_handler()
         logger = logging.getLogger(self.name)
         self.debug, self.info, self.warning = logger.debug, logger.info, logger.warning
-
-    # Each logs its first line one frame further down: stacklevel=2 names
-    # the caller as the line's origin, as a later call does.
-    def debug(self, *args, **kwargs) -> None:
-        self._resolve()
-        self.debug(*args, stacklevel=2, **kwargs)
-
-    def info(self, *args, **kwargs) -> None:
-        self._resolve()
-        self.info(*args, stacklevel=2, **kwargs)
-
-    def warning(self, *args, **kwargs) -> None:
-        self._resolve()
-        self.warning(*args, stacklevel=2, **kwargs)
+        return getattr(logger, attr)

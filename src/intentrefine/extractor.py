@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import ipaddress
 import re
 from collections import namedtuple
 from collections.abc import Callable
 from operator import itemgetter
 
 from .factbase import Fact, Knowledge, Template
+from .topology import ipv4_int
 
 ENTITY_TEMPLATE = "entity"
 
@@ -39,14 +39,6 @@ LONGEST_CUE = max(map(len, SOURCE_CUES))
 
 # span: the (start, end) of `value` in the text
 Indicator = namedtuple("Indicator", "kind value span")
-
-
-def _is_valid_ipv4(value: str) -> bool:
-    try:
-        ipaddress.IPv4Address(value)
-        return True
-    except (ipaddress.AddressValueError, ValueError):
-        return False
 
 
 def _token_spans(text: str) -> list[tuple[int, int]]:
@@ -109,7 +101,7 @@ def extract_indicators(text: str) -> list[Indicator]:
     spans = functools.cache(functools.partial(_token_spans, text))
     for m in IPV4_RE.finditer(text):
         value = m.group(1)
-        if not _is_valid_ipv4(value):
+        if ipv4_int(value) is None:
             continue
         cued = _has_source_cue(text, m.start(), spans)
         kind = KIND_SOURCE_IP if cued else KIND_DESTINATION_IP

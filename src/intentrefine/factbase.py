@@ -14,6 +14,7 @@ stays valid after.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from types import MappingProxyType
 
@@ -62,35 +63,20 @@ class Knowledge(
 # form builds the token sequence its own names imply and compares it with the
 # text's tokens: nothing nests, so no input can exhaust the stack.
 
+# A parenthesis or symbol; a string, in which a backslash escapes the
+# character after it (a run of plain characters, then escapes each followed
+# by such a run: no backtracking state is kept per plain character); or a
+# quote that nothing closes, which takes the rest of the text, so no later
+# quote is scanned again to its end.
+_TOKEN_RE = re.compile(r'([()]|[^\s()"]+)|"([^"\\]*(?:\\.[^"\\]*)*)"|(".*)', re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            buf = []
-            while j < len(text) and text[j] != '"':
-                if text[j] == "\\" and j + 1 < len(text):
-                    j += 1
-                buf.append(text[j])
-                j += 1
-            if j >= len(text):
-                raise DocumentSyntaxError(f"unterminated string in {shown(text)}")
-            tokens.append('"' + "".join(buf))
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    found = _TOKEN_RE.findall(text)
+    if found and found[-1][2]:
+        raise DocumentSyntaxError(f"unterminated string in {shown(text)}")
+    return [symbol or '"' + _ESCAPE_RE.sub(r"\1", string) for symbol, string, _ in found]
 
 
 def _symbol(token: str) -> str | None:

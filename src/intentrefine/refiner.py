@@ -94,7 +94,7 @@ def parse_hspl(document: str) -> list[HsplPolicy]:
 
     try:
         root = ET.fromstring(document)
-    except ET.ParseError:
+    except ET.ParseError as first:
         # a fragment of several roots is read wrapped in one, after any XML
         # declaration, which must stay at the start
         cut = document.index("?>") + 2 if document.startswith("<?xml") and "?>" in document else 0
@@ -104,6 +104,9 @@ def parse_hspl(document: str) -> list[HsplPolicy]:
         except ET.ParseError as exc:
             from xml.parsers.expat import ErrorString, errors
 
+            # the document's own error, unless it is a fragment's second root
+            if ErrorString(first.code) != errors.XML_ERROR_JUNK_AFTER_DOC_ELEMENT:
+                raise DocumentSyntaxError(f"malformed HSPL document: {first}")
             # the position in `document`: the wrapper shifts the rest of its line
             line, column = exc.position
             at_line, at_column = _expat_end(document[:cut])
@@ -313,9 +316,6 @@ def select_enforcement_set(
     that order (topology.route_segments).
     """
     segments = paths.segments
-    if not segments:
-        raise ValidationError("select_enforcement_set requires at least one path")
-
     nodes = {n for routes in segments for route in routes for n in route}
     controls = {
         n: _satisfying_controls(t, n, catalog, r)

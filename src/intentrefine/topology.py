@@ -183,10 +183,16 @@ class Topology(namedtuple("Topology", "name nodes adjacency")):
         return self.adjacency.get(node_id, ())
 
 
-def require_ipv4(value: str, context: str) -> str:
+def ipv4_int(value: str) -> int | None:
+    """The IPv4 address `value` as an int; None if it is not one."""
     try:
-        ipaddress.IPv4Address(value)
-    except (ipaddress.AddressValueError, ValueError):
+        return int(ipaddress.IPv4Address(value))
+    except ValueError:
+        return None
+
+
+def require_ipv4(value: str, context: str) -> str:
+    if ipv4_int(value) is None:
         raise ValidationError(f"{context}: not an IPv4 dotted-quad: {value!r}")
     return value
 

@@ -12,7 +12,7 @@ from intentrefine.converter import (
     parse_mspl,
     serialize_mspl,
 )
-from intentrefine.errors import InconsistentNsf, NormalizationError
+from intentrefine.errors import DocumentSyntaxError, InconsistentNsf, NormalizationError
 from intentrefine.refiner import CapabilityInstance, RuleArtifact
 
 from randomtopo import oracle_verdicts
@@ -351,6 +351,39 @@ NON_CANONICAL_CONDITIONS = {
 def test_parse_rejects_values_the_converter_would_not_write(case):
     with pytest.raises(NormalizationError):
         parse_mspl(_policy_with(NON_CANONICAL_CONDITIONS[case]))
+
+
+RANGE = "<range><begin>10.0.0.1</begin><end>10.0.0.9</end></range>"
+EXACT = "<exactMatch>1.1.1.1</exactMatch>"
+VALUE = f"<capabilityIpValue>{EXACT}</capabilityIpValue>"
+
+# Documents with an element that build_mspl never writes and that a reading
+# of the other elements alone would drop, deploying less than the document
+# says. The values are all canonical.
+UNREAD_ELEMENTS = {
+    "misspelt-rule": _policy_with(_address("exactMatch", EXACT)).replace("rule", "rul"),
+    "second-range": _address("range", RANGE * 2),
+    "exact-match-beside-a-range": _address("range", RANGE + EXACT),
+    "range-beside-an-exact-match": _address("exactMatch", EXACT + RANGE),
+    "range-without-its-end": _address("range", "<range><begin>10.0.0.1</begin></range>"),
+    "end-before-begin": _address(
+        "range", "<range><end>10.0.0.9</end><begin>10.0.0.1</begin></range>"),
+    "second-value-container": _address("exactMatch", EXACT).replace(VALUE, VALUE * 2),
+    "element-beside-the-container": _address("exactMatch", EXACT).replace(
+        VALUE, VALUE + "<note/>"),
+    "exact-match-beside-a-state": (
+        '<stateConditionCapability operator="exactMatch"><capabilityStateValue>'
+        f"<state>NEW</state>{EXACT}</capabilityStateValue></stateConditionCapability>"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_ELEMENTS))
+def test_parse_rejects_an_element_it_would_not_read(case):
+    document = UNREAD_ELEMENTS[case]
+    if not document.startswith("<policy"):
+        document = _policy_with(document)
+    with pytest.raises(DocumentSyntaxError):
+        parse_mspl(document)
 
 
 def test_parse_accepts_every_shape_the_converter_writes():

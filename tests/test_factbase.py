@@ -10,6 +10,7 @@ from intentrefine.errors import (
     UnknownSlot,
     UnknownTemplate,
     ValidationError,
+    shown,
 )
 from intentrefine.factbase import Fact, Template
 
@@ -276,3 +277,76 @@ def test_each_malformed_form_raises_its_error(text, error):
     with pytest.raises(PipelineError) as exc:
         parse(text)
     assert type(exc.value) is error
+
+
+def reference_tokenize(text):
+    """The character loop factbase once read the two forms with: the
+    reference of factbase._tokenize."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            tokens.append(c)
+            i += 1
+        elif c == '"':
+            j = i + 1
+            buf = []
+            while j < len(text) and text[j] != '"':
+                if text[j] == "\\" and j + 1 < len(text):
+                    j += 1
+                buf.append(text[j])
+                j += 1
+            if j >= len(text):
+                raise DocumentSyntaxError(f"unterminated string in {shown(text)}")
+            tokens.append('"' + "".join(buf))
+            i = j + 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except DocumentSyntaxError as exc:
+        return str(exc)
+
+
+def assert_tokenized_as_the_reference(text):
+    assert (_tokens_or_error(factbase._tokenize, text)
+            == _tokens_or_error(reference_tokenize, text))
+
+
+# The characters the tokenizer tells apart, white space that str.isspace and
+# re's \s both hold (a newline, which only re.DOTALL lets `.` match, among
+# them), and letters, one of which lower-cases to two.
+@given(st.text('()"\\\r\n\x0b\x1c\x85\xa0　abİ'))
+def test_tokenize_matches_the_reference_loop(text):
+    assert_tokenized_as_the_reference(text)
+
+
+ONE_MB = 1 << 20
+TOKENIZER_EXAMPLES = {
+    "empty": "",
+    "lone-quote": '"',
+    "backslash-at-the-end": '"a\\',
+    "escaped-closing-quote": '"a\\"',
+    "backslash-in-a-symbol": "a\\b",
+    "1-MB-value": '(entity (url "' + ("a" * 1024 + '\\"\\\\') * 1024 + '"))',
+    "1-MB-unterminated": '(entity (url "' + "a" * ONE_MB + "))",
+    # Each quote opens a string that no quote closes: read from each in turn,
+    # they would take time quadratic in the length.
+    "escaped-quotes": '"' + '\\"' * 32_768,
+}
+
+
+@pytest.mark.parametrize("case", TOKENIZER_EXAMPLES)
+def test_tokenize_matches_the_reference_loop_on(case):
+    assert_tokenized_as_the_reference(TOKENIZER_EXAMPLES[case])

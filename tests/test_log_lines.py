@@ -180,3 +180,29 @@ def test_the_first_line_names_its_call_site_as_every_later_one_does(caplog):
         ("intentrefine.probe", level.upper(), f"{level} line", "test_log_lines.py",
          "test_the_first_line_names_its_call_site_as_every_later_one_does")
         for level in ("debug", "info", "warning") for _ in range(2)]
+
+
+# Looks up each name on a new LazyLogger; prints the names found, then
+# whether `logging` was loaded.
+LOOKUP_PROBE = """
+import sys
+from intentrefine import errors
+
+found = []
+for name in ("error", "__deepcopy__"):
+    try:
+        getattr(errors.LazyLogger("intentrefine.probe"), name)
+        found.append(name)
+    except AttributeError:
+        pass
+print(found, "logging" in sys.modules)
+"""
+
+
+def test_a_lookup_of_any_other_name_raises_and_loads_nothing():
+    """Only debug, info and warning import `logging`. Any other name, such as
+    the `__deepcopy__` that copy.deepcopy looks for, is an AttributeError,
+    in a fresh process that has not loaded `logging`."""
+    done = subprocess.run([sys.executable, "-c", LOOKUP_PROBE], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": SRC})
+    assert (done.returncode, done.stdout) == (0, "[] False\n"), done.stderr

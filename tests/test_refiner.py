@@ -84,6 +84,12 @@ def test_malformed_hspl():
         with pytest.raises(DocumentSyntaxError, match=f"^malformed HSPL document: "
                            f"no element found: {position}$"):
             parse_hspl(document)
+    # an error other than a second root is the one ElementTree gives for the
+    # document itself, not for the document wrapped in <hspls>
+    for document, error in (("<hspl id='x'><subject", "unclosed token: line 1, column 13"),
+                            ("hello <hspl", "syntax error: line 1, column 0")):
+        with pytest.raises(DocumentSyntaxError, match=f"^malformed HSPL document: {error}$"):
+            parse_hspl(document)
     # positions are in the document as given, though a fragment is read
     # wrapped in <hspls>: a single root, the second of two, and a later line
     bad = '<hspl id="b"><subject>Bob</subjec></hspl>'
