@@ -44,18 +44,9 @@ ControlSpec = namedtuple("ControlSpec", "name layer stateful capabilities")
 Catalog = dict[str, ControlSpec]
 
 
-class RequiredSet(namedtuple("RequiredSet", "layer capabilities")):
-    """The capabilities (a frozenset of ids) a control at `layer` needs;
-    exactly one of them is an action."""
-
-    __slots__ = ()
-
-    def __new__(cls, layer, capabilities):
-        if not capabilities or len(capabilities & ACTION_CAPABILITIES) != 1:
-            raise ValidationError(
-                "a required set must contain exactly one action capability"
-            )
-        return super().__new__(cls, layer, capabilities)
+# The capabilities (a frozenset of ids) a control at `layer` needs; exactly
+# one of them is an action. Only the two constants below are built.
+RequiredSet = namedtuple("RequiredSet", "layer capabilities")
 
 
 NETWORK_REQUIRED = RequiredSet(

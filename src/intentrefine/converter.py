@@ -230,6 +230,14 @@ def _tags(el) -> list[str]:
     return [child.tag for child in el]
 
 
+def _text(el) -> str:
+    """The stripped text of a value or action element, which holds no
+    element: the text after a child would belong to the child."""
+    if len(el):
+        raise DocumentSyntaxError(f"<{el.tag}> holds <{el[0].tag}>, not only text")
+    return (el.text or "").strip()
+
+
 def parse_mspl(document: str) -> MsplPolicy:
     from xml.etree import ElementTree as ET
 
@@ -249,7 +257,7 @@ def parse_mspl(document: str) -> MsplPolicy:
         actions = []
         for el in rule_el:
             if el.tag == "actionCapability":
-                actions.append((el.text or "").strip())
+                actions.append(_text(el))
                 continue
             capability = CAPABILITY_BY_ELEMENT.get(el.tag)
             if capability is None:
@@ -275,7 +283,7 @@ def parse_mspl(document: str) -> MsplPolicy:
                     raise DocumentSyntaxError(
                         f"<{container_tag}> may hold only <{value_tag}> elements"
                     )
-            values = tuple((v.text or "").strip() for v in container)
+            values = tuple(map(_text, container))
             conditions.append(checked(MsplCondition(capability, operator, values)))
         rule_id = rule_el.get("id", "")
         if not actions or not set(actions) <= CAPABILITY_BY_ACTION.keys():

@@ -69,10 +69,6 @@ class NothingToEnforce(PipelineError):
 class Unenforceable(PipelineError):
     """At least one path has no device with a satisfying control."""
 
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path
-
 
 class InconsistentNsf(PipelineError):
     """Artifacts assign different controls to the same device."""

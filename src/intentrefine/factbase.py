@@ -65,10 +65,10 @@ class Knowledge(
 
 # A parenthesis or symbol; a string, in which a backslash escapes the
 # character after it (a run of plain characters, then escapes each followed
-# by such a run: no backtracking state is kept per plain character); or a
-# quote that nothing closes, which takes the rest of the text, so no later
-# quote is scanned again to its end.
-_TOKEN_RE = re.compile(r'([()]|[^\s()"]+)|"([^"\\]*(?:\\.[^"\\]*)*)"|(".*)', re.DOTALL)
+# by such a run, possessively: no backtracking state is kept per plain
+# character or per escape); or a quote that nothing closes, which takes the
+# rest of the text, so no later quote is scanned again to its end.
+_TOKEN_RE = re.compile(r'([()]|[^\s()"]+)|"([^"\\]*(?:\\.[^"\\]*)*+)"|(".*)', re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 

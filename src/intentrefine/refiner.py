@@ -36,7 +36,7 @@ from .errors import (
     write_atomic,
 )
 from .factbase import Fact, Knowledge
-from .topology import Path, Topology
+from .topology import Topology
 
 logger = LazyLogger(__name__)
 
@@ -309,11 +309,8 @@ def select_enforcement_set(
 
     Ties break lexicographically on the sorted device-id tuple: candidates
     are taken in sorted order, and each is kept only if removing it, together
-    with the devices already kept, lowers the cut by exactly one. A path has
-    no capable device exactly when every segment has a route without one;
-    then Unenforceable carries the first such path in path order, the first
-    such route of each segment joined, as the segments' products come in
-    that order (topology.route_segments).
+    with the devices already kept, lowers the cut by exactly one. Unenforceable
+    names the first path that avoids every capable device (Paths.avoiding).
     """
     segments = paths.segments
     nodes = {n for routes in segments for route in routes for n in route}
@@ -323,13 +320,10 @@ def select_enforcement_set(
         if t.nodes[n].kind == topo.DEVICE
     }
     capable = {n for n, names in controls.items() if names}
-    uncovered = [next(filter(capable.isdisjoint, routes), None) for routes in segments]
-    if None not in uncovered:
-        path = Path(tuple(n for route in uncovered for n in route))
+    if (path := paths.avoiding(capable)) is not None:
         raise Unenforceable(
             f"path {list(path.intermediate)} has no device with a "
-            f"satisfying {r.layer}-layer control",
-            path=path,
+            f"satisfying {r.layer}-layer control"
         )
 
     # Arc (n, _IN) -> (n, _OUT) is node n; _ENDS is the subject on the out
@@ -621,13 +615,6 @@ def save_kb(kb: KnowledgeBase, path: str, earlier: str | None = None) -> None:
         write_atomic(path, text, f"persist knowledge base to {path}")
 
 
-def _attachments(t: Topology, intent: HsplPolicy) -> tuple:
-    """The subnets the intent's subject and object attach to. Its simple
-    paths depend on these alone, since route_segments never walks through
-    an endpoint; parse_topology attaches each endpoint to exactly one."""
-    return t.neighbors(intent.subject), t.neighbors(intent.object)
-
-
 def kb_reconcile(
     kb: KnowledgeBase | None, t: Topology, intents: list[HsplPolicy]
 ) -> tuple[KnowledgeBase, dict[str, topo.Paths], ReuseReport]:
@@ -639,8 +626,9 @@ def kb_reconcile(
     on an empty KB when there is none: a record is judged by its placement
     alone. An intent equal to its record is a hit until refine has compared
     the record with its placement; any other intent is a miss. Paths are
-    enumerated once per distinct pair of attachment subnets; intents
-    sharing the pair share one Paths.
+    enumerated once per distinct pair of the subnets the subject and the
+    object attach to, on which alone they depend, as route_segments never
+    walks through an endpoint; intents sharing the pair share one Paths.
     """
     kb = kb or KnowledgeBase({}, {})
 
@@ -652,7 +640,7 @@ def kb_reconcile(
         (report.hits if hit else report.misses).append(intent.id)
         topo.resolve_endpoint(t, intent.subject)
         topo.resolve_endpoint(t, intent.object)
-        family = _attachments(t, intent)
+        family = t.neighbors(intent.subject), t.neighbors(intent.object)
         if family not in families:
             families[family] = topo.enumerate_paths(t, intent.subject, intent.object)
         paths[intent.id] = families[family]
@@ -691,11 +679,12 @@ def refine(
     """Run binding, placement, and artifact construction for every intent,
     and record each intent's placement in the knowledge base.
 
-    Placement depends only on the intent's paths, so on its attachment
-    subnets, and the required set: it runs once per distinct pair of the
-    two in the run, and intents sharing it share its control map. It reads
-    the paths' route segments and builds no path, so its time and memory
-    grow with the number of segment routes, not with their product.
+    Placement depends only on the intent's paths and the required set: it
+    runs once per distinct Paths (kb_reconcile shares one among intents
+    with the same attachment subnets) and required set, and intents sharing
+    both share its control map. It reads the paths' route segments and
+    builds no path, so its time and memory grow with the number of segment
+    routes, not with their product.
     A hit whose record differs from the intent's placement becomes stale: it
     moves to the report's misses, and `report.stale` holds what changed.
     """
@@ -703,7 +692,7 @@ def refine(
     for fact, required in zip(k.facts, _fact_index(k)[1]):
         if not required:
             logger.warning("skipping fact with no derivable requirement: %s", fact)
-    family_controls: dict[tuple, dict[str, str]] = {}
+    family_controls: dict[tuple, dict[str, str]] = {}  # by (Paths, RequiredSet)
     placements: dict[str, Placement] = {}
     artifacts: list[RuleArtifact] = []
     for intent in intents:
@@ -713,20 +702,19 @@ def refine(
                 f"intent {intent.id!r}: no path between "
                 f"{intent.subject!r} and {intent.object!r}"
             )
-        family = _attachments(t, intent)
         placement: Placement = {}
         for _fact, rset, bindings in bind_intent(t, intent, k):
             controls = placement.get(rset.layer)
             if controls is None:
-                controls = family_controls.get((family, rset))
+                controls = family_controls.get((intent_paths, rset))
                 if controls is None:
                     try:
                         _devices, controls = select_enforcement_set(
                             intent_paths, t, catalog, rset
                         )
                     except Unenforceable as exc:
-                        raise Unenforceable(f"intent {intent.id!r}: {exc}", path=exc.path)
-                    family_controls[family, rset] = controls
+                        raise Unenforceable(f"intent {intent.id!r}: {exc}")
+                    family_controls[intent_paths, rset] = controls
                 placement[rset.layer] = controls
                 logger.info(
                     "stage=refiner event=selection intent=%s layer=%s devices=%s",

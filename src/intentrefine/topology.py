@@ -12,9 +12,8 @@ endpoints passes through cut the routes into segments, and each segment is
 walked only within the block (biconnected component) that joins its two
 ends; one depth-first search finds both. `route_segments` returns each
 segment's routes, and `enumerate_paths` wraps them in `Paths`, which joins
-them into paths only when iterated. Placement reads the segments and never
-joins them; the verifier decides and formats each segment route once before
-joining.
+them into paths only when iterated. Placement and the verifier ask their one
+question, whether a set of nodes meets every path, through `Paths.avoiding`.
 """
 
 from __future__ import annotations
@@ -447,6 +446,15 @@ class Paths:
         # product() of no segments would yield one empty path
         products = itertools.product(*self.segments) if self.segments else ()
         return (Path(tuple(itertools.chain.from_iterable(p))) for p in products)
+
+    def avoiding(self, nodes: set[str]) -> Path | None:
+        """The first path, in path order, that passes none of `nodes`: the
+        first such route of each segment, joined. None when every path
+        passes one of them, or when there is no path."""
+        firsts = [next(filter(nodes.isdisjoint, routes), None) for routes in self.segments]
+        if not firsts or None in firsts:
+            return None
+        return Path(tuple(itertools.chain.from_iterable(firsts)))
 
 
 def enumerate_paths(topo: Topology, subject: str, obj: str) -> Paths:

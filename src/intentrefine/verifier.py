@@ -6,19 +6,14 @@ matches it as its renderer's test reads the rendered rule
 that inspects the application layer. Each path is blocked at its first
 blocking device.
 
-Paths are never built. Every path is a product of segment routes
-(topology.route_segments), so each segment route is formatted once, as the
-ids' reprs joined by ", ", and decided once, at its first blocking node.
-evaluate_flow returns these segment verdicts as the Report. The verdict
-comes from the segments alone: some path passes unless some segment has no
-route that passes. The report is the routes' product, which route_segments
-yields in path order, split once into heads and tails, each one str.join
-of its routes. It is formatted as it is read, one block of lines at a
-time: each head's lines are one join of the head's route into text built
-once from the tails. So verify costs time in proportion to what it prints,
-and holds no list of paths, verdicts or lines: beside the segments, only
-about the square root of the paths' joined routes, and one block of about
-as many lines (README, "Verify").
+Paths are never built. evaluate_flow returns the Report: the flow's paths
+as their segment routes (topology.route_segments), and the devices that
+block the flow. The verdict is whether some path avoids them all
+(Paths.avoiding, the question placement asks of the capable devices). The
+report is formatted as it is read, one block of lines at a time, from the
+segments split once into heads and tails; so verify costs time in
+proportion to what it prints, and holds no list of paths, verdicts or
+lines (README, "Verify").
 """
 
 from __future__ import annotations
@@ -76,35 +71,34 @@ def _split(parts: list[list[tuple]]):
             for combo in itertools.product(*parts[:half])), tails
 
 
-class Report:
-    """`verify`'s report on a flow, held as the verdicts of each segment's
-    routes: each route with its first blocking device, or None when the flow
-    passes it. It is read as blocks of whole lines joined by newlines, one
+class Report(topo.Paths):
+    """`verify`'s report on a flow: its paths, and the set of devices that
+    block it. It is read as blocks of whole lines joined by newlines, one
     line for each path in path order, or one warning when there is no path,
-    formatted anew on each iteration. A block holds a head's lines (_split),
-    or a run of heads' lines when the tails are few, so at most about the
-    square root of the lines. A head's lines are one join of its route into
-    glue text built from the tails once for each device that blocks a head,
-    and once for the heads that pass."""
+    formatted anew on each iteration. Each segment route is formatted once
+    per reading, as its ids' reprs joined by ", " (as `repr(list(path))`
+    shows a path between its brackets), with its first blocking device. A
+    block holds a head's lines (_split), or a run of heads' lines when the
+    tails are few, so at most about the square root of the lines. A head's
+    lines are one join of its route into glue text built from the tails once
+    for each device that blocks a head, and once for the heads that pass."""
 
-    __slots__ = ("segments", "subject", "obj")
+    __slots__ = ("blocking", "subject", "obj")
 
-    def __init__(self, segments: list[list[tuple[str, str | None]]], subject: str, obj: str):
-        self.segments, self.subject, self.obj = segments, subject, obj
-
-    def __bool__(self) -> bool:
-        """Whether the endpoints are connected, at any number of paths."""
-        return bool(self.segments)
-
-    def __len__(self) -> int:
-        """The number of paths: the product of the segments' route counts."""
-        return math.prod(map(len, self.segments)) if self.segments else 0
+    def __init__(self, segments: list[list[tuple[str, ...]]], blocking: set[str],
+                 subject: str, obj: str):
+        super().__init__(segments)
+        self.blocking, self.subject, self.obj = blocking, subject, obj
 
     def __iter__(self):
         if not self.segments:
             yield f"warning: no paths between {self.subject} and {self.obj}"
             return
-        heads, tails = _split(self.segments)
+        heads, tails = _split([
+            [(", ".join(map(repr, route)), next(filter(self.blocking.__contains__, route), None))
+             for route in routes]
+            for routes in self.segments
+        ])
 
         def glue(device):
             """The text between the routes in the lines of a head blocked at
@@ -132,10 +126,7 @@ def evaluate_flow(
     subject: str,
     obj: str,
 ) -> Report:
-    """The Report of the flow from `subject` to `obj`: each segment route
-    with its first blocking device, or None when the flow passes it. A
-    route is its node ids' reprs joined by ", ", as `repr(list(path))` shows
-    a path's between its brackets.
+    """The Report of the flow from `subject` to `obj`.
 
     The deployment is read with the stages' own checks before any device is
     decided: converter.build_mspl, as `convert` runs it, then
@@ -174,11 +165,7 @@ def evaluate_flow(
         if any(translator.rule_matches(nsf, rule, f.src_ip, f.dst_ip, host)
                for rule in shapes[device].values()):
             blocking.add(device)
-    return Report([
-        [(", ".join(map(repr, route)), next(filter(blocking.__contains__, route), None))
-         for route in routes]
-        for routes in segments
-    ], subject, obj)
+    return Report(segments, blocking, subject, obj)
 
 
 def verify_deployment(
@@ -189,13 +176,9 @@ def verify_deployment(
     subject: str,
     obj: str,
 ) -> tuple[bool, Report]:
-    """True iff the flow is blocked on every path, decided from the segments
-    before any line is formatted, and the report, which shows any bypass."""
+    """True iff no path avoids the blocking devices, decided before any
+    line is formatted, and the report, which shows any bypass."""
     report = evaluate_flow(t, artifacts, catalog, f, subject, obj)
     if not report:
         logger.warning("no paths between %s and %s; vacuously blocked", subject, obj)
-    # A path passes exactly when each of its segment routes does, so some
-    # path passes unless some segment has no route that passes.
-    blocked = not report or any(
-        all(device is not None for _, device in routes) for routes in report.segments)
-    return blocked, report
+    return report.avoiding(report.blocking) is None, report

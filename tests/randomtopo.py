@@ -187,13 +187,15 @@ def oracle_simple_paths(topo, subject, obj):
 
 def oracle_verdicts(report):
     """Each path's (route, first blocking device) of verify's report, in path
-    order, by a plain product of its segments' verdicts; [] when there is no
-    path."""
+    order, by a plain product of its segments: the route is the path's node
+    ids' reprs joined by ", ", and the device its first node in
+    `report.blocking`. [] when there is no path."""
     if not report.segments:
         return []
-    return [(", ".join(route for route, _ in combo),
-             next((device for _, device in combo if device is not None), None))
-            for combo in itertools.product(*report.segments)]
+    paths = (tuple(itertools.chain.from_iterable(combo))
+             for combo in itertools.product(*report.segments))
+    return [(", ".join(map(repr, path)), next((n for n in path if n in report.blocking), None))
+            for path in paths]
 
 
 def oracle_min_cover(capable_per_path):

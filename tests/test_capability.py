@@ -6,7 +6,6 @@ from intentrefine import capability
 from intentrefine.capability import (
     CapabilityId,
     ControlSpec,
-    RequiredSet,
     control_satisfies,
     derive_required,
     load_catalog,
@@ -117,13 +116,8 @@ def test_derive_required_unrecognized_slot():
 
 
 def test_required_set_must_have_one_action():
-    with pytest.raises(ValidationError):
-        RequiredSet(layer="network", capabilities=frozenset({CapabilityId.IP_SOURCE}))
-    with pytest.raises(ValidationError):
-        RequiredSet(
-            layer="network",
-            capabilities=frozenset({CapabilityId.DROP, CapabilityId.DENY}),
-        )
+    for required in (capability.NETWORK_REQUIRED, capability.APPLICATION_REQUIRED):
+        assert len(required.capabilities & capability.ACTION_CAPABILITIES) == 1
 
 
 def test_control_satisfies(catalog):

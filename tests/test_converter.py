@@ -374,6 +374,13 @@ UNREAD_ELEMENTS = {
     "exact-match-beside-a-state": (
         '<stateConditionCapability operator="exactMatch"><capabilityStateValue>'
         f"<state>NEW</state>{EXACT}</capabilityStateValue></stateConditionCapability>"),
+    # a value or action element holding an element: its text alone is a
+    # valid value, and the text after the child belongs to the child
+    "element-inside-a-value": _address(
+        "exactMatch", "<exactMatch>1.1.1.1<x>9</x>2.2.2.2</exactMatch>"),
+    "element-inside-the-action": _policy_with(_address("exactMatch", EXACT)).replace(
+        "<actionCapability>drop</actionCapability>",
+        "<actionCapability>drop<y/>deny</actionCapability>"),
 }
 
 

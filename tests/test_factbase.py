@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -350,3 +353,38 @@ TOKENIZER_EXAMPLES = {
 @pytest.mark.parametrize("case", TOKENIZER_EXAMPLES)
 def test_tokenize_matches_the_reference_loop_on(case):
     assert_tokenized_as_the_reference(TOKENIZER_EXAMPLES[case])
+
+
+# Tokenizes `"`, then 524 288 escaped quotes (1 MB), then argv[1], and prints
+# the rise of the process's peak RSS in KiB and what the tokenizer gave.
+RSS_PROBE = r"""
+import resource, sys
+from intentrefine import factbase
+from intentrefine.errors import DocumentSyntaxError
+text = '"' + '\\"' * 524_288 + sys.argv[1]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    result = [len(token) for token in factbase._tokenize(text)]
+except DocumentSyntaxError:
+    result = "unterminated"
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, result)
+"""
+
+
+@pytest.mark.parametrize("closing, expected", [
+    ("", "unterminated"),
+    ('"', "[524289]"),
+], ids=["unterminated", "closed"])
+def test_tokenizer_keeps_no_state_per_escape(closing, expected):
+    """Reading a string of escaped quotes raises a fresh process's peak RSS
+    by at most 16 MiB for the 1 MB input: the string pattern keeps no
+    backtracking state per escape, closed or not."""
+    src = str(pathlib.Path(factbase.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, closing],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    rise, result = done.stdout.split(" ", 1)
+    assert result.strip() == expected
+    assert int(rise) <= 16 * 1024
